@@ -577,34 +577,6 @@ impl PoolBuilder {
         self
     }
 
-    /// Renamed to [`with_slots`](Self::with_slots).
-    #[deprecated(since = "0.1.0", note = "use `with_slots`")]
-    #[must_use]
-    pub fn slots(self, slots: usize) -> Self {
-        self.with_slots(slots)
-    }
-
-    /// Renamed to [`with_breaker`](Self::with_breaker).
-    #[deprecated(since = "0.1.0", note = "use `with_breaker`")]
-    #[must_use]
-    pub fn breaker(self, cfg: BreakerConfig) -> Self {
-        self.with_breaker(cfg)
-    }
-
-    /// Renamed to [`with_connector`](Self::with_connector).
-    #[deprecated(since = "0.1.0", note = "use `with_connector`")]
-    #[must_use]
-    pub fn connector(self, connector: Connector) -> Self {
-        self.with_connector(connector)
-    }
-
-    /// Renamed to [`with_handshake`](Self::with_handshake).
-    #[deprecated(since = "0.1.0", note = "use `with_handshake`")]
-    #[must_use]
-    pub fn handshake(self, info: HandshakeInfo) -> Self {
-        self.with_handshake(info)
-    }
-
     /// The pool. Connections are dialed lazily on first use.
     ///
     /// # Errors

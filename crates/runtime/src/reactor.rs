@@ -1,14 +1,19 @@
 //! The readiness-driven reactor behind the TCP transports.
 //!
 //! One reactor thread owns a set of nonblocking sockets and drives all
-//! of their I/O from a poll loop (`set_nonblocking` + resumable frame
-//! state machines — the std-only discipline: no epoll binding, no
-//! external event library). Three pieces make that workable:
+//! of their I/O from one event loop. The loop blocks in a `Poller`
+//! until a socket is ready, a command arrives, or one of its own timers
+//! falls due, and then services only the connections reported ready,
+//! so an idle connection costs nothing per iteration. On Linux the
+//! poller is an epoll instance plus an eventfd waker, bound through a
+//! few hand-declared `extern "C"` functions (no external crate);
+//! elsewhere a portable backend parks briefly and then reports every
+//! connection ready. Four pieces make the loop workable:
 //!
 //! - [`FrameReader`] / [`FrameWriter`]: per-connection GIOP frame state
 //!   machines. A read that stops mid-header or mid-body parks the
 //!   partial bytes in the machine and resumes on the next readiness
-//!   sweep; writes queue encoded frames and retire them byte-by-byte
+//!   event; writes queue encoded frames and retire them byte-by-byte
 //!   as the socket accepts them.
 //! - a waker table ([`MuxCore`]): each in-flight client call parks its
 //!   own thread and is unparked exactly when its reply, failure, or
@@ -17,22 +22,22 @@
 //! - a hashed [`DeadlineWheel`]: per-call deadlines are wheel entries
 //!   owned by the reactor, not `set_read_timeout` mutations of a
 //!   shared socket, so concurrent calls on one connection can no
-//!   longer observe each other's timeouts.
+//!   longer observe each other's timeouts. The loop's wait ends at the
+//!   next armed tick.
+//! - the write-stall clock: a peer that stops reading produces no
+//!   readiness event at all, so the wait also ends when the oldest
+//!   blocked writer's [`WRITE_STALL`] runs out, and that connection is
+//!   closed.
 //!
 //! Client connections from every [`MultiplexedConnection`] in the
 //! process share one global reactor thread (connection churn leaves
 //! the thread count flat); each [`TcpServer`] runs its own reactor fed
 //! by an acceptor thread and drained by a bounded worker pool.
 //!
-//! Connections the sweep has seen no traffic on for a few iterations
-//! are demoted to a cold tier that is polled in stripes, so ten
-//! thousand idle sockets cost a bounded number of syscalls per sweep
-//! rather than ten thousand.
-//!
 //! [`MultiplexedConnection`]: crate::transport::MultiplexedConnection
 //! [`TcpServer`]: crate::transport::TcpServer
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -56,9 +61,10 @@ use crate::transport::{FrameQueue, ServerConfig};
 /// GIOP frame header length (magic + version + flags + declared size).
 const HEADER_LEN: usize = 12;
 
-/// Bytes one connection may consume per readiness sweep before the
+/// Bytes one connection may consume per readiness event before the
 /// reactor moves on: bounds how long one firehose socket can starve
-/// its neighbours.
+/// its neighbours (the socket stays readable, so the next wait reports
+/// it again).
 const READ_BUDGET: usize = 256 * 1024;
 
 /// Frame buffers above this capacity are released after the frame is
@@ -72,24 +78,9 @@ const BUF_KEEP: usize = 64 * 1024;
 const WRITE_BACKLOG_MAX: usize = 64 * 1024 * 1024;
 
 /// How long a nonempty write queue may make zero progress before the
-/// connection is declared stalled (the old transport's 5 s socket
-/// write timeout, relocated to the state machine).
-const WRITE_STALL: Duration = Duration::from_secs(5);
-
-/// Sweeps without traffic before a connection is demoted to the cold
-/// tier.
-const HOT_SWEEPS: u32 = 4;
-
-/// Cold connections polled per sweep (the cold tier is striped; with
-/// `c` cold connections each is visited roughly every `c / COLD_BATCH`
-/// sweeps).
-const COLD_BATCH: u64 = 256;
-
-/// Park when at least one connection is hot or a deadline is armed.
-const ACTIVE_PARK: Duration = Duration::from_micros(100);
-
-/// Park when every connection is cold and no deadline is armed.
-const IDLE_PARK: Duration = Duration::from_millis(5);
+/// connection is declared stalled and closed (the old transport's 5 s
+/// socket write timeout, relocated to the state machine).
+pub const WRITE_STALL: Duration = Duration::from_secs(5);
 
 /// How long the drain phase of a server shutdown keeps flushing
 /// pending reply bytes before giving up on the stragglers.
@@ -334,8 +325,8 @@ const WHEEL_TICK: Duration = Duration::from_millis(1);
 /// A hashed timing wheel holding per-call deadlines.
 ///
 /// Each armed deadline is an entry in the slot its tick hashes to; the
-/// reactor advances the cursor every sweep and fires entries whose
-/// tick has passed (entries a full rotation out stay put until the
+/// reactor advances the cursor every loop iteration and fires entries
+/// whose tick has passed (entries a full rotation out stay put until the
 /// cursor comes around again). Cancellation is lazy: a call that
 /// completes simply abandons its entry, and firing an entry whose
 /// waiter is gone is a no-op — so completion never pays a wheel
@@ -388,6 +379,29 @@ impl DeadlineWheel {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// When the earliest armed entry falls due: the end of its tick,
+    /// which is never before its deadline, and at which
+    /// [`expire`](Self::expire) fires it. `None` when nothing is armed.
+    /// Looks one rotation ahead; when every entry is further out,
+    /// reports the end of that rotation, and the caller looks again.
+    #[must_use]
+    pub fn next_due(&self) -> Option<Instant> {
+        if self.live == 0 {
+            return None;
+        }
+        // Every armed entry's tick is at or past the cursor, so the
+        // first slot holding an entry for its own tick is the earliest.
+        let tick = (self.cursor..self.cursor + WHEEL_SLOTS)
+            .find(|&t| {
+                self.slots[(t % WHEEL_SLOTS) as usize]
+                    .iter()
+                    .any(|e| e.tick <= t)
+            })
+            .unwrap_or(self.cursor + WHEEL_SLOTS);
+        let end = Duration::from_micros((tick + 1) * WHEEL_TICK.as_micros() as u64);
+        Some(self.origin + end)
     }
 
     /// Fires every entry whose tick is at or before `now`, invoking
@@ -450,9 +464,6 @@ pub(crate) struct MuxState {
 /// reactor resolves the slot and unparks exactly the owning thread.
 pub(crate) struct MuxCore {
     pub state: Mutex<MuxState>,
-    /// Registered-but-unresolved calls; the reactor reads this without
-    /// taking the lock to decide whether the connection is hot.
-    pub in_flight: AtomicUsize,
 }
 
 impl MuxCore {
@@ -462,7 +473,6 @@ impl MuxCore {
                 pending: HashMap::new(),
                 dead: None,
             }),
-            in_flight: AtomicUsize::new(0),
         }
     }
 
@@ -503,6 +513,266 @@ impl MuxCore {
                     t.unpark();
                 }
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Readiness poller
+// ---------------------------------------------------------------------------
+
+/// Which readiness a connection wants reported: reads while the reactor
+/// still takes frames from it, writes only while its [`FrameWriter`]
+/// holds bytes the socket has not accepted.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Interest {
+    read: bool,
+    write: bool,
+}
+
+impl Interest {
+    fn is_none(self) -> bool {
+        !self.read && !self.write
+    }
+}
+
+#[cfg(target_os = "linux")]
+use epoll::{Poller, Waker};
+#[cfg(not(target_os = "linux"))]
+use timed::{Poller, Waker};
+
+/// Readiness from the kernel: one epoll instance per reactor, with
+/// sockets registered level-triggered under their connection id, and an
+/// eventfd that command senders write so a blocked wait returns at once.
+#[cfg(target_os = "linux")]
+mod epoll {
+    use std::ffi::{c_int, c_uint, c_void};
+    use std::io;
+    use std::net::TcpStream;
+    use std::os::fd::AsRawFd;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use super::Interest;
+
+    const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+    const EPOLL_CTL_ADD: c_int = 1;
+    const EPOLL_CTL_DEL: c_int = 2;
+    const EPOLL_CTL_MOD: c_int = 3;
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
+    const EPOLLRDHUP: u32 = 0x2000;
+    const EFD_CLOEXEC: c_int = 0o2_000_000;
+    const EFD_NONBLOCK: c_int = 0o4_000;
+
+    /// The eventfd's key. Connection ids are allocated upward from 1 and
+    /// never reach it; keys are never fd numbers, which the kernel
+    /// reuses after a close.
+    const WAKE_KEY: u64 = u64::MAX;
+
+    /// Events taken per wait. More ready sockets stay ready
+    /// (level-triggered) and are reported by the next wait.
+    const MAX_EVENTS: usize = 256;
+
+    /// The kernel's `struct epoll_event`, which is packed on x86-64 only.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+    #[derive(Clone, Copy)]
+    struct EpollEvent {
+        events: u32,
+        data: u64,
+    }
+
+    unsafe extern "C" {
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+        fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
+        fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+        fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
+        fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
+        fn close(fd: c_int) -> c_int;
+    }
+
+    /// Maps a libc-style return value to `errno` on failure.
+    fn cvt(ret: c_int) -> io::Result<c_int> {
+        if ret < 0 {
+            Err(io::Error::last_os_error())
+        } else {
+            Ok(ret)
+        }
+    }
+
+    /// A file descriptor this module created, closed on drop.
+    struct Fd(c_int);
+
+    impl Drop for Fd {
+        fn drop(&mut self) {
+            // SAFETY: the descriptor came from a successful
+            // `epoll_create1` or `eventfd`, is owned by this value
+            // alone, and is closed exactly once, here.
+            unsafe { close(self.0) };
+        }
+    }
+
+    /// Wakes the reactor out of [`Poller::wait`]; every handle shares
+    /// one. Dropping the last one wakes it too, so the loop sees its
+    /// command channel close instead of sleeping forever.
+    pub struct Waker(Arc<Fd>);
+
+    impl Waker {
+        pub fn wake(&self) {
+            let one = 1u64;
+            // SAFETY: writes the 8 bytes of a live `u64` to the eventfd,
+            // which stays open while this waker holds it. The only
+            // possible failure is a full counter (`EAGAIN`), which
+            // already means a wake is pending.
+            unsafe { write(self.0 .0, (&raw const one).cast(), 8) };
+        }
+    }
+
+    impl Drop for Waker {
+        fn drop(&mut self) {
+            self.wake();
+        }
+    }
+
+    pub struct Poller {
+        epoll: Fd,
+        wake: Arc<Fd>,
+        events: Vec<EpollEvent>,
+    }
+
+    impl Poller {
+        pub fn new() -> io::Result<(Poller, Arc<Waker>)> {
+            // SAFETY: a plain syscall with constant flags, no pointers.
+            let epoll = Fd(cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?);
+            // SAFETY: as above.
+            let wake = Arc::new(Fd(cvt(unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) })?));
+            let poller = Poller {
+                epoll,
+                wake: Arc::clone(&wake),
+                events: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
+            };
+            poller.ctl(EPOLL_CTL_ADD, wake.0, EPOLLIN, WAKE_KEY)?;
+            Ok((poller, Arc::new(Waker(wake))))
+        }
+
+        fn ctl(&self, op: c_int, fd: c_int, events: u32, key: u64) -> io::Result<()> {
+            let mut event = EpollEvent { events, data: key };
+            // SAFETY: `event` is a live, correctly laid-out
+            // `epoll_event` for the whole call; the kernel copies it and
+            // keeps no pointer.
+            cvt(unsafe { epoll_ctl(self.epoll.0, op, fd, &mut event) }).map(drop)
+        }
+
+        /// Moves connection `key`'s registration from `old` to `new`:
+        /// added on first interest, removed when none is left.
+        pub fn update(
+            &mut self,
+            stream: &TcpStream,
+            key: u64,
+            old: Interest,
+            new: Interest,
+        ) -> io::Result<()> {
+            if old == new {
+                return Ok(());
+            }
+            let op = if old.is_none() {
+                EPOLL_CTL_ADD
+            } else if new.is_none() {
+                EPOLL_CTL_DEL
+            } else {
+                EPOLL_CTL_MOD
+            };
+            let read = if new.read { EPOLLIN | EPOLLRDHUP } else { 0 };
+            let write = if new.write { EPOLLOUT } else { 0 };
+            self.ctl(op, stream.as_raw_fd(), read | write, key)
+        }
+
+        /// Blocks until a registered connection is ready, the waker
+        /// fires, or `timeout` passes (`None` waits without limit), and
+        /// appends the ready connections' keys to `ready`.
+        pub fn wait(&mut self, timeout: Option<Duration>, ready: &mut Vec<u64>) -> io::Result<()> {
+            // Round up: waking before the timer is due would only spin.
+            let ms = timeout.map_or(-1, |t| {
+                c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+            });
+            // SAFETY: `events` holds `MAX_EVENTS` initialised entries and
+            // the kernel writes at most that many.
+            let n = unsafe {
+                epoll_wait(
+                    self.epoll.0,
+                    self.events.as_mut_ptr(),
+                    MAX_EVENTS as c_int,
+                    ms,
+                )
+            };
+            if n < 0 {
+                let err = io::Error::last_os_error();
+                return match err.kind() {
+                    io::ErrorKind::Interrupted => Ok(()),
+                    _ => Err(err),
+                };
+            }
+            for event in &self.events[..n as usize] {
+                let key = event.data;
+                if key != WAKE_KEY {
+                    ready.push(key);
+                    continue;
+                }
+                let mut count = 0u64;
+                // SAFETY: reads 8 bytes into a live `u64` from the
+                // nonblocking eventfd this poller holds open; resetting
+                // the counter re-arms it for the next wake.
+                unsafe { read(self.wake.0, (&raw mut count).cast(), 8) };
+            }
+            Ok(())
+        }
+    }
+}
+
+/// The portable backend: no readiness source, so after a timed park
+/// of at most `PARK` (cut short by the waker) every registered
+/// connection is reported ready. Selected off Linux; built everywhere
+/// so its test runs too.
+#[cfg_attr(target_os = "linux", allow(dead_code))]
+mod timed {
+    use super::Interest;
+    use std::collections::BTreeSet;
+    use std::io::Result;
+    use std::net::TcpStream;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    const PARK: Duration = Duration::from_millis(1);
+
+    /// Holds at most one pending wake, which ends the next park.
+    pub struct Waker(mpsc::SyncSender<()>);
+
+    impl Waker {
+        pub fn wake(&self) {
+            let _ = self.0.try_send(());
+        }
+    }
+
+    pub struct Poller(BTreeSet<u64>, mpsc::Receiver<()>);
+
+    impl Poller {
+        pub fn new() -> Result<(Poller, Arc<Waker>)> {
+            let (tx, rx) = mpsc::sync_channel(1);
+            Ok((Poller(BTreeSet::new(), rx), Arc::new(Waker(tx))))
+        }
+
+        pub fn update(&mut self, _: &TcpStream, id: u64, _: Interest, to: Interest) -> Result<()> {
+            self.0.remove(&id);
+            self.0.extend((!to.is_none()).then_some(id));
+            Ok(())
+        }
+
+        pub fn wait(&mut self, timeout: Option<Duration>, ready: &mut Vec<u64>) -> Result<()> {
+            let _ = self.1.recv_timeout(timeout.map_or(PARK, |t| t.min(PARK)));
+            ready.extend(self.0.iter().copied());
+            Ok(())
         }
     }
 }
@@ -574,11 +844,13 @@ pub(crate) enum Command {
 }
 
 /// The caller-side handle to a reactor thread: a command queue plus
-/// the thread handle to unpark after each send.
+/// the waker that ends the reactor's wait after each send.
 #[derive(Clone)]
 pub(crate) struct ReactorHandle {
+    /// Declared before `waker`: fields drop in order, so when the last
+    /// handle's waker wakes the reactor, every sender is already gone.
     tx: Sender<Command>,
-    thread: Thread,
+    waker: Arc<Waker>,
     next_id: Arc<AtomicU64>,
     open_conns: Arc<AtomicUsize>,
 }
@@ -600,7 +872,7 @@ impl ReactorHandle {
         self.tx
             .send(cmd)
             .map_err(|_| RuntimeError::Transport("transport reactor is gone".into()))?;
-        self.thread.unpark();
+        self.waker.wake();
         Ok(())
     }
 }
@@ -608,15 +880,26 @@ impl ReactorHandle {
 /// The process-wide reactor every client connection registers with.
 pub(crate) fn client_reactor() -> &'static ReactorHandle {
     static CLIENT: OnceLock<ReactorHandle> = OnceLock::new();
-    CLIENT.get_or_init(|| spawn_reactor("mb-reactor", None).0)
+    CLIENT.get_or_init(|| {
+        spawn_reactor("mb-reactor", None)
+            .expect("start the client reactor")
+            .0
+    })
 }
 
 /// Spawns a reactor thread; `server` selects server mode. Returns the
 /// handle and the thread's join handle (client callers detach it).
+///
+/// # Errors
+///
+/// [`RuntimeError::Transport`] when the poller or the thread cannot be
+/// created (descriptor or thread limits).
 pub(crate) fn spawn_reactor(
     name: &str,
     server: Option<ServerCtx>,
-) -> (ReactorHandle, std::thread::JoinHandle<()>) {
+) -> Result<(ReactorHandle, std::thread::JoinHandle<()>), RuntimeError> {
+    let startup = |e: std::io::Error| RuntimeError::Transport(format!("start reactor: {e}"));
+    let (poller, waker) = Poller::new().map_err(startup)?;
     let (tx, rx) = std::sync::mpsc::channel();
     let open_conns = Arc::new(AtomicUsize::new(0));
     let gauge = Arc::clone(&open_conns);
@@ -626,26 +909,25 @@ pub(crate) fn spawn_reactor(
             Reactor {
                 conns: HashMap::new(),
                 wheel: DeadlineWheel::new(Instant::now()),
+                poller,
+                unflushed: HashSet::new(),
                 server,
                 open_conns: gauge,
                 stop_reading: false,
-                sweep_seq: 0,
-                cold_period: 1,
                 next_conn: 1 << 32,
             }
             .run(&rx);
         })
-        .expect("spawn reactor thread");
-    let thread = join.thread().clone();
-    (
+        .map_err(startup)?;
+    Ok((
         ReactorHandle {
             tx,
-            thread,
+            waker,
             next_id: Arc::new(AtomicU64::new(1)),
             open_conns,
         },
         join,
-    )
+    ))
 }
 
 enum Role {
@@ -666,21 +948,11 @@ struct ConnState {
     /// Reject verdicts and protocol errors flush their last reply
     /// before the socket closes.
     close_after_flush: bool,
-    idle_sweeps: u32,
-    /// Set while the write queue is nonempty and making no progress.
+    /// What the poller currently reports for this connection.
+    interest: Interest,
+    /// Set while the write queue is nonempty: when it last made
+    /// progress (or first failed to).
     stalled_since: Option<Instant>,
-}
-
-impl ConnState {
-    fn is_hot(&self) -> bool {
-        if self.idle_sweeps < HOT_SWEEPS || !self.writer.is_empty() {
-            return true;
-        }
-        match &self.role {
-            Role::Client { core, .. } => core.in_flight.load(Ordering::SeqCst) > 0,
-            Role::Server { queued } => queued.load(Ordering::SeqCst) > 0,
-        }
-    }
 }
 
 /// Why a connection left the reactor.
@@ -695,11 +967,13 @@ enum Closed {
 struct Reactor {
     conns: HashMap<u64, ConnState>,
     wheel: DeadlineWheel,
+    poller: Poller,
+    /// Connections whose writer holds unsent bytes: the only ones with
+    /// write interest armed, and the only ones the stall clock watches.
+    unflushed: HashSet<u64>,
     server: Option<ServerCtx>,
     open_conns: Arc<AtomicUsize>,
     stop_reading: bool,
-    sweep_seq: u64,
-    cold_period: u64,
     /// Server-side connection ids (client ids come from the handle's
     /// allocator; the two kinds never share a reactor, but keeping the
     /// ranges apart makes logs unambiguous anyway).
@@ -709,20 +983,16 @@ struct Reactor {
 impl Reactor {
     fn run(mut self, rx: &Receiver<Command>) {
         let mut frames: Vec<Message> = Vec::new();
+        let mut ready: Vec<u64> = Vec::new();
         loop {
-            let mut progress = false;
-
             // Commands first: registrations, submissions, shutdown.
             loop {
                 match rx.try_recv() {
                     Ok(Command::Drain) => {
-                        self.drain();
+                        self.drain(&mut ready);
                         return;
                     }
-                    Ok(cmd) => {
-                        progress = true;
-                        self.handle(cmd);
-                    }
+                    Ok(cmd) => self.handle(cmd),
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
                         // Every handle is gone: nobody can submit work
@@ -734,6 +1004,12 @@ impl Reactor {
                         return;
                     }
                 }
+            }
+
+            // The connections the last wait reported ready. A key whose
+            // connection closed since then finds no entry.
+            for id in ready.drain(..) {
+                self.service(id, &mut frames);
             }
 
             // Expired deadlines fail their waiters (lazily cancelled:
@@ -753,22 +1029,59 @@ impl Reactor {
                     );
                 }
             });
+            self.expire_stalls(now);
 
-            // Readiness sweep.
-            let (swept, hot) = self.sweep(&mut frames);
-            progress |= swept;
-
-            if progress {
-                continue;
+            let timeout = self
+                .next_timer()
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            if let Err(e) = self.poller.wait(timeout, &mut ready) {
+                self.fail_everything(&RuntimeError::Transport(format!(
+                    "transport reactor poll failed: {e}"
+                )));
+                return;
             }
-            let park = if hot > 0 {
-                ACTIVE_PARK
-            } else if !self.wheel.is_empty() {
-                WHEEL_TICK
-            } else {
-                IDLE_PARK
-            };
-            std::thread::park_timeout(park);
+        }
+    }
+
+    /// When the loop must wake with no readiness event: the next armed
+    /// wheel tick or the earliest write-stall expiry, whichever is
+    /// first. `None` blocks until a socket or a command wakes it.
+    fn next_timer(&self) -> Option<Instant> {
+        let stall = self
+            .unflushed
+            .iter()
+            .filter_map(|id| self.conns.get(id)?.stalled_since)
+            .min()
+            .map(|since| since + WRITE_STALL);
+        self.wheel.next_due().into_iter().chain(stall).min()
+    }
+
+    /// Closes every connection whose writer has made no progress for
+    /// [`WRITE_STALL`]: a peer that stopped reading never makes the
+    /// socket writable again, so no readiness event would. No last
+    /// write is tried, because a receiving kernel that compacts its
+    /// queue takes a few more bytes with nobody reading, which would
+    /// restart the clock; as with a blocking write's timeout, only room
+    /// the socket reports, or a write for a new frame, is progress.
+    fn expire_stalls(&mut self, now: Instant) {
+        let due: Vec<u64> = self
+            .unflushed
+            .iter()
+            .copied()
+            .filter(|id| {
+                self.conns
+                    .get(id)
+                    .and_then(|c| c.stalled_since)
+                    .is_some_and(|since| now >= since + WRITE_STALL)
+            })
+            .collect();
+        for id in due {
+            self.close(
+                id,
+                &Closed::Error(RuntimeError::Transport(
+                    "write stalled: peer stopped reading".into(),
+                )),
+            );
         }
     }
 
@@ -805,10 +1118,7 @@ impl Reactor {
                         self.wheel.insert(conn, request_id, at);
                     }
                     c.writer.enqueue(frame);
-                    c.idle_sweeps = 0;
-                    if let Err(e) = Self::pump_write(c) {
-                        self.close(conn, &Closed::Error(e));
-                    }
+                    self.flush(conn);
                 }
                 // Unknown conn: it died and fail_all already resolved
                 // the caller's slot; the frame is dropped.
@@ -825,10 +1135,7 @@ impl Reactor {
                         return;
                     }
                     c.writer.enqueue(frame);
-                    c.idle_sweeps = 0;
-                    if let Err(e) = Self::pump_write(c) {
-                        self.close(conn, &Closed::Error(e));
-                    }
+                    self.flush(conn);
                 }
             }
             Command::Close { conn } => {
@@ -837,7 +1144,7 @@ impl Reactor {
                     &Closed::Error(RuntimeError::Transport("connection closed".into())),
                 );
             }
-            Command::StopReading => self.stop_reading = true,
+            Command::StopReading => self.stop_reading(),
             Command::Drain => unreachable!("handled in run()"),
         }
     }
@@ -852,11 +1159,61 @@ impl Reactor {
                 writer: FrameWriter::new(),
                 role,
                 close_after_flush: false,
-                idle_sweeps: 0,
+                interest: Interest::default(),
                 stalled_since: None,
             },
         );
         self.open_conns.store(self.conns.len(), Ordering::SeqCst);
+        self.rearm(id);
+    }
+
+    /// Re-derives a connection's readiness interest from its state:
+    /// reads while the reactor takes frames from it, writes only while
+    /// its writer holds unsent bytes.
+    fn rearm(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        let want = Interest {
+            read: !self.stop_reading && !conn.close_after_flush,
+            write: !conn.writer.is_empty(),
+        };
+        if want.write {
+            self.unflushed.insert(id);
+        } else {
+            self.unflushed.remove(&id);
+        }
+        match self.poller.update(&conn.stream, id, conn.interest, want) {
+            Ok(()) => conn.interest = want,
+            Err(e) => self.close(
+                id,
+                &Closed::Error(RuntimeError::Transport(format!(
+                    "readiness registration failed: {e}"
+                ))),
+            ),
+        }
+    }
+
+    /// Pumps one connection's writer, then re-arms it (or closes it on
+    /// a write error).
+    fn flush(&mut self, id: u64) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        match Self::pump_write(conn) {
+            Ok(()) => self.rearm(id),
+            Err(e) => self.close(id, &Closed::Error(e)),
+        }
+    }
+
+    /// Shutdown: no connection is read from again, and none reports
+    /// readability any more.
+    fn stop_reading(&mut self) {
+        self.stop_reading = true;
+        let ids: Vec<u64> = self.conns.keys().copied().collect();
+        for id in ids {
+            self.rearm(id);
+        }
     }
 
     /// Removes a connection, failing client waiters synchronously.
@@ -865,6 +1222,12 @@ impl Reactor {
             return;
         };
         self.open_conns.store(self.conns.len(), Ordering::SeqCst);
+        self.unflushed.remove(&id);
+        // Deregister before the descriptor closes: the kernel would
+        // drop it anyway, but only once no duplicate refers to it.
+        self.poller
+            .update(&conn.stream, id, conn.interest, Interest::default())
+            .ok();
         if let Role::Client { core, .. } = &conn.role {
             let err = match why {
                 Closed::Clean => RuntimeError::Transport("server closed the connection".into()),
@@ -882,111 +1245,57 @@ impl Reactor {
         }
     }
 
-    /// One pass over every due connection. Returns whether any byte
-    /// moved and how many connections are hot.
-    fn sweep(&mut self, frames: &mut Vec<Message>) -> (bool, usize) {
-        self.sweep_seq = self.sweep_seq.wrapping_add(1);
-        let mut moved = false;
-        let mut hot = 0usize;
-        let mut cold = 0u64;
-        let mut closed: Vec<(u64, Closed)> = Vec::new();
-        let server = self.server.as_ref();
-        let (sweep_seq, cold_period, stop_reading) =
-            (self.sweep_seq, self.cold_period, self.stop_reading);
-        for (&id, conn) in &mut self.conns {
-            if conn.is_hot() {
-                hot += 1;
-            } else {
-                cold += 1;
-                if sweep_seq.wrapping_add(id) % cold_period != 0 {
-                    continue;
-                }
-            }
-            match Self::service(conn, id, server, frames, stop_reading) {
-                Ok(Service {
-                    bytes,
-                    closed: was_closed,
-                }) => {
-                    if bytes > 0 {
-                        moved = true;
-                        conn.idle_sweeps = 0;
-                    } else {
-                        conn.idle_sweeps = conn.idle_sweeps.saturating_add(1);
-                    }
-                    if was_closed {
-                        closed.push((id, Closed::Clean));
-                    }
-                }
-                Err(e) => closed.push((id, Closed::Error(e))),
-            }
+    /// Services one connection the poller reported ready, then re-arms
+    /// or closes it.
+    fn service(&mut self, id: u64, frames: &mut Vec<Message>) {
+        let Some(conn) = self.conns.get_mut(&id) else {
+            return;
+        };
+        match Self::pump(conn, id, self.server.as_ref(), frames, self.stop_reading) {
+            Ok(false) => self.rearm(id),
+            Ok(true) => self.close(id, &Closed::Clean),
+            Err(e) => self.close(id, &Closed::Error(e)),
         }
-        for (id, why) in closed {
-            self.close(id, &why);
-        }
-        self.cold_period = (cold / COLD_BATCH).max(1);
-        (moved, hot)
     }
 
-    /// Pumps one connection's writer, tracking stalls.
-    fn pump_write(conn: &mut ConnState) -> Result<usize, RuntimeError> {
+    /// Pumps one connection's writer, restarting the stall clock on
+    /// progress ([`expire_stalls`](Self::expire_stalls) reads it).
+    fn pump_write(conn: &mut ConnState) -> Result<(), RuntimeError> {
         if conn.writer.is_empty() {
             conn.stalled_since = None;
-            return Ok(0);
+            return Ok(());
         }
         let pump = conn.writer.pump(&mut conn.stream)?;
         if pump.bytes > 0 {
-            let metrics = match &conn.role {
-                Role::Client { metrics, .. } => Some(metrics),
-                Role::Server { .. } => None,
-            };
-            if let Some(m) = metrics {
-                m.add_bytes_sent(pump.bytes as u64);
+            if let Role::Client { metrics, .. } = &conn.role {
+                metrics.add_bytes_sent(pump.bytes as u64);
             }
         }
         if conn.writer.is_empty() {
             conn.stalled_since = None;
-        } else if pump.bytes > 0 {
+        } else if pump.bytes > 0 || conn.stalled_since.is_none() {
             conn.stalled_since = Some(Instant::now());
-        } else {
-            match conn.stalled_since {
-                None => conn.stalled_since = Some(Instant::now()),
-                Some(since) if since.elapsed() > WRITE_STALL => {
-                    return Err(RuntimeError::Transport(
-                        "write stalled: peer stopped reading".into(),
-                    ));
-                }
-                Some(_) => {}
-            }
         }
-        Ok(pump.bytes)
+        Ok(())
     }
 
-    /// Services one connection: write pump, then read pump + frame
-    /// handling. Returns bytes moved and whether the connection
-    /// reached a clean close.
-    fn service(
+    /// One ready connection's I/O: write pump, then read pump + frame
+    /// handling, then a second write pump for the replies those frames
+    /// produced inline. Returns whether the connection reached a clean
+    /// close.
+    fn pump(
         conn: &mut ConnState,
         id: u64,
         server: Option<&ServerCtx>,
         frames: &mut Vec<Message>,
         stop_reading: bool,
-    ) -> Result<Service, RuntimeError> {
-        let mut bytes = Self::pump_write(conn)?;
-        if conn.close_after_flush {
-            return Ok(Service {
-                bytes,
-                closed: conn.writer.is_empty(),
-            });
-        }
-        if stop_reading {
-            return Ok(Service {
-                bytes,
-                closed: false,
-            });
+    ) -> Result<bool, RuntimeError> {
+        Self::pump_write(conn)?;
+        if conn.close_after_flush || stop_reading {
+            return Ok(conn.close_after_flush && conn.writer.is_empty());
         }
         frames.clear();
         let pump = conn.reader.pump(&mut conn.stream, frames, READ_BUDGET)?;
-        bytes += pump.bytes;
         if pump.bytes > 0 {
             match (&conn.role, server) {
                 (Role::Client { metrics, .. }, _) => metrics.add_bytes_received(pump.bytes as u64),
@@ -1017,10 +1326,8 @@ impl Reactor {
                 }
             }
         }
-        Ok(Service {
-            bytes,
-            closed: pump.eof,
-        })
+        Self::pump_write(conn)?;
+        Ok(pump.eof || (conn.close_after_flush && conn.writer.is_empty()))
     }
 
     /// Handles one inbound server-side frame: handshake, admission,
@@ -1116,42 +1423,25 @@ impl Reactor {
 
     /// Server shutdown, phase two: flush pending reply bytes (bounded)
     /// and exit.
-    fn drain(&mut self) {
+    fn drain(&mut self, ready: &mut Vec<u64>) {
+        self.stop_reading();
         let give_up = Instant::now() + DRAIN_FLUSH;
-        while Instant::now() < give_up {
-            let mut pending = false;
-            let mut broken: Vec<u64> = Vec::new();
-            for (&id, conn) in &mut self.conns {
-                if conn.writer.is_empty() {
-                    continue;
-                }
-                match Self::pump_write(conn) {
-                    Ok(_) => {
-                        if !conn.writer.is_empty() {
-                            pending = true;
-                        }
-                    }
-                    Err(_) => broken.push(id),
-                }
+        loop {
+            let pending: Vec<u64> = self.unflushed.iter().copied().collect();
+            for id in pending {
+                self.flush(id);
             }
-            for id in broken {
-                self.close(
-                    id,
-                    &Closed::Error(RuntimeError::Transport("shutdown".into())),
-                );
-            }
-            if !pending {
+            let now = Instant::now();
+            if self.unflushed.is_empty() || now >= give_up {
                 break;
             }
-            std::thread::park_timeout(ACTIVE_PARK);
+            ready.clear();
+            if self.poller.wait(Some(give_up - now), ready).is_err() {
+                break;
+            }
         }
         self.fail_everything(&RuntimeError::Transport("server shut down".into()));
     }
-}
-
-struct Service {
-    bytes: usize,
-    closed: bool,
 }
 
 fn conn_parts<'a>(
@@ -1506,7 +1796,7 @@ mod tests {
     fn wheel_holds_deadlines_beyond_one_rotation() {
         // A deadline several full rotations out (the wheel covers
         // WHEEL_SLOTS ticks = 256 ms per revolution) must survive every
-        // intermediate sweep of its slot and fire only when its own
+        // intermediate expiry pass over its slot and fire only when its own
         // tick comes around — never early, never dropped.
         let origin = Instant::now();
         let mut wheel = DeadlineWheel::new(origin);
@@ -1526,6 +1816,162 @@ mod tests {
         wheel.expire(origin + far + WHEEL_TICK, |c, r| fired.push((c, r)));
         assert_eq!(fired, vec![(9, 42)]);
         assert!(wheel.is_empty());
+    }
+
+    #[test]
+    fn wheel_reports_when_its_earliest_entry_falls_due() {
+        let origin = Instant::now();
+        let mut wheel = DeadlineWheel::new(origin);
+        assert_eq!(wheel.next_due(), None, "nothing armed: no timer");
+        wheel.insert(1, 1, origin + Duration::from_millis(40));
+        wheel.insert(1, 2, origin + Duration::from_micros(7_500));
+        // Due at the end of the 7 ms tick: never before the deadline
+        // itself, and expire() fires the entry then.
+        let due = wheel.next_due().unwrap();
+        assert_eq!(due, origin + Duration::from_millis(8));
+        let mut fired = Vec::new();
+        wheel.expire(due, |_, r| fired.push(r));
+        assert_eq!(fired, vec![2]);
+        assert_eq!(wheel.next_due(), Some(origin + Duration::from_millis(41)));
+        // Beyond one rotation: the timer looks again a rotation out.
+        let mut far = DeadlineWheel::new(origin);
+        far.insert(2, 3, origin + Duration::from_millis(3 * WHEEL_SLOTS));
+        assert_eq!(
+            far.next_due(),
+            Some(origin + Duration::from_millis(WHEEL_SLOTS + 1))
+        );
+    }
+
+    /// A connected loopback pair: (the side the poller watches, its peer).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let near = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (far, _) = listener.accept().unwrap();
+        near.set_nonblocking(true).unwrap();
+        (near, far)
+    }
+
+    const READ: Interest = Interest {
+        read: true,
+        write: false,
+    };
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn epoll_poller_reports_ready_keys_and_wakes_on_demand() {
+        let (near, mut far) = socket_pair();
+        let (mut poller, waker) = Poller::new().unwrap();
+        poller.update(&near, 7, Interest::default(), READ).unwrap();
+        let mut ready = Vec::new();
+
+        // Nothing to read: the wait runs out its timeout.
+        let t = Instant::now();
+        poller
+            .wait(Some(Duration::from_millis(30)), &mut ready)
+            .unwrap();
+        assert!(ready.is_empty());
+        assert!(t.elapsed() >= Duration::from_millis(30));
+
+        // A byte from the peer: reported under the connection's key.
+        far.write_all(b"x").unwrap();
+        poller.wait(None, &mut ready).unwrap();
+        assert_eq!(ready, vec![7]);
+
+        // The waker ends an unbounded wait from another thread and
+        // reports no connection.
+        ready.clear();
+        let mut buf = [0u8; 1];
+        (&near).read_exact(&mut buf).unwrap();
+        let t = Instant::now();
+        let kick = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            waker.wake();
+        });
+        poller.wait(None, &mut ready).unwrap();
+        kick.join().unwrap();
+        assert!(ready.is_empty());
+        assert!(t.elapsed() < Duration::from_secs(5), "woken, not timed out");
+
+        // Write interest on an empty send buffer is ready at once;
+        // deregistered sockets are never reported.
+        let both = Interest {
+            read: true,
+            write: true,
+        };
+        poller.update(&near, 7, READ, both).unwrap();
+        poller
+            .wait(Some(Duration::from_secs(5)), &mut ready)
+            .unwrap();
+        assert_eq!(ready, vec![7]);
+        ready.clear();
+        poller.update(&near, 7, both, Interest::default()).unwrap();
+        far.write_all(b"y").unwrap();
+        poller
+            .wait(Some(Duration::from_millis(30)), &mut ready)
+            .unwrap();
+        assert!(ready.is_empty());
+    }
+
+    #[test]
+    fn timed_poller_reports_every_registered_connection() {
+        let (a, _pa) = socket_pair();
+        let (b, _pb) = socket_pair();
+        let (mut poller, waker) = timed::Poller::new().unwrap();
+        poller.update(&a, 1, Interest::default(), READ).unwrap();
+        poller.update(&b, 2, Interest::default(), READ).unwrap();
+        let mut ready = Vec::new();
+        poller.wait(None, &mut ready).unwrap();
+        assert_eq!(ready, vec![1, 2], "every registered key, after a park");
+
+        // However long the timeout, the park lasts at most PARK (a
+        // pending wake ends it sooner), so every connection is polled
+        // at least that often; a deregistered key is no longer reported.
+        ready.clear();
+        poller.update(&b, 2, READ, Interest::default()).unwrap();
+        waker.wake();
+        let t = Instant::now();
+        poller
+            .wait(Some(Duration::from_secs(5)), &mut ready)
+            .unwrap();
+        assert!(t.elapsed() < Duration::from_secs(1));
+        assert_eq!(ready, vec![1]);
+    }
+
+    #[test]
+    fn reactor_exits_once_every_handle_is_gone() {
+        let (handle, join) = spawn_reactor("mb-reactor-test", None).unwrap();
+        let (near, _far) = socket_pair();
+        let core = Arc::new(MuxCore::new());
+        handle
+            .send(Command::RegisterClient {
+                id: handle.alloc_id(),
+                stream: near,
+                core: Arc::clone(&core),
+                metrics: MetricsRegistry::shared(),
+            })
+            .unwrap();
+        while handle.open_conns() == 0 {
+            std::thread::yield_now();
+        }
+        // Give the loop time to block in its wait: no byte, no timer
+        // and no command will end that wait from here on.
+        std::thread::sleep(Duration::from_millis(50));
+        let spare = handle.clone();
+        drop(handle);
+        drop(spare);
+        let t = Instant::now();
+        while !join.is_finished() {
+            assert!(
+                t.elapsed() < Duration::from_secs(5),
+                "the reactor outlived its last handle"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        join.join().unwrap();
+        assert!(
+            core.state.plock().dead.is_some(),
+            "the connection was failed on the way out"
+        );
     }
 
     #[test]

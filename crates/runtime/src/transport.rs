@@ -611,10 +611,7 @@ impl MultiplexedConnection {
     /// Removes a waiter slot this caller registered but can no longer
     /// wait on.
     fn abandon(&self, wire_id: u32) {
-        let mut st = self.core.state.plock();
-        if st.pending.remove(&wire_id).is_some() {
-            self.core.in_flight.fetch_sub(1, Ordering::SeqCst);
-        }
+        self.core.state.plock().pending.remove(&wire_id);
     }
 
     fn local_timeout(&self, deadline: Option<Duration>) -> RuntimeError {
@@ -679,7 +676,6 @@ impl Connection for MultiplexedConnection {
             if response_expected {
                 st.pending
                     .insert(wire_id, Slot::Waiting(std::thread::current()));
-                self.core.in_flight.fetch_add(1, Ordering::SeqCst);
             }
         }
 
@@ -709,7 +705,6 @@ impl Connection for MultiplexedConnection {
                     Some(Slot::Waiting(_)) => {}
                     Some(_) => {
                         let slot = st.pending.remove(&wire_id);
-                        self.core.in_flight.fetch_sub(1, Ordering::SeqCst);
                         drop(st);
                         return match slot {
                             Some(Slot::Ready(reply)) => {
@@ -733,7 +728,6 @@ impl Connection for MultiplexedConnection {
                     let mut st = self.core.state.plock();
                     if matches!(st.pending.get(&wire_id), Some(Slot::Waiting(_))) {
                         st.pending.remove(&wire_id);
-                        self.core.in_flight.fetch_sub(1, Ordering::SeqCst);
                         drop(st);
                         return Err(self.local_timeout(options.deadline));
                     }
@@ -1380,7 +1374,7 @@ impl TcpServer {
                 metrics: Arc::clone(&metrics),
                 limiter: Arc::clone(&limiter),
             };
-            let (handle, reactor_thread) = spawn_reactor("mb-reactor-srv", Some(ctx));
+            let (handle, reactor_thread) = spawn_reactor("mb-reactor-srv", Some(ctx))?;
             // The pool drains request/reply work concurrently; one
             // extra worker drains oneways alone, in receipt order
             // (their only delivery guarantee — no reply correlates

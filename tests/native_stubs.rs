@@ -13,8 +13,8 @@
 //! seed-pinned fixtures this suite reconstructs.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mockingbird::comparer::{CacheKey, Comparer, Mode, RuleSet};
@@ -38,11 +38,26 @@ use mockingbird_bench::register_native_stubs;
 /// over a pooled buffer is checkable (not just claimed).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// This thread's allocations. Per thread, so the other tests of
+    /// this binary, running in parallel, cannot show up in the count;
+    /// `const`-initialised, so bumping it never allocates.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: an allocation during thread teardown is not counted
+    // rather than a panic inside the allocator.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -51,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -240,9 +255,9 @@ fn native_encode_is_allocation_free_over_a_pooled_buffer() {
     for _ in 0..32 {
         pooled.clear();
         let mut w = CdrWriter::from_vec(pooled, Endian::Little);
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         encode(&mut w, &v).unwrap();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         assert_eq!(after - before, 0, "native encode must not allocate");
         pooled = w.into_bytes();
         assert_eq!(pooled.capacity(), capacity, "pooled buffer must not grow");

@@ -5,16 +5,21 @@
 //! process thread count flat and the server's slot table empty. These
 //! tests are the regression net for the two lifecycle leaks the
 //! thread-per-connection model hid — JoinHandles accumulating forever
-//! in `conn_threads`, and reader threads lingering per client.
+//! in `conn_threads`, and reader threads lingering per client — and
+//! for the write-stall clock, the one reactor timer no socket event
+//! drives.
 
 use std::collections::HashMap;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mockingbird::mtype::{IntRange, MtypeGraph};
+use mockingbird::runtime::reactor::WRITE_STALL;
 use mockingbird::runtime::{
-    Connection, Dispatcher, MultiplexedConnection, RuntimeError, Servant, TcpServer, WireOp,
-    WireServant,
+    Connection, Dispatcher, MultiplexedConnection, RuntimeError, Servant, ServerConfig, TcpServer,
+    WireOp, WireServant,
 };
 use mockingbird::values::{Endian, MValue};
 use mockingbird::wire::{CdrWriter, Message, MessageKind, ReplyStatus};
@@ -111,7 +116,7 @@ fn churn_soak_holds_threads_and_slots_flat() {
     }
 
     // Slots: the server prunes a connection the moment it sees the
-    // close; poll briefly rather than racing the reactor's sweep.
+    // close; poll briefly rather than racing the server reactor.
     let mut open = server.open_connections();
     for _ in 0..200 {
         if open == 0 {
@@ -162,5 +167,68 @@ fn many_concurrent_connections_on_one_reactor() {
         open = server.open_connections();
     }
     assert_eq!(open, 0, "all slots pruned after the batch close");
+    server.shutdown();
+}
+
+#[test]
+fn write_stall_clock_closes_a_peer_that_stopped_reading() {
+    // Echo lists of 64-bit integers: each reply is as large as its
+    // request, 64 KiB.
+    const REQUESTS: usize = 256;
+    const ELEMENTS: usize = 8 * 1024;
+    let mut g = MtypeGraph::new();
+    let i = g.integer(IntRange::signed_bits(64));
+    let list = g.list_of(i);
+    let graph = Arc::new(g);
+    let servant: Arc<dyn Servant> = Arc::new(|_: &str, v: MValue| Ok(v));
+    let mut ops = HashMap::new();
+    ops.insert("echo".to_string(), WireOp::new(graph.clone(), list, list));
+    let d = Arc::new(Dispatcher::new());
+    d.register(b"echo".to_vec(), WireServant::new(servant, ops));
+    // Admit every request, so none is shed and the replies total
+    // exactly REQUESTS × 64 KiB = 16 MiB: several times what the
+    // loopback socket buffers hold, a quarter of the 64 MiB write
+    // backlog cap. Only the stall clock can close this connection.
+    let config = ServerConfig::default().with_max_queue(REQUESTS);
+    let mut server = TcpServer::bind_with("127.0.0.1:0", d, config).unwrap();
+
+    let mut w = CdrWriter::new(Endian::Little);
+    let value = MValue::List((0..ELEMENTS).map(|k| MValue::Int(k as i128)).collect());
+    w.put_value(&graph, list, &value).unwrap();
+    let body = w.into_bytes();
+    let mut sock = TcpStream::connect(server.addr()).unwrap();
+    for id in 0..REQUESTS as u32 {
+        let req = Message::request(
+            id,
+            true,
+            b"echo".to_vec(),
+            "echo",
+            Endian::Little,
+            body.clone(),
+        );
+        sock.write_all(&req.to_bytes()).unwrap();
+    }
+
+    // The client never reads a reply and keeps its socket open. The
+    // server read every request, so it holds the connection now; the
+    // stall clock must free it WRITE_STALL after the writer's last
+    // progress. The margin covers requests still in dispatch when the
+    // client stopped, whose replies can make that progress later.
+    let stopped = Instant::now();
+    let limit = WRITE_STALL + Duration::from_secs(3);
+    assert_eq!(server.open_connections(), 1);
+    while server.open_connections() > 0 {
+        assert!(
+            stopped.elapsed() < limit,
+            "a peer that stopped reading still holds its slot after {:?}",
+            stopped.elapsed()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    println!(
+        "stalled connection closed {:?} after the last request",
+        stopped.elapsed()
+    );
+    drop(sock);
     server.shutdown();
 }
