@@ -12,7 +12,8 @@
 //! stack; `x8` writes `BENCH_observability.json` with the tracing-on vs
 //! tracing-off p50 and a scrape of the server's Prometheus endpoint;
 //! `x9` writes `BENCH_reactor.json` with the connection-scaling curve
-//! (reactor vs thread-per-connection, fan-in latency, churn flatness);
+//! (reactor at 256 and 10,000 connections, fan-in latency, churn
+//! flatness);
 //! `x10` writes `BENCH_mesh.json` with failover latency when a replica
 //! is killed mid-load behind the mesh naming layer, plus gossip
 //! convergence rounds; `x11` writes `BENCH_native.json` with the
@@ -1143,10 +1144,8 @@ fn proc_status(pid: u32) -> (u64, u64) {
 /// get their own file-descriptor budget (10k connections is 10k fds on
 /// *each* side). Prints `ADDR <ip:port>` on stdout, serves until stdin
 /// closes (the parent holds the pipe), then shuts down.
-fn x9_server(threaded: bool) {
-    use mockingbird::runtime::{
-        Dispatcher, RuntimeError, Servant, ServerConfig, TcpServer, WireOp, WireServant,
-    };
+fn x9_server() {
+    use mockingbird::runtime::{Dispatcher, RuntimeError, Servant, TcpServer, WireOp, WireServant};
     use std::io::Read;
 
     let mut g = MtypeGraph::new();
@@ -1158,17 +1157,7 @@ fn x9_server(threaded: bool) {
     ops.insert("echo".to_string(), WireOp::new(graph, rec, rec));
     let d = Arc::new(Dispatcher::new());
     d.register(b"echo".to_vec(), WireServant::new(servant, ops));
-    // The baseline runs with one dispatch worker per connection so its
-    // per-connection thread cost is the model's floor (accept thread +
-    // worker), not an artifact of the default pool size.
-    let config = if threaded {
-        ServerConfig::default()
-            .with_thread_per_connection(true)
-            .with_workers(1)
-    } else {
-        ServerConfig::default()
-    };
-    let mut server = TcpServer::bind_with("127.0.0.1:0", d, config).expect("bind x9 server");
+    let mut server = TcpServer::bind("127.0.0.1:0", d).expect("bind x9 server");
     println!("ADDR {}", server.addr());
     use std::io::Write as _;
     std::io::stdout().flush().ok();
@@ -1184,8 +1173,6 @@ fn x9_server(threaded: bool) {
 /// both processes' RSS/thread counts along the way.
 #[allow(clippy::too_many_lines)]
 fn x9_pass(
-    label: &str,
-    threaded: bool,
     conns: usize,
     threads: usize,
     calls_per_thread: usize,
@@ -1197,11 +1184,7 @@ fn x9_pass(
 
     let exe = std::env::current_exe().expect("own path");
     let mut child = Command::new(exe)
-        .arg(if threaded {
-            "x9-server-threaded"
-        } else {
-            "x9-server"
-        })
+        .arg("x9-server")
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .spawn()
@@ -1232,12 +1215,8 @@ fn x9_pass(
         .map(|_| Arc::new(MultiplexedConnection::connect(addr).expect("connect")))
         .collect();
     let connect_s = t.elapsed().as_secs_f64();
-    // Let the server-side registrations and thread spawns settle.
-    std::thread::sleep(std::time::Duration::from_millis(if threaded {
-        500
-    } else {
-        200
-    }));
+    // Let the server-side registrations settle.
+    std::thread::sleep(std::time::Duration::from_millis(200));
     let (client_rss_held, client_threads_held) = proc_status(std::process::id());
     let (server_rss_held, server_threads_held) = proc_status(child_pid);
 
@@ -1293,8 +1272,9 @@ fn x9_pass(
     let _ = child.wait();
 
     println!(
-        "{label:<24} {conns:>6} conns  connect {connect_s:>6.2}s  fan-in {:>6} calls \
+        "{:<24} {conns:>6} conns  connect {connect_s:>6.2}s  fan-in {:>6} calls \
          {fanin_s:>6.2}s  p50 {p50:>7.2}ms  p99 {p99:>8.2}ms",
+        "reactor",
         lat.len()
     );
     println!(
@@ -1309,7 +1289,7 @@ fn x9_pass(
     );
 
     Json::obj([
-        ("engine", Json::Str(label.to_string())),
+        ("engine", Json::Str("reactor".to_string())),
         ("connections", Json::Int(conns as i128)),
         ("connect_s", Json::Float(connect_s)),
         ("fanin_calls", Json::Int(lat.len() as i128)),
@@ -1338,22 +1318,17 @@ fn x9() {
     use mockingbird::runtime::{Connection, MultiplexedConnection};
     use mockingbird::stype::json::Json;
 
-    println!("== X9: connection scaling — reactor vs thread-per-connection ==");
     let quick = std::env::var_os("MB_BENCH_QUICK").is_some();
-    // The reactor holds the headline count; the baseline is capped —
-    // at one-plus threads per connection it would otherwise spawn tens
-    // of thousands of OS threads just to exist.
-    let (reactor_conns, baseline_conns) = if quick { (512, 64) } else { (10_000, 256) };
+    // The headline count, and the count the removed thread-per-connection
+    // engine was measured at (EXPERIMENTS.md X9 keeps its rows).
+    let (many_conns, few_conns) = if quick { (512, 64) } else { (10_000, 256) };
+    println!(
+        "== X9: connection scaling — the reactor at {many_conns} and {few_conns} connections =="
+    );
     let (threads, calls_per_thread) = if quick { (16, 20) } else { (64, 100) };
 
-    let reactor = x9_pass("reactor", false, reactor_conns, threads, calls_per_thread);
-    let baseline = x9_pass(
-        "thread-per-conn",
-        true,
-        baseline_conns,
-        threads.min(baseline_conns),
-        calls_per_thread,
-    );
+    let many = x9_pass(many_conns, threads, calls_per_thread);
+    let few = x9_pass(few_conns, threads.min(few_conns), calls_per_thread);
 
     // Churn flatness: open/call/close in a loop against a reactor
     // server; the client process's thread count must not grow with the
@@ -1424,8 +1399,8 @@ fn x9() {
     );
 
     let json = Json::obj([
-        ("reactor", reactor),
-        ("thread_per_connection", baseline),
+        ("reactor", many),
+        ("reactor_equal_count", few),
         (
             "churn",
             Json::obj([
@@ -2411,10 +2386,7 @@ fn main() {
     // Hidden child-process modes for X9 (each side of the scaling
     // experiment needs its own fd budget).
     if args.first().map(String::as_str) == Some("x9-server") {
-        return x9_server(false);
-    }
-    if args.first().map(String::as_str) == Some("x9-server-threaded") {
-        return x9_server(true);
+        return x9_server();
     }
     let want = |k: &str| args.is_empty() || args.iter().any(|a| a == k);
     if want("t1") {

@@ -116,25 +116,6 @@ impl Verdict {
     }
 }
 
-/// A verdict in exportable form, for persistence into project files.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PersistedVerdict {
-    /// Canonical fingerprint of the left root.
-    pub left_fp: u128,
-    /// Canonical fingerprint of the right root.
-    pub right_fp: u128,
-    /// `true` for `Mode::Subtype`, `false` for `Mode::Equivalence`.
-    pub subtype: bool,
-    /// Rule-set fingerprint the verdict was computed under.
-    pub rules_fp: u64,
-    /// Whether the pair matched.
-    pub matched: bool,
-    /// Mismatch reason (empty for matches).
-    pub reason: String,
-    /// Mismatch depth (0 for matches).
-    pub depth: usize,
-}
-
 /// Point-in-time counter values of a [`CompareCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -333,73 +314,6 @@ impl CompareCache {
         }
         n
     }
-
-    /// All verdicts in persistable form.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `store_into` with an `ArtifactStore`; this shim is kept for one release"
-    )]
-    pub fn export(&self) -> Vec<PersistedVerdict> {
-        let verdicts = self.verdicts.read().expect("cache lock");
-        let mut out: Vec<PersistedVerdict> = verdicts
-            .iter()
-            .map(|(k, v)| {
-                let (matched, reason, depth) = match v {
-                    Verdict::Match => (true, String::new(), 0),
-                    Verdict::Mismatch { reason, depth } => (false, reason.clone(), *depth),
-                };
-                PersistedVerdict {
-                    left_fp: k.left_fp,
-                    right_fp: k.right_fp,
-                    subtype: matches!(k.mode, Mode::Subtype),
-                    rules_fp: k.rules_fp,
-                    matched,
-                    reason,
-                    depth,
-                }
-            })
-            .collect();
-        // Deterministic order for stable project files.
-        out.sort_by(|a, b| {
-            (a.left_fp, a.right_fp, a.subtype, a.rules_fp)
-                .cmp(&(b.left_fp, b.right_fp, b.subtype, b.rules_fp))
-        });
-        out
-    }
-
-    /// Restores previously exported verdicts; returns how many were
-    /// absorbed. Does not count as inserts in the stats.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `load_from` with an `ArtifactStore`; this shim is kept for one release"
-    )]
-    pub fn absorb(&self, verdicts: impl IntoIterator<Item = PersistedVerdict>) -> usize {
-        let mut map = self.verdicts.write().expect("cache lock");
-        let mut n = 0usize;
-        for p in verdicts {
-            let key = CacheKey {
-                left_fp: p.left_fp,
-                right_fp: p.right_fp,
-                mode: if p.subtype {
-                    Mode::Subtype
-                } else {
-                    Mode::Equivalence
-                },
-                rules_fp: p.rules_fp,
-            };
-            let verdict = if p.matched {
-                Verdict::Match
-            } else {
-                Verdict::Mismatch {
-                    reason: p.reason,
-                    depth: p.depth,
-                }
-            };
-            map.insert(key, verdict);
-            n += 1;
-        }
-        n
-    }
 }
 
 #[cfg(test)]
@@ -482,37 +396,6 @@ mod tests {
         let mut bad = Verdict::Match.to_artifact_body();
         bad.extend_from_slice(b"junk");
         assert_eq!(Verdict::from_artifact_body(&bad), None);
-    }
-
-    // Pins the one-release deprecated shims to the ArtifactStore path:
-    // exporting via the old API and loading via the new one (and vice
-    // versa) must agree.
-    #[test]
-    #[allow(deprecated)]
-    fn export_absorb_round_trips() {
-        let cache = CompareCache::new();
-        let full = RuleSet::full();
-        cache.insert(key(10, 20, Mode::Equivalence, &full), Verdict::Match);
-        cache.insert(
-            key(30, 40, Mode::Subtype, &full),
-            Verdict::Mismatch {
-                reason: "kind mismatch: Integer vs Real".into(),
-                depth: 3,
-            },
-        );
-        let exported = cache.export();
-        assert_eq!(exported.len(), 2);
-
-        let warm = CompareCache::new();
-        assert_eq!(warm.absorb(exported.clone()), 2);
-        assert_eq!(warm.export(), exported, "round trip is lossless");
-        assert_eq!(
-            warm.lookup(&key(30, 40, Mode::Subtype, &full)),
-            Some(Verdict::Mismatch {
-                reason: "kind mismatch: Integer vs Real".into(),
-                depth: 3
-            })
-        );
     }
 
     #[test]

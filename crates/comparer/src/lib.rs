@@ -58,7 +58,7 @@ pub mod correspondence;
 pub mod diagnose;
 pub mod rules;
 
-pub use cache::{CacheKey, CacheStats, CompareCache, PersistedVerdict, Verdict};
+pub use cache::{CacheKey, CacheStats, CompareCache, Verdict};
 pub use compare::{resolve_transparent, Comparer, Mode};
 pub use correspondence::{Correspondence, Entry, PrimCoercion, RecordFlatten};
 pub use diagnose::Mismatch;

@@ -802,7 +802,7 @@ pub(crate) struct ServerJob {
 /// Everything a server-mode reactor needs that a client reactor does
 /// not: admission config, the dispatch queue, and the server registry.
 pub(crate) struct ServerCtx {
-    pub cfg: Arc<ServerConfig>,
+    pub cfg: ServerConfig,
     pub queue: Arc<FrameQueue<ServerJob>>,
     /// Oneway requests carry no reply for the caller to correlate, so
     /// their only ordering guarantee is dispatch order: they bypass the
@@ -1363,12 +1363,12 @@ impl Reactor {
             writer.enqueue(reply.to_bytes());
             return;
         }
-        // Admission control, same policy as the threaded server: an
-        // already-expired propagated deadline is refused at the door,
-        // the rest pass the limiter (brownout cuts sheddable traffic
-        // first) and the per-connection queue bound — everything sheds
-        // rather than stalls, so a flooded server answers fast instead
-        // of wedging every socket behind slow dispatches.
+        // Admission control: an already-expired propagated deadline is
+        // refused at the door, the rest pass the limiter (brownout cuts
+        // sheddable traffic first) and the per-connection queue bound —
+        // everything sheds rather than stalls, so a flooded server
+        // answers fast instead of wedging every socket behind slow
+        // dispatches.
         let expires_at = msg
             .deadline
             .and_then(|d| d.budget())

@@ -20,12 +20,10 @@
 //! state, never a mutation of the shared socket, so concurrent calls
 //! cannot observe each other's timeouts.
 //!
-//! [`TcpServer`] defaults to the same reactor architecture: an
-//! acceptor thread registers sockets with a per-server reactor, frames
-//! pass admission control into a bounded dispatch queue, and a fixed
-//! worker pool sends replies back through the reactor. The legacy
-//! thread-per-connection engine remains available via
-//! [`ServerConfig::thread_per_connection`] as the scaling baseline.
+//! [`TcpServer`] uses the same reactor architecture: an acceptor
+//! thread registers sockets with a per-server reactor, frames pass
+//! admission control into the dispatch queue, and a fixed worker pool
+//! sends replies back through the reactor.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -37,17 +35,15 @@ use std::time::{Duration, Instant};
 
 use mockingbird_values::Endian;
 use mockingbird_wire::{
-    CdrWriter, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus, RequestIds,
-    WireDeadline,
+    HandshakeInfo, HandshakeVerdict, Message, MessageKind, RequestIds, WireDeadline,
 };
 
 use mockingbird_artifact::ArtifactStore;
 
-use crate::artifacts::artifact_fetch_reply;
 use crate::budget::RetryBudget;
 use crate::dispatch::{deadline_expired_reply, Dispatcher};
 use crate::error::RuntimeError;
-use crate::limiter::{Admission, AimdLimiter};
+use crate::limiter::AimdLimiter;
 use crate::metrics::MetricsRegistry;
 use crate::options::CallOptions;
 use crate::reactor::{
@@ -233,8 +229,8 @@ fn is_timeout(e: &std::io::Error) -> bool {
 /// pin a reader that is polling with a short timeout.
 const MID_FRAME_PATIENCE: u32 = 40;
 
-/// Reads one frame from a blocking stream (serial transport, handshake,
-/// and the thread-per-connection server baseline; the reactor paths use
+/// Reads one frame from a blocking stream (serial transport, client
+/// handshake and artifact fetches; the reactor paths use
 /// [`crate::reactor::FrameReader`] instead).
 pub(crate) fn read_frame(
     stream: &mut TcpStream,
@@ -758,18 +754,14 @@ impl Drop for MultiplexedConnection {
     }
 }
 
-/// How often per-connection server threads wake to notice shutdown
-/// (thread-per-connection engine only).
-const SERVER_POLL: Duration = Duration::from_millis(50);
-
 /// Default dispatch worker count: how many requests make progress
 /// concurrently. Multiplexed clients pipeline in-flight requests;
 /// without concurrent dispatch they would serialise behind each
 /// other's service time.
 const DISPATCH_WORKERS: usize = 4;
 
-/// Server-side tuning: handshake policy, overload limits, and engine
-/// selection.
+/// Server-side tuning: handshake policy, overload limits, worker count
+/// and artifact serving.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// The server's side of the fingerprint handshake. `None` accepts
@@ -783,14 +775,9 @@ pub struct ServerConfig {
     /// Requests the whole server may have in dispatch at once; beyond
     /// this every connection sheds until workers catch up.
     pub max_in_flight: usize,
-    /// Dispatch workers: the size of the server-wide pool under the
-    /// reactor engine, or per-connection workers under the
-    /// thread-per-connection engine.
+    /// Dispatch workers: the size of the server-wide pool that drains
+    /// request/reply work (one more worker drains oneways in order).
     pub workers: usize,
-    /// Serve with the legacy thread-per-connection engine instead of
-    /// the reactor (the baseline in the connection-scaling
-    /// experiments; costs one OS thread per accepted socket).
-    pub thread_per_connection: bool,
     /// Adapt the in-flight cap with an AIMD limiter driven by measured
     /// dispatch latency instead of pinning it at `max_in_flight`. Off
     /// by default: the pinned limiter reproduces the historical static
@@ -813,7 +800,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("max_queue", &self.max_queue)
             .field("max_in_flight", &self.max_in_flight)
             .field("workers", &self.workers)
-            .field("thread_per_connection", &self.thread_per_connection)
             .field("adaptive_limit", &self.adaptive_limit)
             .field("target_p99", &self.target_p99)
             .field("artifacts", &self.artifacts.as_ref().map(|s| s.len()))
@@ -828,7 +814,6 @@ impl Default for ServerConfig {
             max_queue: 64,
             max_in_flight: 256,
             workers: DISPATCH_WORKERS,
-            thread_per_connection: false,
             adaptive_limit: false,
             target_p99: Duration::from_millis(50),
             artifacts: None,
@@ -862,14 +847,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Selects the legacy thread-per-connection engine (the reactor is
-    /// the default).
-    #[must_use]
-    pub fn with_thread_per_connection(mut self, enabled: bool) -> Self {
-        self.thread_per_connection = enabled;
         self
     }
 
@@ -910,31 +887,29 @@ impl ServerConfig {
     }
 }
 
-/// A closable, bounded queue handing work from connection read paths to
-/// dispatch workers.
+/// A closable queue handing admitted work from the reactor to dispatch
+/// workers. It has no capacity of its own: admission control bounds
+/// what enters it.
 pub(crate) struct FrameQueue<T> {
     state: Mutex<(VecDeque<T>, bool)>,
     cv: Condvar,
-    cap: usize,
 }
 
 impl<T> FrameQueue<T> {
-    pub(crate) fn new(cap: usize) -> Self {
+    pub(crate) fn new() -> Self {
         FrameQueue {
             state: Mutex::new((VecDeque::new(), false)),
             cv: Condvar::new(),
-            cap,
         }
     }
 
-    /// Enqueues unless the queue is at capacity or closed; hands the
-    /// item back on refusal so the caller can shed it. The large `Err`
-    /// variant is the point: the rejected item is returned by value,
-    /// not dropped.
+    /// Enqueues unless the queue is closed; hands the item back on
+    /// refusal. The large `Err` variant is the point: the rejected item
+    /// is returned by value, not dropped.
     #[allow(clippy::result_large_err)]
     pub(crate) fn try_push(&self, item: T) -> Result<(), T> {
         let mut st = self.state.plock();
-        if st.1 || st.0.len() >= self.cap {
+        if st.1 {
             return Err(item);
         }
         st.0.push_back(item);
@@ -968,219 +943,6 @@ impl<T> FrameQueue<T> {
             }
             st = cv_wait(&self.cv, st);
         }
-    }
-}
-
-/// Answers a client's `Hello` on the server side (thread-per-connection
-/// engine). Returns `false` when the verdict was `Reject` and the
-/// connection must close.
-fn serve_hello(
-    client: &HandshakeInfo,
-    endian: Endian,
-    cfg: &ServerConfig,
-    writer: &Mutex<TcpStream>,
-    metrics: &MetricsRegistry,
-) -> bool {
-    metrics.add_handshake();
-    let (mine, verdict) = match &cfg.handshake {
-        Some(mine) => (*mine, mine.evaluate(client)),
-        // Permissive mode: echo the client's info back with an Accept.
-        None => (*client, HandshakeVerdict::Accept),
-    };
-    let reply = Message::hello(mine, verdict, endian);
-    {
-        let mut stream = writer.plock();
-        if write_frame(&mut stream, &reply, metrics).is_err() {
-            return false;
-        }
-    }
-    match verdict {
-        HandshakeVerdict::Reject => {
-            metrics.add_handshake_reject();
-            false
-        }
-        HandshakeVerdict::InterpretiveOnly => {
-            metrics.add_handshake_fallback();
-            true
-        }
-        _ => true,
-    }
-}
-
-/// Sheds one request: answers `Overloaded` (response-expected requests
-/// only; oneways are silently dropped, as messaging semantics allow).
-/// Returns `false` when the reply could not be written.
-fn shed(msg: &Message, writer: &Mutex<TcpStream>, metrics: &MetricsRegistry) -> bool {
-    metrics.add_shed();
-    let MessageKind::Request {
-        request_id,
-        response_expected: true,
-        ..
-    } = &msg.kind
-    else {
-        return true;
-    };
-    let mut w = CdrWriter::new(msg.endian);
-    w.put_bytes(b"dispatch queue full");
-    let reply = Message::reply(
-        *request_id,
-        ReplyStatus::Overloaded,
-        msg.endian,
-        w.into_bytes(),
-    );
-    let mut stream = writer.plock();
-    write_frame(&mut stream, &reply, metrics).is_ok()
-}
-
-/// Refuses one request whose propagated deadline already expired:
-/// answers `DeadlineExpired` (oneways are silently dropped). Returns
-/// `false` when the reply could not be written.
-fn refuse_expired(msg: &Message, writer: &Mutex<TcpStream>, metrics: &MetricsRegistry) -> bool {
-    match deadline_expired_reply(msg, metrics) {
-        Some(reply) => {
-            let mut stream = writer.plock();
-            write_frame(&mut stream, &reply, metrics).is_ok()
-        }
-        None => true,
-    }
-}
-
-fn serve_connection(
-    mut stream: TcpStream,
-    dispatcher: Arc<Dispatcher>,
-    stop: Arc<AtomicBool>,
-    cfg: Arc<ServerConfig>,
-    in_flight: Arc<AtomicUsize>,
-    limiter: Arc<AimdLimiter>,
-) {
-    let metrics = Arc::clone(dispatcher.metrics());
-    stream.set_read_timeout(Some(SERVER_POLL)).ok();
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    // A worker stuck replying to a peer that stopped reading must not
-    // pin shutdown indefinitely.
-    write_half
-        .set_write_timeout(Some(Duration::from_secs(5)))
-        .ok();
-    let writer = Arc::new(Mutex::new(write_half));
-    // Entries carry (frame, propagated-deadline expiry, admission
-    // instant); the admission instant lets workers report the full
-    // sojourn — queue wait plus dispatch — to the limiter.
-    let queue = Arc::new(FrameQueue::<(Message, Option<Instant>, Instant)>::new(
-        cfg.max_queue,
-    ));
-    let workers: Vec<_> = (0..cfg.workers.max(1))
-        .map(|_| {
-            let q = queue.clone();
-            let d = dispatcher.clone();
-            let w = writer.clone();
-            let busy = in_flight.clone();
-            let m = Arc::clone(&metrics);
-            let lim = limiter.clone();
-            std::thread::spawn(move || {
-                while let Some((msg, expires_at, admitted)) = q.pop() {
-                    // Dequeue-time deadline check: a request whose
-                    // budget died waiting in the queue is refused
-                    // without occupying a dispatch slot.
-                    if expires_at.is_some_and(|at| Instant::now() >= at) {
-                        if let Some(reply) = deadline_expired_reply(&msg, &m) {
-                            let mut stream = w.plock();
-                            if write_frame(&mut stream, &reply, &m).is_err() {
-                                break;
-                            }
-                        }
-                        continue;
-                    }
-                    busy.fetch_add(1, Ordering::SeqCst);
-                    let reply = d.dispatch_with_deadline(&msg, expires_at);
-                    // Sojourn time (queue wait + dispatch): queueing
-                    // delay is the first symptom of overload, so it
-                    // must reach the limiter.
-                    lim.observe(admitted.elapsed(), &m);
-                    busy.fetch_sub(1, Ordering::SeqCst);
-                    if let Some(reply) = reply {
-                        let mut stream = w.plock();
-                        if write_frame(&mut stream, &reply, &m).is_err() {
-                            break;
-                        }
-                    }
-                }
-            })
-        })
-        .collect();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match read_frame(&mut stream, &metrics) {
-            Ok(Some(msg)) => {
-                if let MessageKind::Hello { info, .. } = &msg.kind {
-                    if !serve_hello(info, msg.endian, &cfg, &writer, &metrics) {
-                        break; // rejected or unwritable: close the link
-                    }
-                    continue;
-                }
-                if let MessageKind::Artifact {
-                    request_id,
-                    reply: false,
-                } = &msg.kind
-                {
-                    // Artifact fetches are answered inline, like Hello:
-                    // they read the store without touching the dispatch
-                    // path, so admission control stays request-only.
-                    let reply = artifact_fetch_reply(
-                        *request_id,
-                        msg.endian,
-                        &msg.body,
-                        cfg.artifacts.as_deref(),
-                    );
-                    let mut stream = writer.plock();
-                    if write_frame(&mut stream, &reply, &metrics).is_err() {
-                        break;
-                    }
-                    continue;
-                }
-                // Admission control: an already-expired deadline is
-                // refused at the door, the rest pass the limiter
-                // (brownout cuts sheddable traffic first) and the
-                // per-connection queue bound — everything sheds rather
-                // than stalls, so a flooded server answers fast instead
-                // of wedging every socket behind slow dispatches.
-                let expires_at = msg
-                    .deadline
-                    .and_then(|d| d.budget())
-                    .map(|b| Instant::now() + b);
-                if expires_at.is_some_and(|at| Instant::now() >= at) {
-                    if !refuse_expired(&msg, &writer, &metrics) {
-                        break;
-                    }
-                    continue;
-                }
-                let sheddable = msg.deadline.is_some_and(|d| d.sheddable);
-                let admitted =
-                    match limiter.admit(in_flight.load(Ordering::SeqCst), queue.len(), sheddable) {
-                        Admission::Admit => queue.try_push((msg, expires_at, Instant::now())),
-                        Admission::Brownout => {
-                            metrics.add_brownout_shed();
-                            Err((msg, expires_at, Instant::now()))
-                        }
-                        Admission::Shed => Err((msg, expires_at, Instant::now())),
-                    };
-                if let Err((msg, ..)) = admitted {
-                    if !shed(&msg, &writer, &metrics) {
-                        break;
-                    }
-                }
-            }
-            Ok(None) => break,                         // peer disconnected
-            Err(RuntimeError::Timeout(_)) => continue, // idle poll; re-check stop
-            Err(_) => break,                           // garbage or broken stream
-        }
-    }
-    queue.close();
-    for h in workers {
-        let _ = h.join();
     }
 }
 
@@ -1235,27 +997,12 @@ fn serve_metrics(listener: TcpListener, registry: Arc<MetricsRegistry>, stop: Ar
     }
 }
 
-/// The serving engine behind a [`TcpServer`].
-enum Engine {
-    /// Acceptor + reactor + bounded worker pool (the default).
-    Reactor {
-        handle: ReactorHandle,
-        reactor_thread: Option<JoinHandle<()>>,
-        queue: Arc<FrameQueue<ServerJob>>,
-        ordered: Arc<FrameQueue<ServerJob>>,
-        workers: Vec<JoinHandle<()>>,
-    },
-    /// One OS thread per accepted socket (scaling baseline).
-    Threaded,
-}
-
 /// A TCP server: accepts connections and dispatches each frame through
-/// a [`Dispatcher`]. By default a single reactor thread owns every
-/// accepted socket and a bounded worker pool drains the dispatch
-/// queue; [`ServerConfig::thread_per_connection`] selects the legacy
-/// one-thread-per-socket engine instead. [`shutdown`] is deterministic
-/// either way: accepted work drains to real replies before the
-/// listener threads are joined.
+/// a [`Dispatcher`]. A single reactor thread owns every accepted socket
+/// and answers `Hello` and artifact fetches inline; requests pass
+/// admission control into the dispatch queue, which a fixed worker pool
+/// drains. [`shutdown`] is deterministic: accepted work drains to real
+/// replies before the reactor and listener threads are joined.
 ///
 /// Alongside the GIOP listener, every server exposes a metrics listener
 /// on an ephemeral port of the same interface: `/metrics` serves the
@@ -1271,8 +1018,11 @@ pub struct TcpServer {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<()>>,
-    conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    engine: Engine,
+    reactor: ReactorHandle,
+    reactor_thread: Option<JoinHandle<()>>,
+    queue: Arc<FrameQueue<ServerJob>>,
+    ordered: Arc<FrameQueue<ServerJob>>,
+    workers: Vec<JoinHandle<()>>,
 }
 
 impl TcpServer {
@@ -1288,7 +1038,7 @@ impl TcpServer {
 
     /// Binds to `addr` under an explicit [`ServerConfig`]: handshake
     /// policy, per-connection queue bound, global in-flight cap,
-    /// dispatch worker count, and engine selection.
+    /// dispatch worker count, and the artifact store.
     ///
     /// # Errors
     ///
@@ -1311,147 +1061,87 @@ impl TcpServer {
             .local_addr()
             .map_err(|e| RuntimeError::Transport(e.to_string()))?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-        let config = Arc::new(config);
+        let pool_size = config.workers.max(1);
 
-        let (engine, accept_thread) = if config.thread_per_connection {
-            let flag = shutdown.clone();
-            let threads = conn_threads.clone();
-            let cfg = config.clone();
-            let in_flight = Arc::new(AtomicUsize::new(0));
-            let limiter = Arc::new(config.limiter());
-            let accept_thread = std::thread::spawn(move || {
-                // The listener unblocks when a shutdown probe connects.
-                for conn in listener.incoming() {
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    stream.set_nodelay(true).ok();
-                    // Reap finished per-connection threads before
-                    // adding another: under churn the handle list
-                    // stays proportional to *live* connections
-                    // instead of growing without bound.
-                    let finished: Vec<JoinHandle<()>> = {
-                        let mut guard = threads.plock();
-                        let mut live = Vec::with_capacity(guard.len());
-                        let mut done = Vec::new();
-                        for h in guard.drain(..) {
-                            if h.is_finished() {
-                                done.push(h);
-                            } else {
-                                live.push(h);
-                            }
-                        }
-                        *guard = live;
-                        done
-                    };
-                    for h in finished {
-                        let _ = h.join();
-                    }
-                    let d = dispatcher.clone();
-                    let stop = flag.clone();
-                    let cfg = cfg.clone();
-                    let busy = in_flight.clone();
-                    let lim = limiter.clone();
-                    let handle = std::thread::spawn(move || {
-                        serve_connection(stream, d, stop, cfg, busy, lim);
-                    });
-                    threads.plock().push(handle);
-                }
-            });
-            (Engine::Threaded, accept_thread)
-        } else {
-            let queue = Arc::new(FrameQueue::<ServerJob>::new(usize::MAX));
-            let ordered = Arc::new(FrameQueue::<ServerJob>::new(usize::MAX));
-            let in_flight = Arc::new(AtomicUsize::new(0));
-            let limiter = Arc::new(config.limiter());
-            let ctx = ServerCtx {
-                cfg: config.clone(),
-                queue: Arc::clone(&queue),
-                ordered: Arc::clone(&ordered),
-                in_flight: Arc::clone(&in_flight),
-                metrics: Arc::clone(&metrics),
-                limiter: Arc::clone(&limiter),
-            };
-            let (handle, reactor_thread) = spawn_reactor("mb-reactor-srv", Some(ctx))?;
-            // The pool drains request/reply work concurrently; one
-            // extra worker drains oneways alone, in receipt order
-            // (their only delivery guarantee — no reply correlates
-            // them for the caller).
-            let sources: Vec<Arc<FrameQueue<ServerJob>>> =
-                std::iter::repeat_with(|| Arc::clone(&queue))
-                    .take(config.workers.max(1))
-                    .chain(std::iter::once(Arc::clone(&ordered)))
-                    .collect();
-            let workers: Vec<JoinHandle<()>> = sources
-                .into_iter()
-                .map(|q| {
-                    let d = dispatcher.clone();
-                    let h = handle.clone();
-                    let busy = Arc::clone(&in_flight);
-                    let lim = Arc::clone(&limiter);
-                    let m = Arc::clone(&metrics);
-                    std::thread::spawn(move || {
-                        while let Some(job) = q.pop() {
-                            job.queued.fetch_sub(1, Ordering::SeqCst);
-                            // Dequeue-time deadline check: a request
-                            // whose budget died waiting in the queue is
-                            // refused without occupying a dispatch slot.
-                            if job.expires_at.is_some_and(|at| Instant::now() >= at) {
-                                if let Some(reply) = deadline_expired_reply(&job.msg, &m) {
-                                    let _ = h.send(Command::Reply {
-                                        conn: job.conn,
-                                        frame: reply.to_bytes(),
-                                    });
-                                }
-                                continue;
-                            }
-                            busy.fetch_add(1, Ordering::SeqCst);
-                            let reply = d.dispatch_with_deadline(&job.msg, job.expires_at);
-                            // Sojourn time (queue wait + dispatch):
-                            // queueing delay is the first symptom of
-                            // overload, so it must reach the limiter.
-                            lim.observe(job.admitted.elapsed(), &m);
-                            busy.fetch_sub(1, Ordering::SeqCst);
-                            if let Some(reply) = reply {
+        let queue = Arc::new(FrameQueue::<ServerJob>::new());
+        let ordered = Arc::new(FrameQueue::<ServerJob>::new());
+        let in_flight = Arc::new(AtomicUsize::new(0));
+        let limiter = Arc::new(config.limiter());
+        let ctx = ServerCtx {
+            cfg: config,
+            queue: Arc::clone(&queue),
+            ordered: Arc::clone(&ordered),
+            in_flight: Arc::clone(&in_flight),
+            metrics: Arc::clone(&metrics),
+            limiter: Arc::clone(&limiter),
+        };
+        let (reactor, reactor_thread) = spawn_reactor("mb-reactor-srv", Some(ctx))?;
+        // The pool drains request/reply work concurrently; one extra
+        // worker drains oneways alone, in receipt order (their only
+        // delivery guarantee — no reply correlates them for the caller).
+        let sources: Vec<Arc<FrameQueue<ServerJob>>> =
+            std::iter::repeat_with(|| Arc::clone(&queue))
+                .take(pool_size)
+                .chain(std::iter::once(Arc::clone(&ordered)))
+                .collect();
+        let workers: Vec<JoinHandle<()>> = sources
+            .into_iter()
+            .map(|q| {
+                let d = dispatcher.clone();
+                let h = reactor.clone();
+                let busy = Arc::clone(&in_flight);
+                let lim = Arc::clone(&limiter);
+                let m = Arc::clone(&metrics);
+                std::thread::spawn(move || {
+                    while let Some(job) = q.pop() {
+                        job.queued.fetch_sub(1, Ordering::SeqCst);
+                        // Dequeue-time deadline check: a request whose
+                        // budget died waiting in the queue is refused
+                        // without occupying a dispatch slot.
+                        if job.expires_at.is_some_and(|at| Instant::now() >= at) {
+                            if let Some(reply) = deadline_expired_reply(&job.msg, &m) {
                                 let _ = h.send(Command::Reply {
                                     conn: job.conn,
                                     frame: reply.to_bytes(),
                                 });
                             }
+                            continue;
                         }
-                    })
+                        busy.fetch_add(1, Ordering::SeqCst);
+                        let reply = d.dispatch_with_deadline(&job.msg, job.expires_at);
+                        // Sojourn time (queue wait + dispatch): queueing
+                        // delay is the first symptom of overload, so it
+                        // must reach the limiter.
+                        lim.observe(job.admitted.elapsed(), &m);
+                        busy.fetch_sub(1, Ordering::SeqCst);
+                        if let Some(reply) = reply {
+                            let _ = h.send(Command::Reply {
+                                conn: job.conn,
+                                frame: reply.to_bytes(),
+                            });
+                        }
+                    }
                 })
-                .collect();
-            let flag = shutdown.clone();
-            let acceptor_handle = handle.clone();
-            let accept_thread = std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    stream.set_nodelay(true).ok();
-                    if acceptor_handle
-                        .send(Command::RegisterServer { stream })
-                        .is_err()
-                    {
-                        break;
-                    }
+            })
+            .collect();
+        let flag = shutdown.clone();
+        let acceptor_handle = reactor.clone();
+        let accept_thread = std::thread::spawn(move || {
+            // The listener unblocks when a shutdown probe connects.
+            for conn in listener.incoming() {
+                if flag.load(Ordering::SeqCst) {
+                    break;
                 }
-            });
-            (
-                Engine::Reactor {
-                    handle,
-                    reactor_thread: Some(reactor_thread),
-                    queue,
-                    ordered,
-                    workers,
-                },
-                accept_thread,
-            )
-        };
+                let Ok(stream) = conn else { continue };
+                stream.set_nodelay(true).ok();
+                if acceptor_handle
+                    .send(Command::RegisterServer { stream })
+                    .is_err()
+                {
+                    break;
+                }
+            }
+        });
 
         let metrics_registry = Arc::clone(&metrics);
         let metrics_stop = shutdown.clone();
@@ -1465,8 +1155,11 @@ impl TcpServer {
             shutdown,
             accept_thread: Some(accept_thread),
             metrics_thread: Some(metrics_thread),
-            conn_threads,
-            engine,
+            reactor,
+            reactor_thread: Some(reactor_thread),
+            queue,
+            ordered,
+            workers,
         })
     }
 
@@ -1487,30 +1180,17 @@ impl TcpServer {
         &self.metrics
     }
 
-    /// Connections the server currently holds open: reactor slots
-    /// under the default engine (pruned the moment a socket closes),
-    /// live per-connection threads under the baseline engine. A cheap
-    /// RSS proxy for churn and soak tests.
+    /// Connections the server's reactor currently holds open (a slot is
+    /// pruned the moment its socket closes). A cheap RSS proxy for
+    /// churn and soak tests.
     pub fn open_connections(&self) -> usize {
-        match &self.engine {
-            Engine::Reactor { handle, .. } => handle.open_conns(),
-            Engine::Threaded => self
-                .conn_threads
-                .plock()
-                .iter()
-                .filter(|h| !h.is_finished())
-                .count(),
-        }
+        self.reactor.open_conns()
     }
 
-    /// Stops accepting, then shuts the engine down deterministically.
-    ///
-    /// Reactor engine: reads stop first, then the dispatch queue closes
-    /// and the worker pool drains (accepted requests still get their
-    /// replies), then the reactor flushes pending reply bytes and
-    /// exits. Thread-per-connection engine: joins the accept thread and
-    /// every per-connection thread (each polls the shutdown flag
-    /// between frames, so the join is bounded by the poll interval).
+    /// Stops accepting, then shuts the server down deterministically:
+    /// reads stop first, then the dispatch queues close and the worker
+    /// pool drains (accepted requests still get their replies), then
+    /// the reactor flushes pending reply bytes and exits.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Probe connections to unblock both accept() loops.
@@ -1522,34 +1202,18 @@ impl TcpServer {
         if let Some(t) = self.metrics_thread.take() {
             let _ = t.join();
         }
-        match &mut self.engine {
-            Engine::Reactor {
-                handle,
-                reactor_thread,
-                queue,
-                ordered,
-                workers,
-            } => {
-                // Phase one: no new frames enter the queues.
-                let _ = handle.send(Command::StopReading);
-                // Phase two: drain accepted work through the workers.
-                queue.close();
-                ordered.close();
-                for w in workers.drain(..) {
-                    let _ = w.join();
-                }
-                // Phase three: flush replies, close sockets, exit.
-                let _ = handle.send(Command::Drain);
-                if let Some(t) = reactor_thread.take() {
-                    let _ = t.join();
-                }
-            }
-            Engine::Threaded => {
-                let handles: Vec<_> = self.conn_threads.plock().drain(..).collect();
-                for h in handles {
-                    let _ = h.join();
-                }
-            }
+        // Phase one: no new frames enter the queues.
+        let _ = self.reactor.send(Command::StopReading);
+        // Phase two: drain accepted work through the workers.
+        self.queue.close();
+        self.ordered.close();
+        for w in self.workers.drain(..) {
+            let _ = w.join();
+        }
+        // Phase three: flush replies, close sockets, exit.
+        let _ = self.reactor.send(Command::Drain);
+        if let Some(t) = self.reactor_thread.take() {
+            let _ = t.join();
         }
     }
 }
@@ -1821,7 +1485,6 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "shutdown joined promptly"
         );
-        assert!(server.conn_threads.plock().is_empty());
     }
 
     #[test]
@@ -1952,6 +1615,59 @@ mod tests {
             panic!()
         };
         assert_eq!(status, ReplyStatus::Overloaded, "request shed, not stalled");
+        server.shutdown();
+    }
+
+    #[test]
+    fn expired_deadline_is_refused_at_admission() {
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(64));
+        let rec = g.record(vec![i]);
+        let graph = Arc::new(g);
+        let ran = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&ran);
+        let servant: Arc<dyn Servant> = Arc::new(move |_: &str, v: MValue| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Ok(v)
+        });
+        let mut ops = HashMap::new();
+        ops.insert("echo".to_string(), WireOp::new(graph.clone(), rec, rec));
+        let d = Arc::new(Dispatcher::new());
+        d.register(b"echo".to_vec(), WireServant::new(servant, ops));
+        // A zero-length queue sheds whatever gets past the deadline
+        // check, so an `Overloaded` reply would mean admission let the
+        // expired frame through to the queue.
+        let mut server = TcpServer::bind_with(
+            "127.0.0.1:0",
+            d,
+            ServerConfig {
+                max_queue: 0,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+
+        // One raw frame whose propagated budget is already spent.
+        let req = echo_request(&graph, rec, b"echo", 5, 1).with_deadline(WireDeadline {
+            budget_us: Some(0),
+            sheddable: false,
+        });
+        let mut raw = TcpStream::connect(server.addr()).unwrap();
+        raw.write_all(&req.to_bytes()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let reply = read_frame(&mut raw, &MetricsRegistry::new())
+            .unwrap()
+            .expect("a reply frame");
+        let MessageKind::Reply {
+            request_id, status, ..
+        } = reply.kind
+        else {
+            panic!("expected a reply, got {:?}", reply.kind)
+        };
+        assert_eq!(request_id, 5);
+        assert_eq!(status, ReplyStatus::DeadlineExpired);
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "the servant never ran");
+        assert_eq!(server.metrics().snapshot().deadline_expired_server, 1);
         server.shutdown();
     }
 
@@ -2119,34 +1835,6 @@ mod tests {
             assert_eq!(status, ReplyStatus::NoException, "call {k} unaffected");
         }
         server.shutdown();
-    }
-
-    #[test]
-    fn threaded_engine_reaps_finished_connection_threads() {
-        let (d, graph, args, result) = adder_dispatcher();
-        let mut server = TcpServer::bind_with(
-            "127.0.0.1:0",
-            d,
-            ServerConfig::default().with_thread_per_connection(true),
-        )
-        .unwrap();
-        // Churn: each connection is closed before the next opens, so
-        // its serving thread finishes and must be reaped by a later
-        // accept, not hoarded until shutdown.
-        for k in 0..24 {
-            let conn = TcpConnection::connect(server.addr()).unwrap();
-            assert_eq!(call_add(&conn, &graph, args, result, k, 1), (k + 1) as i128);
-            drop(conn);
-            // Give the per-connection thread a moment to notice EOF.
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        let held = server.conn_threads.plock().len();
-        assert!(
-            held < 12,
-            "churned 24 connections but {held} handles are still held"
-        );
-        server.shutdown();
-        assert!(server.conn_threads.plock().is_empty());
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! The artifact store end to end: warm cold-starts from segment files,
-//! hostile store files failing closed, cluster-warm caches over real TCP
-//! (`MBAR`), and the `mbc --store` seam.
+//! hostile store files failing closed, and cluster-warm caches over real
+//! TCP (`MBAR`). The `mbc --store` seam is tested in `tests/cli.rs`,
+//! next to the `mbc` binary it drives.
 //!
 //! Unit tests in `crates/artifact` cover each corruption in isolation;
-//! here the corrupt store feeds a real batch compile, the forged peer is
-//! a real socket, and the CLI drives the whole persistence loop.
+//! here the corrupt store feeds a real batch compile and the forged peer
+//! is a real socket.
 
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::process::Command;
 use std::sync::Arc;
 
 use mockingbird::artifact::{
@@ -258,93 +258,4 @@ fn rules_disagreement_blocks_artifact_transfer() {
     assert!(local.is_empty());
     assert_eq!(metrics.snapshot().handshake_rejects, 1);
     server.shutdown();
-}
-
-fn mbc() -> Command {
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/tests-e2e -> crates
-    path.pop(); // crates -> repo root
-    path.push("target");
-    path.push(if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    });
-    path.push("mbc");
-    Command::new(path)
-}
-
-#[test]
-fn mbc_store_flag_warms_the_next_run() {
-    let dir = scratch("cli");
-    let write = |name: &str, content: &str| -> String {
-        let p = dir.join(name);
-        std::fs::write(&p, content).unwrap();
-        p.to_string_lossy().into_owned()
-    };
-    let c = write(
-        "fitter.c",
-        "typedef float point[2];\nvoid fitter(point pts[], int count, point *start, point *end);\n",
-    );
-    let java = write(
-        "app.java",
-        "public class Point { private float x; private float y; }\n\
-         public class Line { private Point start; private Point end; }\n\
-         public class PointVector extends java.util.Vector;\n\
-         public interface JavaIdeal { Line fitter(PointVector pts); }\n",
-    );
-    let script = write(
-        "fitter.mba",
-        "annotate fitter.param(pts) length=param(count)\n\
-         annotate fitter.param(start) direction=out\n\
-         annotate fitter.param(end) direction=out\n\
-         annotate Line.field(start) non-null no-alias\n\
-         annotate Line.field(end) non-null no-alias\n\
-         annotate PointVector element=Point non-null\n\
-         annotate JavaIdeal.method(fitter).param(pts) non-null\n\
-         annotate JavaIdeal.method(fitter).ret non-null\n",
-    );
-    let pairs = write("pairs.txt", "JavaIdeal fitter\n");
-    let store = dir.join("store").to_string_lossy().into_owned();
-
-    // First run: cold, commits its artifacts to the store.
-    let out = mbc()
-        .args([
-            "batch", &c, &java, "--script", &script, "--pairs", &pairs, "--store", &store,
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("store: committed"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    // Second run: a fresh process, warmed entirely from the store.
-    let out = mbc()
-        .args([
-            "batch", &c, &java, "--script", &script, "--pairs", &pairs, "--store", &store,
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("artifacts restored:"), "{text}");
-    assert!(text.contains("MATCH"), "{text}");
-    // Nothing new to persist: no second commit message.
-    assert!(
-        !String::from_utf8_lossy(&out.stderr).contains("store: committed"),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,18 +5,8 @@ use std::path::PathBuf;
 use std::process::Command;
 
 fn mbc() -> Command {
-    // The binary is built alongside the test profile.
-    let mut path = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    path.pop(); // crates/tests-e2e -> crates
-    path.pop(); // crates -> repo root
-    path.push("target");
-    path.push(if cfg!(debug_assertions) {
-        "debug"
-    } else {
-        "release"
-    });
-    path.push("mbc");
-    Command::new(path)
+    // Cargo builds the binary before this test target and names it here.
+    Command::new(env!("CARGO_BIN_EXE_mbc"))
 }
 
 fn scratch() -> PathBuf {
@@ -228,4 +218,39 @@ fn bad_usage_is_reported() {
     let out = mbc().args(["parse", &f]).output().unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown file kind"));
+}
+
+#[test]
+fn mbc_store_flag_warms_the_next_run() {
+    let dir = scratch();
+    let (c, java, script) = fitter_files(&dir);
+    let pairs = write(&dir, "pairs.txt", "JavaIdeal fitter\n");
+    let store_dir = dir.join("store");
+    let _ = std::fs::remove_dir_all(&store_dir);
+    let store = store_dir.to_string_lossy().into_owned();
+    let batch = || {
+        mbc()
+            .args([
+                "batch", &c, &java, "--script", &script, "--pairs", &pairs, "--store", &store,
+            ])
+            .output()
+            .unwrap()
+    };
+
+    // First run: cold, commits its artifacts to the store.
+    let out = batch();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("store: committed"), "{err}");
+
+    // Second run: a fresh process, warmed entirely from the store.
+    let out = batch();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("artifacts restored:"), "{text}");
+    assert!(text.contains("MATCH"), "{text}");
+    // Nothing new to persist: no second commit message.
+    assert!(!err.contains("store: committed"), "{err}");
+    let _ = std::fs::remove_dir_all(&store_dir);
 }

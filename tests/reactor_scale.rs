@@ -3,11 +3,9 @@
 //! The reactor's whole point is that connections are table slots, not
 //! threads: churning thousands of client connections must leave the
 //! process thread count flat and the server's slot table empty. These
-//! tests are the regression net for the two lifecycle leaks the
-//! thread-per-connection model hid — JoinHandles accumulating forever
-//! in `conn_threads`, and reader threads lingering per client — and
-//! for the write-stall clock, the one reactor timer no socket event
-//! drives.
+//! tests are the regression net for lifecycle leaks — server slots or
+//! client threads that outlive their connection — and for the
+//! write-stall clock, the one reactor timer no socket event drives.
 
 use std::collections::HashMap;
 use std::io::Write;
