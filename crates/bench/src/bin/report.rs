@@ -988,6 +988,7 @@ fn x7() {
 }
 
 fn x8() {
+    use mockingbird::runtime::metrics::METRICS;
     use mockingbird::runtime::{
         ConnectionPool, Dispatcher, RemoteRef, RuntimeError, Servant, TcpServer, WireOp,
         WireServant,
@@ -1092,6 +1093,13 @@ fn x8() {
     };
     let prom = scrape("/metrics");
     let families = prom.lines().filter(|l| l.starts_with("# TYPE")).count();
+    // One family per metric-table row, plus the per-op latency summary
+    // and the span-log gauge.
+    assert_eq!(
+        families,
+        METRICS.len() + 2,
+        "the scrape exports every metric family"
+    );
     let json_body = scrape("/metrics.json");
     println!(
         "server /metrics: {} metric families, {} bytes; /metrics.json: {} bytes",

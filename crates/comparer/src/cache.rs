@@ -5,7 +5,7 @@
 //! compilation over a declaration corpus (paper §5) meets the same Mtype
 //! shapes over and over. [`CompareCache`] memoizes *verdicts*
 //! content-addressed by `(left_fp, right_fp, Mode, RuleSet fingerprint)`
-//! — valid across graphs, sessions and (via [`CompareCache::export`])
+//! — valid across graphs, sessions and (via [`CompareCache::store_into`])
 //! processes — plus *correspondences*, which hold graph-local
 //! [`MtypeId`]s and are therefore only reusable between holders of the
 //! same frozen graph snapshot (checked via `MtypeGraph::uid`).

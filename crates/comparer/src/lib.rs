@@ -21,7 +21,7 @@
 //! [`Mismatch`] with diagnostics.
 //!
 //! The paper leaves completeness and decidability of comparison under
-//! rich isomorphism sets open (§6 and [3] therein); like the prototype,
+//! rich isomorphism sets open (§6 and \[3\] therein); like the prototype,
 //! this comparer is *sound but deliberately incomplete*: a fingerprint
 //! pre-filter may reject exotic equivalences involving structurally
 //! equal but unshared alternatives inside cycles.

@@ -6,9 +6,9 @@
 //! shapes — class counts, interconnection density, method volumes — so
 //! the scaling and feasibility studies can run (DESIGN.md §2):
 //!
-//! - [`visualage`] — E1: "500 highly inter-related classes with a total
-//!   of several thousand methods", and the "miniature version ... with
-//!   twelve carefully chosen classes";
+//! - [`visualage`](mod@visualage) — E1: "500 highly inter-related
+//!   classes with a total of several thousand methods", and the
+//!   "miniature version ... with twelve carefully chosen classes";
 //! - [`notes_api`] — E2: "a small, but representative, set of 30
 //!   classes" of a C++ groupware API, paired with the desired Java
 //!   interface declarations;

@@ -23,7 +23,7 @@
 //!
 //! A ninth kind, [`MtypeKind::Dynamic`], implements the paper's §6
 //! extension ("a dynamic type construct of our own which is similar to
-//! [CORBA] `Any`").
+//! \[CORBA\] `Any`").
 //!
 //! # Example
 //!

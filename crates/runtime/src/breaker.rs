@@ -15,7 +15,7 @@
 //!
 //! Every transition is counted both on the breaker itself (for tests
 //! and per-endpoint introspection) and in the owning node's
-//! [`MetricsRegistry`](crate::metrics::MetricsRegistry).
+//! [`MetricsRegistry`].
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};

@@ -382,10 +382,9 @@ impl Dispatcher {
         };
         let servant = self.servants.pread().get(object_key.as_slice()).cloned();
         let start = std::time::Instant::now();
-        let fused = servant
-            .as_ref()
-            .and_then(|s| s.op(operation))
-            .is_some_and(|op| op.is_fused(op.args_ty) && op.is_fused(op.result_ty));
+        let op = servant.as_ref().and_then(|s| s.op(operation));
+        let declared = op.is_some();
+        let fused = op.is_some_and(|op| op.is_fused(op.args_ty) && op.is_fused(op.result_ty));
         let outcome = match servant {
             // Contain handler panics at the dispatch boundary: the
             // panicking call gets a SystemException reply and every
@@ -413,7 +412,12 @@ impl Dispatcher {
             )),
         };
         let elapsed = start.elapsed();
-        self.metrics.record_server(operation, elapsed);
+        // Only declared operations get a histogram: the name arrives off
+        // the wire, so keying on anything else would let peers grow the
+        // registry without bound and forge exposition lines.
+        if declared {
+            self.metrics.record_server(operation, elapsed);
+        }
         // The propagated context keeps the client's trace id through the
         // dispatch worker; the server span is a child of the attempt
         // span that carried the request.
@@ -556,6 +560,32 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn undeclared_operations_get_no_server_histogram() {
+        let (d, graph, rec) = echo_setup();
+        let body = encode_args(&graph, rec, &MValue::Record(vec![MValue::Int(0)]));
+        let forged = "x\"} 1\n# TYPE mockingbird_evil_total counter\nmockingbird_evil_total 42\n#";
+        for (id, key, op) in [
+            (1, &b"nope"[..], "echo"),
+            (2, &b"obj"[..], "missing"),
+            (3, &b"obj"[..], forged),
+        ] {
+            let req = Message::request(id, true, key.to_vec(), op, Endian::Little, body.clone());
+            d.dispatch(&req).unwrap();
+        }
+        assert!(d.metrics().server_ops().is_empty());
+        assert!(!d
+            .metrics()
+            .prometheus_text()
+            .contains("mockingbird_evil_total"));
+        // A declared operation still records.
+        let req = Message::request(4, true, b"obj".to_vec(), "echo", Endian::Little, body);
+        d.dispatch(&req).unwrap();
+        let ops = d.metrics().server_ops();
+        assert_eq!(ops.len(), 1);
+        assert_eq!((ops[0].0.as_str(), ops[0].1.count()), ("echo", 1));
     }
 
     #[test]

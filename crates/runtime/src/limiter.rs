@@ -141,7 +141,7 @@ impl AimdLimiter {
         Admission::Admit
     }
 
-    /// Feeds one dispatch latency observation; every [`WINDOW`]
+    /// Feeds one dispatch latency observation; every `WINDOW`
     /// observations the limit adjusts (AIMD) and is published to
     /// `metrics` as the `admission_limit` gauge.
     pub fn observe(&self, elapsed: Duration, metrics: &MetricsRegistry) {

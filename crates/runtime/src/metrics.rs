@@ -1,5 +1,6 @@
-//! Runtime metrics: counters, per-operation latency histograms, and
-//! sampled span capture, scoped to a [`MetricsRegistry`].
+//! Runtime metrics: counters, a gauge, per-operation latency
+//! histograms, and sampled span capture, scoped to a
+//! [`MetricsRegistry`].
 //!
 //! The transport and proxy layers record what crosses the wire —
 //! requests sent, replies received, retries, deadline expiries, raw
@@ -15,6 +16,14 @@
 //! rounds, directory resolutions, failovers, and stale-entry
 //! evictions, so a node's Prometheus scrape shows its view of the
 //! cluster next to its wire traffic.
+//!
+//! Each counter and gauge is declared once, as one row of the table
+//! below: its doc comment (which doubles as the Prometheus `# HELP`
+//! text), its kind, its field name, and its recording method. The rows
+//! generate the atomic storage ([`Metrics`]), [`MetricsSnapshot`], the
+//! recorders, `snapshot`, `reset`, and [`METRICS`], which both
+//! exposition formats iterate. Adding a metric is one row plus the
+//! call site that records it.
 
 use mockingbird_obs::{Histogram, HistogramSnapshot, SpanLog, SpanRecord};
 use std::collections::HashMap;
@@ -24,546 +33,194 @@ use std::time::Duration;
 
 use crate::sync::RwLockExt;
 
-/// The process-wide counter set.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    requests: AtomicU64,
-    replies: AtomicU64,
-    retries: AtomicU64,
-    timeouts: AtomicU64,
-    bytes_sent: AtomicU64,
-    bytes_received: AtomicU64,
-    bytes_marshalled: AtomicU64,
-    bytes_unmarshalled: AtomicU64,
-    programs_compiled: AtomicU64,
-    program_cache_hits: AtomicU64,
-    native_calls: AtomicU64,
-    native_fallbacks: AtomicU64,
-    pool_reuses: AtomicU64,
-    pool_misses: AtomicU64,
-    handshakes: AtomicU64,
-    handshake_rejects: AtomicU64,
-    handshake_fallbacks: AtomicU64,
-    breaker_opens: AtomicU64,
-    breaker_half_opens: AtomicU64,
-    breaker_closes: AtomicU64,
-    sheds: AtomicU64,
-    overloads: AtomicU64,
-    hedges_fired: AtomicU64,
-    hedges_won: AtomicU64,
-    faults_injected: AtomicU64,
-    mesh_members_seen: AtomicU64,
-    mesh_gossip_rounds: AtomicU64,
-    mesh_resolutions: AtomicU64,
-    mesh_failovers: AtomicU64,
-    mesh_evictions: AtomicU64,
-    deadline_expired_server: AtomicU64,
-    retry_budget_exhausted: AtomicU64,
-    brownout_sheds: AtomicU64,
-    artifact_hits: AtomicU64,
-    artifact_misses: AtomicU64,
-    artifact_evictions: AtomicU64,
-    peer_fetches: AtomicU64,
-    peer_fetch_bytes: AtomicU64,
-    artifact_integrity_failures: AtomicU64,
-    /// Gauge, not a counter: the adaptive limiter's current admission
-    /// limit (0 until a server publishes one).
-    admission_limit: AtomicU64,
+/// One row of the metric table: everything exposition needs besides
+/// the value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Metric {
+    /// The field name in [`MetricsSnapshot`] and `/metrics.json`.
+    pub name: &'static str,
+    /// `"counter"` or `"gauge"`: the row's kind, spelled as its
+    /// Prometheus `# TYPE` keyword.
+    pub kind: &'static str,
+    /// The row's doc comment, exported as the `# HELP` text.
+    pub help: &'static str,
 }
 
-/// A consistent-enough point-in-time copy of every counter.
-///
-/// Each field is read atomically; the set as a whole is not a single
-/// atomic transaction, which is fine for reporting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
+impl Metric {
+    /// The Prometheus family name: `mockingbird_<name>_total` for a
+    /// counter, `mockingbird_<name>` for a gauge.
+    #[must_use]
+    pub fn family(&self) -> String {
+        let suffix = if self.kind == "counter" { "_total" } else { "" };
+        format!("mockingbird_{}{suffix}", self.name)
+    }
+}
+
+/// Generates the metric set from its rows (see the module docs). A
+/// recorder taking an argument adds it to a counter or sets a gauge to
+/// it; one without adds one to a counter.
+macro_rules! metric_table {
+    (@recorder counter $field:ident $record:ident) => {
+        #[doc = concat!("Adds one to [`MetricsSnapshot::", stringify!($field), "`].")]
+        pub fn $record(&self) {
+            self.$field.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    (@recorder counter $field:ident $record:ident $arg:ident) => {
+        #[doc = concat!("Adds `", stringify!($arg), "` to [`MetricsSnapshot::", stringify!($field), "`].")]
+        pub fn $record(&self, $arg: u64) {
+            self.$field.fetch_add($arg, Ordering::Relaxed);
+        }
+    };
+    (@recorder gauge $field:ident $record:ident $arg:ident) => {
+        #[doc = concat!("Sets [`MetricsSnapshot::", stringify!($field), "`] to `", stringify!($arg), "`.")]
+        pub fn $record(&self, $arg: u64) {
+            self.$field.store($arg, Ordering::Relaxed);
+        }
+    };
+    ($($(#[doc = $doc:literal])+ $kind:ident $field:ident: $record:ident($($arg:ident)?);)+) => {
+        /// One node's metric cells: an atomic per table row.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $($field: AtomicU64,)+
+        }
+
+        /// A consistent-enough point-in-time copy of every metric.
+        ///
+        /// Each field is read atomically; the set as a whole is not a
+        /// single atomic transaction, which is fine for reporting.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        /// Every row of the metric table, in declaration order.
+        pub const METRICS: &[Metric] = &[$(Metric {
+            name: stringify!($field),
+            kind: stringify!($kind),
+            help: concat!($($doc),+).trim_ascii_start(),
+        }),+];
+
+        impl Metrics {
+            /// A zeroed metric set.
+            #[must_use]
+            pub const fn new() -> Self {
+                Metrics { $($field: AtomicU64::new(0),)+ }
+            }
+
+            $(metric_table!(@recorder $kind $field $record $($arg)?);)+
+
+            /// Copies every metric.
+            #[must_use]
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot { $($field: self.$field.load(Ordering::Relaxed),)+ }
+            }
+
+            /// Zeroes every metric.
+            pub fn reset(&self) {
+                $(self.$field.store(0, Ordering::Relaxed);)+
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Each row of [`METRICS`] with its value, in declaration
+            /// order.
+            pub fn fields(&self) -> impl Iterator<Item = (&'static Metric, u64)> {
+                METRICS.iter().zip([$(self.$field),+])
+            }
+        }
+    };
+}
+
+metric_table! {
     /// Request frames handed to a connection (every retry counts).
-    pub requests: u64,
+    counter requests: add_request();
     /// Reply frames successfully correlated back to a caller.
-    pub replies: u64,
+    counter replies: add_reply();
     /// Re-sends of idempotent calls after transport/timeout failures.
-    pub retries: u64,
+    counter retries: add_retry();
     /// Calls whose deadline elapsed before a reply arrived.
-    pub timeouts: u64,
+    counter timeouts: add_timeout();
     /// Frame bytes written to sockets/streams.
-    pub bytes_sent: u64,
+    counter bytes_sent: add_bytes_sent(n);
     /// Frame bytes read from sockets/streams.
-    pub bytes_received: u64,
+    counter bytes_received: add_bytes_received(n);
     /// CDR body bytes produced by the data plane (native → wire).
-    pub bytes_marshalled: u64,
+    counter bytes_marshalled: add_bytes_marshalled(n);
     /// CDR body bytes consumed by the data plane (wire → native).
-    pub bytes_unmarshalled: u64,
+    counter bytes_unmarshalled: add_bytes_unmarshalled(n);
     /// Wire programs compiled from plans or types.
-    pub programs_compiled: u64,
-    /// Wire-program lookups served from a program cache.
-    pub program_cache_hits: u64,
+    counter programs_compiled: add_programs_compiled(n);
     /// Remote calls marshalled by emitted native stubs (the second
     /// Futamura projection tier, ahead of the opcode VM).
-    pub native_calls: u64,
+    counter native_calls: add_native_call();
     /// Fused calls that ran on the opcode VM because no native stub was
     /// registered for one or both directions.
-    pub native_fallbacks: u64,
+    counter native_fallbacks: add_native_fallback();
     /// Marshal buffers handed out from a pool with warmed capacity.
-    pub pool_reuses: u64,
+    counter pool_reuses: add_pool_reuse();
     /// Marshal buffer requests that had to allocate fresh.
-    pub pool_misses: u64,
+    counter pool_misses: add_pool_miss();
     /// Connect-time handshakes attempted (client side).
-    pub handshakes: u64,
+    counter handshakes: add_handshake();
     /// Handshakes rejected for protocol/interface skew (both sides).
-    pub handshake_rejects: u64,
+    counter handshake_rejects: add_handshake_reject();
     /// Handshakes that degraded to the interpretive marshal path.
-    pub handshake_fallbacks: u64,
+    counter handshake_fallbacks: add_handshake_fallback();
     /// Circuit-breaker transitions into the open state.
-    pub breaker_opens: u64,
+    counter breaker_opens: add_breaker_open();
     /// Circuit-breaker transitions into the half-open state.
-    pub breaker_half_opens: u64,
+    counter breaker_half_opens: add_breaker_half_open();
     /// Circuit-breaker transitions back to the closed state.
-    pub breaker_closes: u64,
+    counter breaker_closes: add_breaker_close();
     /// Requests the server shed instead of queueing (Overloaded reply).
-    pub sheds: u64,
+    counter sheds: add_shed();
     /// Overloaded replies received by clients.
-    pub overloads: u64,
+    counter overloads: add_overload();
     /// Hedged second attempts launched after the hedge delay.
-    pub hedges_fired: u64,
+    counter hedges_fired: add_hedge_fired();
     /// Hedged calls won by the second attempt.
-    pub hedges_won: u64,
+    counter hedges_won: add_hedge_won();
     /// Faults injected by the chaos transport (drops, truncations,
     /// corruptions, disconnects — delays are not counted).
-    pub faults_injected: u64,
+    counter faults_injected: add_fault_injected();
     /// Distinct mesh members this node has learned about (first sight
     /// of each node id, across joins and rejoins).
-    pub mesh_members_seen: u64,
+    counter mesh_members_seen: add_mesh_member_seen();
     /// Gossip rounds this node has initiated.
-    pub mesh_gossip_rounds: u64,
+    counter mesh_gossip_rounds: add_mesh_gossip_round();
     /// Directory resolutions applied to a pool's endpoint set.
-    pub mesh_resolutions: u64,
+    counter mesh_resolutions: add_mesh_resolution();
     /// Calls re-routed to another replica after a failure.
-    pub mesh_failovers: u64,
+    counter mesh_failovers: add_mesh_failover();
     /// Mesh membership entries evicted as stale (no refresh within the
     /// eviction horizon).
-    pub mesh_evictions: u64,
+    counter mesh_evictions: add_mesh_eviction();
     /// Requests a server refused because their propagated deadline had
     /// already expired (admission, dequeue, or pre-dispatch check).
-    pub deadline_expired_server: u64,
+    counter deadline_expired_server: add_deadline_expired_server();
     /// Calls that failed fast because the pool's retry budget was
     /// empty when a retry, hedge, or failover redial wanted a token.
-    pub retry_budget_exhausted: u64,
+    counter retry_budget_exhausted: add_retry_budget_exhausted();
     /// Sheddable requests cut in the adaptive limiter's brownout band
     /// (before critical traffic was touched).
-    pub brownout_sheds: u64,
+    counter brownout_sheds: add_brownout_shed();
     /// Artifact-store lookups that found the key.
-    pub artifact_hits: u64,
+    counter artifact_hits: add_artifact_hits(n);
     /// Artifact-store lookups that missed.
-    pub artifact_misses: u64,
+    counter artifact_misses: add_artifact_misses(n);
     /// Artifact records dropped by store capacity eviction.
-    pub artifact_evictions: u64,
+    counter artifact_evictions: add_artifact_evictions(n);
     /// Artifact records fetched from mesh peers over `MBAR`.
-    pub peer_fetches: u64,
+    counter peer_fetches: add_peer_fetch();
     /// Artifact body bytes received from mesh peers over `MBAR`.
-    pub peer_fetch_bytes: u64,
+    counter peer_fetch_bytes: add_peer_fetch_bytes(n);
     /// Artifact records rejected for failing a checksum or content-hash
     /// check (hostile store files, corrupt peer transfers).
-    pub artifact_integrity_failures: u64,
-    /// The adaptive limiter's current admission limit (a gauge; 0
-    /// until a server publishes one).
-    pub admission_limit: u64,
-}
-
-impl Metrics {
-    /// A zeroed counter set.
-    #[must_use]
-    pub const fn new() -> Self {
-        Metrics {
-            requests: AtomicU64::new(0),
-            replies: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            bytes_sent: AtomicU64::new(0),
-            bytes_received: AtomicU64::new(0),
-            bytes_marshalled: AtomicU64::new(0),
-            bytes_unmarshalled: AtomicU64::new(0),
-            programs_compiled: AtomicU64::new(0),
-            program_cache_hits: AtomicU64::new(0),
-            native_calls: AtomicU64::new(0),
-            native_fallbacks: AtomicU64::new(0),
-            pool_reuses: AtomicU64::new(0),
-            pool_misses: AtomicU64::new(0),
-            handshakes: AtomicU64::new(0),
-            handshake_rejects: AtomicU64::new(0),
-            handshake_fallbacks: AtomicU64::new(0),
-            breaker_opens: AtomicU64::new(0),
-            breaker_half_opens: AtomicU64::new(0),
-            breaker_closes: AtomicU64::new(0),
-            sheds: AtomicU64::new(0),
-            overloads: AtomicU64::new(0),
-            hedges_fired: AtomicU64::new(0),
-            hedges_won: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            mesh_members_seen: AtomicU64::new(0),
-            mesh_gossip_rounds: AtomicU64::new(0),
-            mesh_resolutions: AtomicU64::new(0),
-            mesh_failovers: AtomicU64::new(0),
-            mesh_evictions: AtomicU64::new(0),
-            deadline_expired_server: AtomicU64::new(0),
-            retry_budget_exhausted: AtomicU64::new(0),
-            brownout_sheds: AtomicU64::new(0),
-            artifact_hits: AtomicU64::new(0),
-            artifact_misses: AtomicU64::new(0),
-            artifact_evictions: AtomicU64::new(0),
-            peer_fetches: AtomicU64::new(0),
-            peer_fetch_bytes: AtomicU64::new(0),
-            artifact_integrity_failures: AtomicU64::new(0),
-            admission_limit: AtomicU64::new(0),
-        }
-    }
-
-    /// Records one client-side handshake attempt.
-    pub fn add_handshake(&self) {
-        self.handshakes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one handshake rejected for protocol/interface skew.
-    pub fn add_handshake_reject(&self) {
-        self.handshake_rejects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one handshake that degraded to the interpretive path.
-    pub fn add_handshake_fallback(&self) {
-        self.handshake_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one breaker transition to open.
-    pub fn add_breaker_open(&self) {
-        self.breaker_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one breaker transition to half-open.
-    pub fn add_breaker_half_open(&self) {
-        self.breaker_half_opens.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one breaker transition back to closed.
-    pub fn add_breaker_close(&self) {
-        self.breaker_closes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request shed by the server.
-    pub fn add_shed(&self) {
-        self.sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one Overloaded reply received by a client.
-    pub fn add_overload(&self) {
-        self.overloads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one hedged second attempt fired.
-    pub fn add_hedge_fired(&self) {
-        self.hedges_fired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one hedged call won by the second attempt.
-    pub fn add_hedge_won(&self) {
-        self.hedges_won.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one chaos-injected fault.
-    pub fn add_fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records the first sighting of a mesh member.
-    pub fn add_mesh_member_seen(&self) {
-        self.mesh_members_seen.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one gossip round initiated by this node.
-    pub fn add_mesh_gossip_round(&self) {
-        self.mesh_gossip_rounds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one directory resolution applied to an endpoint set.
-    pub fn add_mesh_resolution(&self) {
-        self.mesh_resolutions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one call re-routed to another replica after a failure.
-    pub fn add_mesh_failover(&self) {
-        self.mesh_failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one stale mesh entry evicted.
-    pub fn add_mesh_eviction(&self) {
-        self.mesh_evictions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request refused server-side for an expired deadline.
-    pub fn add_deadline_expired_server(&self) {
-        self.deadline_expired_server.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one call failed fast on an empty retry budget.
-    pub fn add_retry_budget_exhausted(&self) {
-        self.retry_budget_exhausted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one sheddable request cut in the brownout band.
-    pub fn add_brownout_shed(&self) {
-        self.brownout_sheds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` artifact-store lookups that hit.
-    pub fn add_artifact_hits(&self, n: u64) {
-        self.artifact_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` artifact-store lookups that missed.
-    pub fn add_artifact_misses(&self, n: u64) {
-        self.artifact_misses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` artifact records dropped by capacity eviction.
-    pub fn add_artifact_evictions(&self, n: u64) {
-        self.artifact_evictions.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one artifact record fetched from a mesh peer.
-    pub fn add_peer_fetch(&self) {
-        self.peer_fetches.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` artifact body bytes received from mesh peers.
-    pub fn add_peer_fetch_bytes(&self, n: u64) {
-        self.peer_fetch_bytes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one artifact record rejected by an integrity check.
-    pub fn add_artifact_integrity_failure(&self) {
-        self.artifact_integrity_failures
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the adaptive limiter's current admission limit.
-    pub fn set_admission_limit(&self, limit: u64) {
-        self.admission_limit.store(limit, Ordering::Relaxed);
-    }
-
-    /// The last published admission limit (0 until a server sets one).
-    pub fn admission_limit(&self) -> u64 {
-        self.admission_limit.load(Ordering::Relaxed)
-    }
-
-    /// Records one request frame sent.
-    pub fn add_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one reply frame delivered to its caller.
-    pub fn add_reply(&self) {
-        self.replies.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one retry of an idempotent call.
-    pub fn add_retry(&self) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one expired call deadline.
-    pub fn add_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` frame bytes written.
-    pub fn add_bytes_sent(&self, n: u64) {
-        self.bytes_sent.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` frame bytes read.
-    pub fn add_bytes_received(&self, n: u64) {
-        self.bytes_received.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` CDR body bytes marshalled (native → wire).
-    pub fn add_bytes_marshalled(&self, n: u64) {
-        self.bytes_marshalled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` CDR body bytes unmarshalled (wire → native).
-    pub fn add_bytes_unmarshalled(&self, n: u64) {
-        self.bytes_unmarshalled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` wire-program compilations.
-    pub fn add_programs_compiled(&self, n: u64) {
-        self.programs_compiled.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` program-cache hits.
-    pub fn add_program_cache_hits(&self, n: u64) {
-        self.program_cache_hits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records one remote call marshalled by an emitted native stub.
-    pub fn add_native_call(&self) {
-        self.native_calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one fused call that fell back to the opcode VM for want
-    /// of a registered native stub.
-    pub fn add_native_fallback(&self) {
-        self.native_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one pooled buffer handed out with warmed capacity.
-    pub fn add_pool_reuse(&self) {
-        self.pool_reuses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one pool request that allocated a fresh buffer.
-    pub fn add_pool_miss(&self) {
-        self.pool_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Copies every counter.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            requests: self.requests.load(Ordering::Relaxed),
-            replies: self.replies.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            bytes_received: self.bytes_received.load(Ordering::Relaxed),
-            bytes_marshalled: self.bytes_marshalled.load(Ordering::Relaxed),
-            bytes_unmarshalled: self.bytes_unmarshalled.load(Ordering::Relaxed),
-            programs_compiled: self.programs_compiled.load(Ordering::Relaxed),
-            program_cache_hits: self.program_cache_hits.load(Ordering::Relaxed),
-            native_calls: self.native_calls.load(Ordering::Relaxed),
-            native_fallbacks: self.native_fallbacks.load(Ordering::Relaxed),
-            pool_reuses: self.pool_reuses.load(Ordering::Relaxed),
-            pool_misses: self.pool_misses.load(Ordering::Relaxed),
-            handshakes: self.handshakes.load(Ordering::Relaxed),
-            handshake_rejects: self.handshake_rejects.load(Ordering::Relaxed),
-            handshake_fallbacks: self.handshake_fallbacks.load(Ordering::Relaxed),
-            breaker_opens: self.breaker_opens.load(Ordering::Relaxed),
-            breaker_half_opens: self.breaker_half_opens.load(Ordering::Relaxed),
-            breaker_closes: self.breaker_closes.load(Ordering::Relaxed),
-            sheds: self.sheds.load(Ordering::Relaxed),
-            overloads: self.overloads.load(Ordering::Relaxed),
-            hedges_fired: self.hedges_fired.load(Ordering::Relaxed),
-            hedges_won: self.hedges_won.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            mesh_members_seen: self.mesh_members_seen.load(Ordering::Relaxed),
-            mesh_gossip_rounds: self.mesh_gossip_rounds.load(Ordering::Relaxed),
-            mesh_resolutions: self.mesh_resolutions.load(Ordering::Relaxed),
-            mesh_failovers: self.mesh_failovers.load(Ordering::Relaxed),
-            mesh_evictions: self.mesh_evictions.load(Ordering::Relaxed),
-            deadline_expired_server: self.deadline_expired_server.load(Ordering::Relaxed),
-            retry_budget_exhausted: self.retry_budget_exhausted.load(Ordering::Relaxed),
-            brownout_sheds: self.brownout_sheds.load(Ordering::Relaxed),
-            artifact_hits: self.artifact_hits.load(Ordering::Relaxed),
-            artifact_misses: self.artifact_misses.load(Ordering::Relaxed),
-            artifact_evictions: self.artifact_evictions.load(Ordering::Relaxed),
-            peer_fetches: self.peer_fetches.load(Ordering::Relaxed),
-            peer_fetch_bytes: self.peer_fetch_bytes.load(Ordering::Relaxed),
-            artifact_integrity_failures: self.artifact_integrity_failures.load(Ordering::Relaxed),
-            admission_limit: self.admission_limit.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every counter.
-    pub fn reset(&self) {
-        self.requests.store(0, Ordering::Relaxed);
-        self.replies.store(0, Ordering::Relaxed);
-        self.retries.store(0, Ordering::Relaxed);
-        self.timeouts.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.bytes_received.store(0, Ordering::Relaxed);
-        self.bytes_marshalled.store(0, Ordering::Relaxed);
-        self.bytes_unmarshalled.store(0, Ordering::Relaxed);
-        self.programs_compiled.store(0, Ordering::Relaxed);
-        self.program_cache_hits.store(0, Ordering::Relaxed);
-        self.native_calls.store(0, Ordering::Relaxed);
-        self.native_fallbacks.store(0, Ordering::Relaxed);
-        self.pool_reuses.store(0, Ordering::Relaxed);
-        self.pool_misses.store(0, Ordering::Relaxed);
-        self.handshakes.store(0, Ordering::Relaxed);
-        self.handshake_rejects.store(0, Ordering::Relaxed);
-        self.handshake_fallbacks.store(0, Ordering::Relaxed);
-        self.breaker_opens.store(0, Ordering::Relaxed);
-        self.breaker_half_opens.store(0, Ordering::Relaxed);
-        self.breaker_closes.store(0, Ordering::Relaxed);
-        self.sheds.store(0, Ordering::Relaxed);
-        self.overloads.store(0, Ordering::Relaxed);
-        self.hedges_fired.store(0, Ordering::Relaxed);
-        self.hedges_won.store(0, Ordering::Relaxed);
-        self.faults_injected.store(0, Ordering::Relaxed);
-        self.mesh_members_seen.store(0, Ordering::Relaxed);
-        self.mesh_gossip_rounds.store(0, Ordering::Relaxed);
-        self.mesh_resolutions.store(0, Ordering::Relaxed);
-        self.mesh_failovers.store(0, Ordering::Relaxed);
-        self.mesh_evictions.store(0, Ordering::Relaxed);
-        self.deadline_expired_server.store(0, Ordering::Relaxed);
-        self.retry_budget_exhausted.store(0, Ordering::Relaxed);
-        self.brownout_sheds.store(0, Ordering::Relaxed);
-        self.artifact_hits.store(0, Ordering::Relaxed);
-        self.artifact_misses.store(0, Ordering::Relaxed);
-        self.artifact_evictions.store(0, Ordering::Relaxed);
-        self.peer_fetches.store(0, Ordering::Relaxed);
-        self.peer_fetch_bytes.store(0, Ordering::Relaxed);
-        self.artifact_integrity_failures.store(0, Ordering::Relaxed);
-        self.admission_limit.store(0, Ordering::Relaxed);
-    }
-}
-
-impl MetricsSnapshot {
-    /// Counter names and values in declaration order, for exposition.
-    #[must_use]
-    pub fn fields(&self) -> [(&'static str, u64); 39] {
-        [
-            ("requests", self.requests),
-            ("replies", self.replies),
-            ("retries", self.retries),
-            ("timeouts", self.timeouts),
-            ("bytes_sent", self.bytes_sent),
-            ("bytes_received", self.bytes_received),
-            ("bytes_marshalled", self.bytes_marshalled),
-            ("bytes_unmarshalled", self.bytes_unmarshalled),
-            ("programs_compiled", self.programs_compiled),
-            ("program_cache_hits", self.program_cache_hits),
-            ("native_calls", self.native_calls),
-            ("native_fallbacks", self.native_fallbacks),
-            ("pool_reuses", self.pool_reuses),
-            ("pool_misses", self.pool_misses),
-            ("handshakes", self.handshakes),
-            ("handshake_rejects", self.handshake_rejects),
-            ("handshake_fallbacks", self.handshake_fallbacks),
-            ("breaker_opens", self.breaker_opens),
-            ("breaker_half_opens", self.breaker_half_opens),
-            ("breaker_closes", self.breaker_closes),
-            ("sheds", self.sheds),
-            ("overloads", self.overloads),
-            ("hedges_fired", self.hedges_fired),
-            ("hedges_won", self.hedges_won),
-            ("faults_injected", self.faults_injected),
-            ("mesh_members_seen", self.mesh_members_seen),
-            ("mesh_gossip_rounds", self.mesh_gossip_rounds),
-            ("mesh_resolutions", self.mesh_resolutions),
-            ("mesh_failovers", self.mesh_failovers),
-            ("mesh_evictions", self.mesh_evictions),
-            ("deadline_expired_server", self.deadline_expired_server),
-            ("retry_budget_exhausted", self.retry_budget_exhausted),
-            ("brownout_sheds", self.brownout_sheds),
-            ("artifact_hits", self.artifact_hits),
-            ("artifact_misses", self.artifact_misses),
-            ("artifact_evictions", self.artifact_evictions),
-            ("peer_fetches", self.peer_fetches),
-            ("peer_fetch_bytes", self.peer_fetch_bytes),
-            (
-                "artifact_integrity_failures",
-                self.artifact_integrity_failures,
-            ),
-        ]
-    }
+    counter artifact_integrity_failures: add_artifact_integrity_failure();
+    /// The adaptive limiter's current admission limit (0 until a server
+    /// publishes one).
+    gauge admission_limit: set_admission_limit(limit);
 }
 
 /// A per-node metrics handle: the counter set plus per-operation latency
@@ -624,18 +281,6 @@ impl MetricsRegistry {
     #[must_use]
     pub fn shared() -> Arc<Self> {
         Arc::new(Self::new())
-    }
-
-    /// The raw counter set (also reachable through `Deref`).
-    #[must_use]
-    pub fn counters(&self) -> &Metrics {
-        &self.counters
-    }
-
-    /// Point-in-time copy of every counter.
-    #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.counters.snapshot()
     }
 
     /// Zeroes the counters and drops all histograms and spans.
@@ -747,19 +392,24 @@ impl MetricsRegistry {
         self.spans.mark_winner(trace_id, span_id)
     }
 
-    /// Renders everything in the Prometheus text exposition format:
-    /// one counter family per [`Metrics`] counter, plus per-operation
-    /// latency summaries (`quantile` labelled) for each side, plus a
-    /// gauge with the current span-log depth.
+    /// Renders everything in the Prometheus text exposition format: a
+    /// `# HELP`, `# TYPE` and sample line for each row of [`METRICS`],
+    /// then per-operation latency summaries (`quantile` labelled) for
+    /// each side, then a gauge with the current span-log depth.
     #[must_use]
     pub fn prometheus_text(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::with_capacity(4096);
-        for (name, value) in self.snapshot().fields() {
-            let _ = writeln!(out, "# TYPE mockingbird_{name}_total counter");
-            let _ = writeln!(out, "mockingbird_{name}_total {value}");
+        for (metric, value) in self.snapshot().fields() {
+            let family = metric.family();
+            let _ = writeln!(out, "# HELP {family} {}", metric.help);
+            let _ = writeln!(out, "# TYPE {family} {}", metric.kind);
+            let _ = writeln!(out, "{family} {value}");
         }
-        let _ = writeln!(out, "# TYPE mockingbird_op_latency_microseconds summary");
+        let _ = writeln!(
+            out,
+            "# HELP mockingbird_op_latency_microseconds Call latency (client) and dispatch latency (server) per operation.\n# TYPE mockingbird_op_latency_microseconds summary"
+        );
         for (side, ops) in [("client", self.client_ops()), ("server", self.server_ops())] {
             for (op, s) in ops {
                 for (label, q) in [("0.5", 0.5), ("0.95", 0.95), ("0.99", 0.99)] {
@@ -781,20 +431,20 @@ impl MetricsRegistry {
                 );
             }
         }
-        let _ = writeln!(out, "# TYPE mockingbird_admission_limit gauge");
         let _ = writeln!(
             out,
-            "mockingbird_admission_limit {}",
-            self.counters.admission_limit()
+            "# HELP mockingbird_spans_captured Sampled spans held in the bounded span log.\n# TYPE mockingbird_spans_captured gauge"
         );
-        let _ = writeln!(out, "# TYPE mockingbird_spans_captured gauge");
         let _ = writeln!(out, "mockingbird_spans_captured {}", self.spans.len());
         out
     }
 
-    /// Renders counters + per-op latency quantiles as a JSON object
-    /// (hand-rolled: operation names come from in-tree declarations and
-    /// never need escaping beyond quotes/backslashes).
+    /// Renders the metrics as a JSON object: the counter rows of
+    /// [`METRICS`] under `counters`, per-op latency quantiles under
+    /// `client_ops`/`server_ops`, then each gauge row, the tracing
+    /// switch and the span-log depth as top-level keys (hand-rolled:
+    /// operation names come from in-tree declarations and never need
+    /// escaping beyond quotes/backslashes).
     #[must_use]
     pub fn json_snapshot(&self) -> String {
         use std::fmt::Write as _;
@@ -821,22 +471,26 @@ impl MetricsRegistry {
             }
             out.push('}');
         }
+        let snapshot = self.snapshot();
+        let rows = |kind: &'static str| snapshot.fields().filter(move |(m, _)| m.kind == kind);
         let mut out = String::with_capacity(2048);
         out.push_str("{\"counters\":{");
-        for (i, (name, value)) in self.snapshot().fields().iter().enumerate() {
+        for (i, (metric, value)) in rows("counter").enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{name}\":{value}");
+            let _ = write!(out, "\"{}\":{value}", metric.name);
         }
         out.push_str("},\"client_ops\":");
         ops_json(&mut out, &self.client_ops());
         out.push_str(",\"server_ops\":");
         ops_json(&mut out, &self.server_ops());
+        for (metric, value) in rows("gauge") {
+            let _ = write!(out, ",\"{}\":{value}", metric.name);
+        }
         let _ = write!(
             out,
-            ",\"admission_limit\":{},\"tracing\":{},\"spans_captured\":{}}}",
-            self.counters.admission_limit(),
+            ",\"tracing\":{},\"spans_captured\":{}}}",
             self.tracing_enabled(),
             self.spans.len()
         );
@@ -861,7 +515,6 @@ mod tests {
         m.add_bytes_marshalled(48);
         m.add_bytes_unmarshalled(24);
         m.add_programs_compiled(2);
-        m.add_program_cache_hits(5);
         m.add_pool_reuse();
         m.add_pool_reuse();
         m.add_pool_miss();
@@ -901,7 +554,6 @@ mod tests {
         assert_eq!(s.bytes_marshalled, 48);
         assert_eq!(s.bytes_unmarshalled, 24);
         assert_eq!(s.programs_compiled, 2);
-        assert_eq!(s.program_cache_hits, 5);
         assert_eq!(s.pool_reuses, 2);
         assert_eq!(s.pool_misses, 1);
         assert_eq!(s.handshakes, 1);
@@ -1013,5 +665,8 @@ mod tests {
         let json = r.json_snapshot();
         assert!(json.contains("\"requests\":1"));
         assert!(json.contains("\"client_ops\":{\"echo\""));
+        // Gauge rows are top-level keys, not members of `counters`.
+        assert_eq!(json.matches("\"admission_limit\"").count(), 1);
+        assert!(json.ends_with(",\"admission_limit\":0,\"tracing\":false,\"spans_captured\":0}"));
     }
 }

@@ -2,15 +2,14 @@
 //!
 //! A [`ConnectionPool`] owns a *dynamic set* of endpoints (server
 //! addresses), each with its own connection slots and its own
-//! [`CircuitBreaker`]. The set is fed by a
-//! [`Resolver`](crate::resolver::Resolver): whenever the resolver's
-//! version moves the pool re-resolves, creating endpoints (and
-//! breakers) for replicas that joined and retiring those that left —
-//! an in-flight call may finish on a retired endpoint, but no new call
-//! routes there, and dropping the last reference frees its breaker and
-//! slots. A pool built from a plain address list sits on the trivial
-//! [`StaticResolver`](crate::resolver::StaticResolver), whose version
-//! never moves, preserving the historical fixed-endpoint behaviour.
+//! [`CircuitBreaker`]. The set is fed by a [`Resolver`]: whenever the
+//! resolver's version moves the pool re-resolves, creating endpoints
+//! (and breakers) for replicas that joined and retiring those that
+//! left — an in-flight call may finish on a retired endpoint, but no
+//! new call routes there, and dropping the last reference frees its
+//! breaker and slots. A pool built from a plain address list sits on
+//! the trivial [`StaticResolver`], whose version never moves,
+//! preserving the historical fixed-endpoint behaviour.
 //!
 //! Calls spread round-robin across routable endpoints, skipping
 //! endpoints whose breaker is open; a slot whose connection died is

@@ -15,7 +15,7 @@
 //!   partial bytes in the machine and resumes on the next readiness
 //!   event; writes queue encoded frames and retire them byte-by-byte
 //!   as the socket accepts them.
-//! - a waker table ([`MuxCore`]): each in-flight client call parks its
+//! - a waker table (`MuxCore`): each in-flight client call parks its
 //!   own thread and is unparked exactly when its reply, failure, or
 //!   deadline arrives — replacing the broadcast `Condvar` the old
 //!   transport shared across every waiter on a connection.

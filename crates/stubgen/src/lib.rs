@@ -11,8 +11,9 @@
 //!   result back-conversion), [`stub::InterfaceStub`] adds method
 //!   selection across matched `port(Choice(...))` Mtypes,
 //!   [`stub::RemoteStub`] runs the same conversions against a
-//!   [`RemoteRef`] over a wire transport, and [`stub::MessagingStubs`]
-//!   builds the §5 collaboration study's send/receive pairs;
+//!   [`RemoteRef`](mockingbird_runtime::RemoteRef) over a wire
+//!   transport, and [`stub::MessagingStubs`] builds the §5
+//!   collaboration study's send/receive pairs;
 //! - [`emit`] — stub *source text*: C client stubs, JNI bridge code for
 //!   local Java↔C (the paper's local-stub output), Java caller stubs,
 //!   and Rust adapters, each derived from the same coercion plan;

@@ -19,7 +19,8 @@
 //! helper vocabulary in `mockingbird::wire::native` (one helper per VM
 //! opcode body). Each program becomes a family of flat functions named
 //! by a 48-bit FNV digest of its registry key, plus one `register_all`
-//! that installs every stub in a [`NativeStubRegistry`].
+//! that installs every stub in a
+//! [`NativeStubRegistry`](mockingbird_wire::NativeStubRegistry).
 
 use std::collections::BTreeSet;
 use std::fmt;

@@ -3,14 +3,20 @@
 
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn mbc() -> Command {
     // Cargo builds the binary before this test target and names it here.
     Command::new(env!("CARGO_BIN_EXE_mbc"))
 }
 
+/// A fresh directory per call: the tests run on parallel threads of one
+/// process and write the same file names, so a shared directory lets one
+/// test read a file another is rewriting.
 fn scratch() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mbc-cli-{}", std::process::id()));
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("mbc-cli-{}-{n}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mockingbird::mtype::{IntRange, MtypeGraph};
+use mockingbird::runtime::metrics::METRICS;
 use mockingbird::runtime::{
     CallOptions, Connection, ConnectionPool, Dispatcher, HedgePolicy, InMemoryConnection,
     MetricsRegistry, RemoteRef, RetryPolicy, RuntimeError, Servant, SpanKind, TcpServer, WireOp,
@@ -282,84 +283,83 @@ fn prometheus_endpoint_is_well_formed_and_monotonic() {
         remote.invoke("echo", &payload(k)).unwrap();
     }
 
-    // Counter families must be unique and every sample line parseable.
-    let parse = |text: &str| -> (Vec<String>, HashMap<String, f64>) {
-        let mut families = Vec::new();
-        let mut counters = HashMap::new();
+    // Every line is a HELP, TYPE or parseable sample line; families are
+    // unique. Returns each family's HELP texts, each family's TYPE
+    // kinds, and every sample's values, keyed by name.
+    type Lines = HashMap<String, Vec<String>>;
+    let parse = |text: &str| -> (Lines, Lines, HashMap<String, Vec<f64>>) {
+        let (mut helps, mut types) = (Lines::new(), Lines::new());
+        let mut samples: HashMap<String, Vec<f64>> = HashMap::new();
         for line in text.lines() {
-            if let Some(rest) = line.strip_prefix("# TYPE ") {
-                let mut it = rest.split_whitespace();
-                let name = it.next().unwrap().to_string();
-                let kind = it.next().unwrap();
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let (name, help) = rest.split_once(' ').expect("HELP NAME TEXT");
+                helps
+                    .entry(name.to_string())
+                    .or_default()
+                    .push(help.to_string());
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest.split_once(' ').expect("TYPE NAME KIND");
                 assert!(
                     matches!(kind, "counter" | "gauge" | "summary"),
                     "unknown family kind in {line:?}"
                 );
-                if kind == "counter" {
-                    counters.insert(name.clone(), f64::NAN);
-                }
-                families.push(name);
+                types
+                    .entry(name.to_string())
+                    .or_default()
+                    .push(kind.to_string());
             } else if !line.is_empty() {
                 let (name, value) = line.rsplit_once(' ').expect("SAMPLE VALUE");
                 let value: f64 = value.parse().expect("numeric sample");
-                if let Some(v) = counters.get_mut(name) {
-                    *v = value;
-                }
+                samples.entry(name.to_string()).or_default().push(value);
             }
         }
-        (families, counters)
+        for (name, kinds) in &types {
+            assert_eq!(kinds.len(), 1, "duplicate metric family {name}");
+        }
+        (helps, types, samples)
     };
     let first = scrape(&server, "/metrics");
-    let (families, counters1) = parse(&first);
-    let mut unique = families.clone();
-    unique.sort();
-    unique.dedup();
-    assert_eq!(unique.len(), families.len(), "duplicate metric family");
-    assert!(
-        families.iter().any(|f| f == "mockingbird_requests_total"),
-        "counter families exported"
-    );
-    // The mesh naming layer's counters ride the same scrape.
-    for mesh_family in [
-        "mockingbird_mesh_members_seen_total",
-        "mockingbird_mesh_gossip_rounds_total",
-        "mockingbird_mesh_resolutions_total",
-        "mockingbird_mesh_failovers_total",
-        "mockingbird_mesh_evictions_total",
-    ] {
-        assert!(
-            families.iter().any(|f| f == mesh_family),
-            "missing mesh family {mesh_family}"
+    let (helps, types, samples1) = parse(&first);
+    // Each row of the metric table exports as exactly one family with
+    // one HELP line carrying its doc text, one TYPE line with its
+    // declared kind, and one sample.
+    for m in METRICS {
+        let family = m.family();
+        assert_eq!(
+            helps.get(&family),
+            Some(&vec![m.help.to_string()]),
+            "HELP for {family}"
+        );
+        assert_eq!(
+            types.get(&family),
+            Some(&vec![m.kind.to_string()]),
+            "TYPE for {family}"
+        );
+        assert_eq!(
+            samples1.get(&family).map(Vec::len),
+            Some(1),
+            "sample for {family}"
         );
     }
-    // So do the overload-resilience signals: the three shed/refusal
-    // counters and the adaptive admission-limit gauge.
-    for overload_family in [
-        "mockingbird_deadline_expired_server_total",
-        "mockingbird_retry_budget_exhausted_total",
-        "mockingbird_brownout_sheds_total",
-        "mockingbird_admission_limit",
-    ] {
-        assert!(
-            families.iter().any(|f| f == overload_family),
-            "missing overload family {overload_family}"
-        );
-    }
+    // Beyond the table: the per-op latency summary and the span gauge.
+    assert_eq!(types.len(), METRICS.len() + 2);
+    assert_eq!(helps.len(), types.len(), "every family has a HELP line");
 
     // More traffic, then a second scrape: counters never go backwards.
     for k in 0..5 {
         remote.invoke("echo", &payload(100 + k)).unwrap();
     }
     let second = scrape(&server, "/metrics");
-    let (_, counters2) = parse(&second);
-    assert_eq!(counters1.len(), counters2.len());
-    for (name, v1) in &counters1 {
-        let v2 = counters2[name];
-        assert!(v2 >= *v1, "counter {name} went backwards: {v1} -> {v2}");
+    let (_, _, samples2) = parse(&second);
+    let counter = |samples: &HashMap<String, Vec<f64>>, family: &str| samples[family][0];
+    for m in METRICS.iter().filter(|m| m.kind == "counter") {
+        let family = m.family();
+        let (v1, v2) = (counter(&samples1, &family), counter(&samples2, &family));
+        assert!(v2 >= v1, "counter {family} went backwards: {v1} -> {v2}");
     }
     assert!(
-        counters2["mockingbird_bytes_received_total"]
-            > counters1["mockingbird_bytes_received_total"],
+        counter(&samples2, "mockingbird_bytes_received_total")
+            > counter(&samples1, "mockingbird_bytes_received_total"),
         "the second burst moved the server's byte counters"
     );
     // The per-op dispatch summary counted both bursts.
@@ -379,6 +379,13 @@ fn prometheus_endpoint_is_well_formed_and_monotonic() {
     assert!(json.contains("\"counters\""));
     assert!(json.contains("\"server_ops\""));
     assert!(json.contains("\"echo\""));
+    for m in METRICS {
+        assert!(
+            json.contains(&format!("\"{}\":", m.name)),
+            "{} in JSON",
+            m.name
+        );
+    }
 
     // Unknown paths 404 without wedging the listener.
     let miss = scrape(&server, "/nope");
