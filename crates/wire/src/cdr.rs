@@ -15,6 +15,8 @@ use mockingbird_mtype::{IntRange, MtypeGraph, MtypeId, MtypeKind, RealPrecision,
 use mockingbird_values::mvalue::list_element_type;
 use mockingbird_values::{Endian, MValue, PortRef};
 
+use crate::MAX_ZERO_WIDTH_SEQUENCE;
+
 /// Errors from CDR encoding/decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CdrError(pub String);
@@ -76,22 +78,26 @@ fn char_repr(rep: &Repertoire) -> usize {
 pub struct CdrWriter {
     buf: Vec<u8>,
     endian: Endian,
+    /// Sequence elements of zero wire width written so far (see
+    /// [`CdrWriter::finish_seq`]).
+    zero_width: usize,
 }
 
 impl CdrWriter {
     /// Creates a writer with the given byte order.
     pub fn new(endian: Endian) -> Self {
-        CdrWriter {
-            buf: Vec::new(),
-            endian,
-        }
+        CdrWriter::from_vec(Vec::new(), endian)
     }
 
     /// Creates a writer over an existing (pooled) buffer, reusing its
     /// capacity. The buffer is cleared; the alignment origin is offset 0.
     pub fn from_vec(mut buf: Vec<u8>, endian: Endian) -> Self {
         buf.clear();
-        CdrWriter { buf, endian }
+        CdrWriter {
+            buf,
+            endian,
+            zero_width: 0,
+        }
     }
 
     /// The byte order in use.
@@ -123,6 +129,7 @@ impl CdrWriter {
     /// basis of buffer reuse on the fused marshal path.
     pub fn clear(&mut self) {
         self.buf.clear();
+        self.zero_width = 0;
     }
 
     fn align(&mut self, n: usize) {
@@ -176,6 +183,24 @@ impl CdrWriter {
     #[inline]
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Closes a sequence of `count` elements whose first byte would sit
+    /// at `start`. Elements that wrote nothing have zero wire width, and
+    /// a stream may hold at most [`MAX_ZERO_WIDTH_SEQUENCE`] of them, the
+    /// most the decoders accept beyond the stream's length (see
+    /// [`CdrReader::get_seq_len`]).
+    pub(crate) fn finish_seq(&mut self, count: usize, start: usize) -> Result<(), CdrError> {
+        if self.buf.len() == start {
+            self.zero_width += count;
+            if self.zero_width > MAX_ZERO_WIDTH_SEQUENCE {
+                return err(format!(
+                    "{} zero-width sequence elements exceed the cap of {MAX_ZERO_WIDTH_SEQUENCE}",
+                    self.zero_width
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Writes a `u32`-length-prefixed byte sequence (used by framing).
@@ -274,10 +299,11 @@ impl CdrWriter {
                 if let Some(elem) = list_element_type(graph, ty) {
                     let items = collect_list(value)?;
                     self.put_uint(4, items.len() as u64);
-                    for item in items {
+                    let start = self.len();
+                    for item in &items {
                         self.put_value_at(graph, elem, item, depth + 1)?;
                     }
-                    return Ok(());
+                    return self.finish_seq(items.len(), start);
                 }
                 let MValue::Choice { index, value } = value else {
                     return err(format!("expected a choice value, got {value}"));
@@ -351,6 +377,9 @@ pub struct CdrReader<'a> {
     data: &'a [u8],
     pos: usize,
     endian: Endian,
+    /// Sequence elements the stream may still claim (see
+    /// [`CdrReader::get_seq_len`]).
+    seq_budget: usize,
 }
 
 impl<'a> CdrReader<'a> {
@@ -360,6 +389,7 @@ impl<'a> CdrReader<'a> {
             data,
             pos: 0,
             endian,
+            seq_budget: data.len().saturating_add(MAX_ZERO_WIDTH_SEQUENCE),
         }
     }
 
@@ -430,6 +460,36 @@ impl<'a> CdrReader<'a> {
         out.copy_from_slice(&self.data[self.pos..self.pos + N]);
         self.pos += N;
         Ok(out)
+    }
+
+    /// Reads a sequence count and refuses one the stream cannot back.
+    /// Every element of non-zero wire width owns at least one byte that
+    /// no element nested inside it owns, and the encoders write at most
+    /// [`MAX_ZERO_WIDTH_SEQUENCE`] zero-width elements per stream, so all
+    /// the sequences of a stream together hold at most its length plus
+    /// that cap. A count past what is left of that budget fails here,
+    /// before anything is allocated for it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CdrError`] on truncation or an unbacked count.
+    pub(crate) fn get_seq_len(&mut self) -> Result<usize, CdrError> {
+        let b = self.get_fixed::<4>()?;
+        let n = match self.endian {
+            Endian::Little => u32::from_le_bytes(b),
+            Endian::Big => u32::from_be_bytes(b),
+        } as usize;
+        if n > 1 << 28 {
+            return err(format!("implausible sequence length {n}"));
+        }
+        let Some(left) = self.seq_budget.checked_sub(n) else {
+            return err(format!(
+                "sequence length {n} exceeds the {} elements the stream can back",
+                self.seq_budget
+            ));
+        };
+        self.seq_budget = left;
+        Ok(n)
     }
 
     /// Reads a `u32`-length-prefixed byte sequence.
@@ -506,10 +566,7 @@ impl<'a> CdrReader<'a> {
             }
             MtypeKind::Choice(alts) => {
                 if let Some(elem) = list_element_type(graph, ty) {
-                    let n = self.get_uint(4)? as usize;
-                    if n > 1 << 28 {
-                        return err(format!("implausible sequence length {n}"));
-                    }
+                    let n = self.get_seq_len()?;
                     let mut items = Vec::with_capacity(n.min(1 << 16));
                     for _ in 0..n {
                         items.push(self.get_value_at(graph, elem, depth + 1)?);

@@ -33,6 +33,15 @@ pub mod program;
 /// after the stack was already gone).
 pub const MAX_NESTING_DEPTH: usize = 512;
 
+/// Upper bound on the sequence elements of zero wire width (`Unit`,
+/// records of units) in one CDR stream. Every other element owns at
+/// least one byte of the stream, so the [`cdr`] decoders refuse
+/// sequence counts that add up to more than the stream's length plus
+/// this cap, and the encoders refuse a stream with more zero-width
+/// elements than this: every value an encoder accepts decodes again,
+/// and a small body can no longer ask for 2^28 values.
+pub const MAX_ZERO_WIDTH_SEQUENCE: usize = 1 << 16;
+
 pub use cdr::{CdrError, CdrReader, CdrWriter};
 pub use giop::{
     GiopError, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus, RequestIds,

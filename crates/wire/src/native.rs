@@ -250,8 +250,10 @@ fn be_bytes<const N: usize>(v: u64) -> [u8; N] {
     out
 }
 
+/// Fixed-width unsigned read in the sender's byte order (the opcode VM
+/// shares it for its own primitive reads).
 #[inline]
-fn raw_uint<const N: usize>(r: &mut CdrReader<'_>) -> Result<u64, CdrError> {
+pub(crate) fn raw_uint<const N: usize>(r: &mut CdrReader<'_>) -> Result<u64, CdrError> {
     let b = r.get_fixed::<N>()?;
     Ok(match r.endian() {
         Endian::Little => {
@@ -374,7 +376,8 @@ pub fn put_into_dynamic(w: &mut CdrWriter, tag: &str, v: &MValue) {
 
 /// Sequence write: `u32` count then elements through `elem`. Accepts
 /// native `List` values and cons-cell Choice chains exactly like the
-/// VM (count walk + emit walk, no allocation).
+/// VM (count walk + emit walk, no allocation), and refuses the
+/// zero-width sequences the decoders would refuse.
 pub fn encode_seq(
     w: &mut CdrWriter,
     v: &MValue,
@@ -384,10 +387,11 @@ pub fn encode_seq(
     match v {
         MValue::List(items) => {
             put_tag(w, items.len() as u32);
+            let start = w.len();
             for item in items {
                 elem(w, item, depth + 1)?;
             }
-            Ok(())
+            w.finish_seq(items.len(), start)
         }
         MValue::Choice { .. } => {
             let mut n = 0u32;
@@ -406,10 +410,11 @@ pub fn encode_seq(
                 }
             }
             put_tag(w, n);
+            let start = w.len();
             let mut cur = v;
             loop {
                 match cur {
-                    MValue::Choice { index: 0, .. } => return Ok(()),
+                    MValue::Choice { index: 0, .. } => return w.finish_seq(n as usize, start),
                     MValue::Choice { index: 1, value } => match value.as_ref() {
                         MValue::Record(cell) if cell.len() == 2 => {
                             elem(w, &cell[0], depth + 1)?;
@@ -550,16 +555,14 @@ pub fn get_into_dynamic(r: &mut CdrReader<'_>, tag: &str) -> Result<MValue, CdrE
     })
 }
 
-/// Sequence read: `u32` count then elements through `elem`.
+/// Sequence read: `u32` count then elements through `elem`. A count
+/// the stream cannot back fails before anything is allocated for it.
 pub fn decode_seq(
     r: &mut CdrReader<'_>,
     elem: DecNodeFn,
     depth: usize,
 ) -> Result<MValue, CdrError> {
-    let count = raw_uint::<4>(r)? as usize;
-    if count > 1 << 28 {
-        return err(format!("implausible sequence length {count}"));
-    }
+    let count = r.get_seq_len()?;
     let mut items = Vec::with_capacity(count.min(1 << 16));
     for _ in 0..count {
         items.push(elem(r, depth + 1)?);

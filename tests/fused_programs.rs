@@ -2,9 +2,9 @@
 //! compiled [`WireProgram`] must agree with the interpretive path —
 //! encode byte-for-byte (`plan.convert` + `put_value`), decode
 //! value-for-value (`get_value` + `plan.convert_back`) — in both byte
-//! orders, and survive its portable serialisation unchanged. Each
-//! property runs over a deterministic stream of seeds so failures
-//! replay exactly.
+//! orders, on hostile bodies as on valid ones, and survive its portable
+//! serialisation unchanged. Each property runs over a deterministic
+//! stream of seeds so failures replay exactly.
 
 use mockingbird_rng::StdRng;
 
@@ -12,7 +12,7 @@ use mockingbird::comparer::{Comparer, Mode, RuleSet};
 use mockingbird::corpus::{isomorphic_variant, random_mtype, sample_value};
 use mockingbird::mtype::MtypeGraph;
 use mockingbird::plan::CoercionPlan;
-use mockingbird::values::Endian;
+use mockingbird::values::{Endian, MValue};
 use mockingbird::wire::{CdrReader, CdrWriter, WireProgram};
 
 const CASES: u64 = 64;
@@ -78,6 +78,79 @@ fn fused_programs_agree_with_the_interpretive_path() {
         fused >= CASES as usize / 2,
         "the program compiler should cover most of the corpus, got {fused}/{CASES}"
     );
+}
+
+/// Value equality that compares reals by their bits: a flipped exponent
+/// decodes to NaN, and NaN is not equal to itself under `MValue`'s
+/// `PartialEq`.
+fn same_bits(a: &MValue, b: &MValue) -> bool {
+    match (a, b) {
+        (MValue::Real(x), MValue::Real(y)) => x.to_bits() == y.to_bits(),
+        (MValue::Record(xs), MValue::Record(ys)) | (MValue::List(xs), MValue::List(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        (MValue::Choice { index: i, value: x }, MValue::Choice { index: j, value: y }) => {
+            i == j && same_bits(x, y)
+        }
+        (MValue::Dynamic { tag: s, value: x }, MValue::Dynamic { tag: t, value: y }) => {
+            s == t && same_bits(x, y)
+        }
+        _ => a == b,
+    }
+}
+
+/// Fused decode is fail-closed exactly where the interpretive decode
+/// is: for every fused case, every prefix of a valid body and every
+/// single-bit flip at bits 0, 3 and 7 of each byte either fails on both
+/// paths, or decodes on both to the same value with the same bytes
+/// left.
+#[test]
+fn fused_decode_matches_the_interpretive_decode_on_hostile_bodies() {
+    let mut bodies = 0usize;
+    for seed in 0..CASES {
+        let Some((_g, h, plan, program, mut rng)) = fused_case(seed) else {
+            continue;
+        };
+        let v = sample_value(plan.left_graph(), plan.left_root(), &mut rng, 3);
+        for endian in [Endian::Little, Endian::Big] {
+            let mut w = CdrWriter::new(endian);
+            program.encode_value(&mut w, &v).unwrap();
+            let valid = w.into_bytes();
+            let prefixes = (0..valid.len()).map(|n| valid[..n].to_vec());
+            let flips = (0..valid.len()).flat_map(|i| {
+                let valid = &valid;
+                [0, 3, 7].map(move |bit| {
+                    let mut body = valid.clone();
+                    body[i] ^= 1 << bit;
+                    body
+                })
+            });
+            for body in prefixes.chain(flips) {
+                bodies += 1;
+                let mut r = CdrReader::new(&body, endian);
+                let fused = program
+                    .decode_value(&mut r)
+                    .ok()
+                    .map(|v| (v, r.remaining()));
+                let mut r = CdrReader::new(&body, endian);
+                let interpretive = r
+                    .get_value(&h, plan.right_root())
+                    .ok()
+                    .and_then(|wire| plan.convert_back(&wire).ok())
+                    .map(|v| (v, r.remaining()));
+                match (&fused, &interpretive) {
+                    (None, None) => {}
+                    (Some((a, left_a)), Some((b, left_b)))
+                        if same_bits(a, b) && left_a == left_b => {}
+                    _ => panic!(
+                        "seed {seed} {endian:?} body {body:?}: fused {fused:?}, \
+                         interpretive {interpretive:?}"
+                    ),
+                }
+            }
+        }
+    }
+    assert!(bodies > 1000, "only {bodies} hostile bodies checked");
 }
 
 /// A program survives its portable byte serialisation with identical

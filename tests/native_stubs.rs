@@ -4,9 +4,12 @@
 //! value-for-value against the interpretive round trip — over the
 //! canonical 64-seed property stream plus the adversarial shapes, in
 //! both byte orders. Also covers the depth bound (hostile nesting must
-//! fail identically on every tier), a zero-allocation check for native
-//! encode over a pooled buffer, and the `RemoteStub` end-to-end path
-//! (native tier resolved by fingerprint, metrics attributed).
+//! fail identically on every tier), the sequence-count bound (a count
+//! the body cannot back must fail on every tier without allocating for
+//! it), a zero-allocation check for native encode over a pooled
+//! buffer, the allocation count of a request decode, and the
+//! `RemoteStub` end-to-end path (native tier resolved by fingerprint,
+//! metrics attributed).
 //!
 //! The stubs under test are the checked-in `generated_stubs.rs` the
 //! bench crate carries; `mbc emit-stubs` regenerates it from the same
@@ -29,10 +32,10 @@ use mockingbird::runtime::{
 use mockingbird::stubgen::{FunctionStub, RemoteStub};
 use mockingbird::values::{Endian, MValue};
 use mockingbird::wire::{
-    nominal_fingerprint, CdrReader, CdrWriter, NativeKey, NativeProgramKind, NativeStub,
-    NativeStubRegistry, WireProgram,
+    native, nominal_fingerprint, CdrError, CdrReader, CdrWriter, NativeKey, NativeProgramKind,
+    NativeStub, NativeStubRegistry, WireProgram, MAX_ZERO_WIDTH_SEQUENCE,
 };
-use mockingbird_bench::register_native_stubs;
+use mockingbird_bench::{fitter_session, point_list, register_native_stubs};
 
 /// Counts allocations so the zero-allocation property of native encode
 /// over a pooled buffer is checkable (not just claimed).
@@ -262,6 +265,168 @@ fn native_encode_is_allocation_free_over_a_pooled_buffer() {
         pooled = w.into_bytes();
         assert_eq!(pooled.capacity(), capacity, "pooled buffer must not grow");
     }
+}
+
+/// Allocations this thread makes while `f` runs.
+fn allocations_in<T>(f: impl FnOnce() -> T) -> (usize, T) {
+    let before = allocations();
+    let out = f();
+    (allocations() - before, out)
+}
+
+/// A body whose sequence counts claim more zero-width elements than a
+/// stream may hold fails on every CDR tier before anything is allocated
+/// for them: 2^28 `Unit`s or `Record()`s in a 4-byte body, and two
+/// nested `List(Unit)`s of the full cap each, which no single count
+/// exceeds. The encoders refuse exactly the zero-width elements the
+/// decoders would, so the most they accept still round-trips.
+#[test]
+fn unbacked_sequence_counts_fail_on_every_tier() {
+    // Element functions standing in for emitted stubs.
+    fn unit_elem(_: &mut CdrReader<'_>, _: usize) -> Result<MValue, CdrError> {
+        Ok(MValue::Unit)
+    }
+    fn empty_elem(_: &mut CdrReader<'_>, _: usize) -> Result<MValue, CdrError> {
+        Ok(MValue::Record(vec![]))
+    }
+    fn unit_list_elem(r: &mut CdrReader<'_>, depth: usize) -> Result<MValue, CdrError> {
+        native::decode_seq(r, unit_elem, depth)
+    }
+    fn put_unit_elem(_: &mut CdrWriter, v: &MValue, _: usize) -> Result<(), CdrError> {
+        native::expect_unit(v)
+    }
+    fn put_empty_elem(_: &mut CdrWriter, _: &MValue, _: usize) -> Result<(), CdrError> {
+        Ok(())
+    }
+    fn put_unit_list_elem(w: &mut CdrWriter, v: &MValue, depth: usize) -> Result<(), CdrError> {
+        native::encode_seq(w, v, put_unit_elem, depth)
+    }
+    /// Well under one allocation per claimed element: the error's
+    /// message, the decode frame, and the request error's copy.
+    const SMALL: usize = 8;
+    const CAP: usize = MAX_ZERO_WIDTH_SEQUENCE;
+    let list = |items: Vec<MValue>| MValue::List(items);
+    let units = |n: usize| list(vec![MValue::Unit; n]);
+    let words =
+        |ws: &[usize]| -> Vec<u8> { ws.iter().flat_map(|&w| (w as u32).to_le_bytes()).collect() };
+
+    let mut g = MtypeGraph::new();
+    let unit = g.unit();
+    let empty = g.record(vec![]);
+    let unit_list = g.list_of(unit);
+    let empty_list = g.list_of(empty);
+    let nested = g.list_of(unit_list);
+    // (argument record type, hostile body, native element decoder,
+    // native element encoder, the list with the most zero-width
+    // elements allowed, and with one more).
+    type Case = (
+        MtypeId,
+        Vec<u8>,
+        native::DecNodeFn,
+        native::EncNodeFn,
+        MValue,
+        MValue,
+    );
+    let cases: Vec<Case> = vec![
+        (
+            g.record(vec![unit_list]),
+            words(&[1 << 28]),
+            unit_elem as native::DecNodeFn,
+            put_unit_elem as native::EncNodeFn,
+            units(CAP),
+            units(CAP + 1),
+        ),
+        (
+            g.record(vec![empty_list]),
+            words(&[1 << 28]),
+            empty_elem,
+            put_empty_elem,
+            list(vec![MValue::Record(vec![]); CAP]),
+            list(vec![MValue::Record(vec![]); CAP + 1]),
+        ),
+        (
+            g.record(vec![nested]),
+            words(&[2, CAP, CAP]),
+            unit_list_elem,
+            put_unit_list_elem,
+            list(vec![units(CAP / 2), units(CAP / 2)]),
+            list(vec![units(CAP / 2), units(CAP / 2 + 1)]),
+        ),
+    ];
+    let graph = Arc::new(g);
+    let args = |list: &MValue| MValue::Record(vec![list.clone()]);
+    for (ty, hostile, dec_elem, enc_elem, most, too_many) in cases {
+        let program = WireProgram::identity(&graph, ty).expect("zero-width lists compile");
+        let op = WireOp::new(Arc::clone(&graph), ty, ty);
+        let reader = || CdrReader::new(&hostile, Endian::Little);
+        let refused = |tier: &str, (n, accepted): (usize, bool)| {
+            assert!(
+                !accepted && n < SMALL,
+                "{tier}: accepted {accepted} after {n} allocations"
+            );
+        };
+        refused(
+            "interpretive",
+            allocations_in(|| reader().get_value(&graph, ty).is_ok()),
+        );
+        refused(
+            "opcode VM",
+            allocations_in(|| program.decode_value(&mut reader()).is_ok()),
+        );
+        refused(
+            "WireOp",
+            allocations_in(|| op.decode(ty, &hostile, Endian::Little).is_ok()),
+        );
+        refused(
+            "native",
+            allocations_in(|| native::decode_seq(&mut reader(), dec_elem, 0).is_ok()),
+        );
+
+        let mut w = CdrWriter::new(Endian::Little);
+        w.put_value(&graph, ty, &args(&most)).unwrap();
+        let body = w.into_bytes();
+        let mut w = CdrWriter::new(Endian::Little);
+        program.encode_value(&mut w, &args(&most)).unwrap();
+        assert_eq!(w.into_bytes(), body);
+        let mut w = CdrWriter::new(Endian::Little);
+        native::encode_seq(&mut w, &most, enc_elem, 0).unwrap();
+        assert_eq!(w.into_bytes(), body);
+        let reader = || CdrReader::new(&body, Endian::Little);
+        assert_eq!(reader().get_value(&graph, ty).unwrap(), args(&most));
+        assert_eq!(program.decode_value(&mut reader()).unwrap(), args(&most));
+        assert_eq!(
+            native::decode_seq(&mut reader(), dec_elem, 0).unwrap(),
+            most
+        );
+
+        let mut w = CdrWriter::new(Endian::Little);
+        assert!(w.put_value(&graph, ty, &args(&too_many)).is_err());
+        let mut w = CdrWriter::new(Endian::Little);
+        assert!(program.encode_value(&mut w, &args(&too_many)).is_err());
+        let mut w = CdrWriter::new(Endian::Little);
+        assert!(native::encode_seq(&mut w, &too_many, enc_elem, 0).is_err());
+    }
+}
+
+/// A server decodes each request with the opcode VM, which allocates
+/// only what the decoded value owns: a fitter request of `n` points
+/// costs one allocation per point record plus a constant, so 4,032 more
+/// points cost exactly 4,032 more allocations.
+#[test]
+fn request_decode_allocates_once_per_point() {
+    let op = fitter_session().unwrap().wire_op("fitter").unwrap();
+    let decode_allocations = |n: usize| {
+        let args = MValue::Record(vec![point_list(n)]);
+        let body = op.encode(op.args_ty, &args, Endian::Little).unwrap();
+        let (count, decoded) = allocations_in(|| op.decode(op.args_ty, &body, Endian::Little));
+        assert_eq!(decoded.unwrap(), args, "{n} points round-trip");
+        count
+    };
+    assert!(
+        op.is_fused(op.args_ty),
+        "the request decodes on the opcode VM"
+    );
+    assert_eq!(decode_allocations(4096) - decode_allocations(64), 4032);
 }
 
 /// End to end: a `RemoteStub` built in this process resolves the
