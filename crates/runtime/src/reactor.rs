@@ -1,20 +1,30 @@
 //! The readiness-driven reactor behind the TCP transports.
 //!
-//! One reactor thread owns a set of nonblocking sockets and drives all
-//! of their I/O from one event loop. The loop blocks in a `Poller`
-//! until a socket is ready, a command arrives, or one of its own timers
-//! falls due, and then services only the connections reported ready,
-//! so an idle connection costs nothing per iteration. On Linux the
-//! poller is an epoll instance plus an eventfd waker, bound through a
-//! few hand-declared `extern "C"` functions (no external crate);
-//! elsewhere a portable backend parks briefly and then reports every
-//! connection ready. Four pieces make the loop workable:
+//! One reactor thread watches a set of nonblocking sockets from one
+//! event loop: it does every read, and every write the producing
+//! thread could not finish. The loop blocks in a `Poller` until a
+//! socket is ready, a command arrives, or one of its own timers falls
+//! due, and then services only the connections reported ready, so an
+//! idle connection costs nothing per iteration. On Linux the poller is
+//! an epoll instance plus an eventfd waker, bound through a few
+//! hand-declared `extern "C"` functions (no external crate); elsewhere
+//! a portable backend parks briefly and then reports every connection
+//! ready. Five pieces make the loop workable:
 //!
 //! - [`FrameReader`] / [`FrameWriter`]: per-connection GIOP frame state
 //!   machines. A read that stops mid-header or mid-body parks the
 //!   partial bytes in the machine and resumes on the next readiness
 //!   event; writes queue encoded frames and retire them byte-by-byte
 //!   as the socket accepts them.
+//! - the outbound half (`Outbound`): each connection's socket, with
+//!   its `FrameWriter` and write-stall clock behind one mutex, shared
+//!   by the reactor and the threads that build its frames. A client
+//!   caller writes its request, and a dispatch worker its reply,
+//!   straight to the socket when nothing is queued ahead of it, so a
+//!   call crosses no thread to reach the wire. They wake the reactor
+//!   only when it has work: a tail the socket refused (it arms write
+//!   readiness and finishes it), a deadline for the wheel, or a failed
+//!   write (it closes the connection and fails its waiters).
 //! - a waker table (`MuxCore`): each in-flight client call parks its
 //!   own thread and is unparked exactly when its reply, failure, or
 //!   deadline arrives — replacing the broadcast `Condvar` the old
@@ -32,7 +42,8 @@
 //! Client connections from every [`MultiplexedConnection`] in the
 //! process share one global reactor thread (connection churn leaves
 //! the thread count flat); each [`TcpServer`] runs its own reactor fed
-//! by an acceptor thread and drained by a bounded worker pool.
+//! by an acceptor thread, whose admitted requests a bounded worker
+//! pool dispatches and answers.
 //!
 //! [`MultiplexedConnection`]: crate::transport::MultiplexedConnection
 //! [`TcpServer`]: crate::transport::TcpServer
@@ -72,9 +83,9 @@ const READ_BUDGET: usize = 256 * 1024;
 /// megabytes to an otherwise-idle connection.
 const BUF_KEEP: usize = 64 * 1024;
 
-/// Encoded-but-unwritten reply bytes a connection may accumulate
-/// before the reactor declares the peer dead (a reader that stopped
-/// reading must not buffer the server into the ground).
+/// Encoded-but-unwritten bytes a connection may accumulate before it
+/// is declared dead (a reader that stopped reading must not buffer the
+/// server into the ground).
 const WRITE_BACKLOG_MAX: usize = 64 * 1024 * 1024;
 
 /// How long a nonempty write queue may make zero progress before the
@@ -308,6 +319,146 @@ impl FrameWriter {
                 Err(e) => return Err(RuntimeError::Transport(e.to_string())),
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Outbound half
+// ---------------------------------------------------------------------------
+
+/// Why [`Outbound::send`] put nothing more on the wire.
+pub(crate) enum Refused {
+    /// The connection had already closed; the reactor knows.
+    Closed(RuntimeError),
+    /// This send failed (a socket error, or the backlog cap): the
+    /// connection must close as it does for the reactor's own write
+    /// errors.
+    Failed(RuntimeError),
+}
+
+struct WriteState {
+    writer: FrameWriter,
+    /// Set while the queue is nonempty: when it last made progress (or
+    /// first failed to).
+    stalled_since: Option<Instant>,
+    /// Why the connection closed; nothing is written once it is set.
+    closed: Option<RuntimeError>,
+}
+
+/// One connection's outbound half, shared by its reactor and by every
+/// thread that produces frames for it: the socket, plus the
+/// [`FrameWriter`] and write-stall clock behind one mutex.
+///
+/// Bytes reach the socket only under that mutex, so frames never
+/// interleave. The thread that built a frame writes it straight to the
+/// socket when nothing is queued ahead of it; whatever the socket
+/// refuses stays queued, and a queue that was already nonempty is
+/// retired only by the reactor, on write readiness. The reactor reads
+/// the socket without the lock.
+pub(crate) struct Outbound {
+    id: u64,
+    stream: TcpStream,
+    /// Where client connections count `bytes_sent` (servers do not).
+    metrics: Option<Arc<MetricsRegistry>>,
+    state: Mutex<WriteState>,
+}
+
+impl Outbound {
+    /// Wraps connection `id`'s socket, switching it to nonblocking mode
+    /// so no writer can block on it.
+    pub fn new(id: u64, stream: TcpStream, metrics: Option<Arc<MetricsRegistry>>) -> Self {
+        stream.set_nonblocking(true).ok();
+        Outbound {
+            id,
+            stream,
+            metrics,
+            state: Mutex::new(WriteState {
+                writer: FrameWriter::new(),
+                stalled_since: None,
+                closed: None,
+            }),
+        }
+    }
+
+    /// The connection's reactor-wide id.
+    pub fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Queues one encoded frame and, when nothing was queued ahead of
+    /// it, writes it to the socket from the calling thread. Returns
+    /// whether that write left a tail, which only the reactor can
+    /// finish (it must arm write readiness); a frame queued behind an
+    /// earlier tail needs no wake, because whoever left that tail
+    /// already woke the reactor.
+    pub fn send(&self, frame: Vec<u8>) -> Result<bool, Refused> {
+        let mut st = self.state.plock();
+        if let Some(e) = &st.closed {
+            return Err(Refused::Closed(e.clone()));
+        }
+        if st.writer.queued_bytes() + frame.len() > WRITE_BACKLOG_MAX {
+            let e = RuntimeError::Transport("write backlog limit exceeded".into());
+            st.closed = Some(e.clone());
+            return Err(Refused::Failed(e));
+        }
+        let idle = st.writer.is_empty();
+        st.writer.enqueue(frame);
+        if !idle {
+            return Ok(false);
+        }
+        self.pump(&mut st).map_err(Refused::Failed)?;
+        Ok(!st.writer.is_empty())
+    }
+
+    /// The reactor's side: retires queued bytes as far as the socket
+    /// takes them.
+    fn flush(&self) -> Result<(), RuntimeError> {
+        let mut st = self.state.plock();
+        if let Some(e) = &st.closed {
+            return Err(e.clone());
+        }
+        self.pump(&mut st)
+    }
+
+    /// Writes queued bytes until the socket blocks, counting them and
+    /// restarting the stall clock on progress
+    /// ([`Reactor::expire_stalls`] reads it). A failed write closes the
+    /// half, so no later frame follows a torn one onto the wire.
+    fn pump(&self, st: &mut WriteState) -> Result<(), RuntimeError> {
+        if st.writer.is_empty() {
+            st.stalled_since = None;
+            return Ok(());
+        }
+        let pump = match st.writer.pump(&mut &self.stream) {
+            Ok(pump) => pump,
+            Err(e) => {
+                st.closed = Some(e.clone());
+                return Err(e);
+            }
+        };
+        if let (Some(metrics), true) = (&self.metrics, pump.bytes > 0) {
+            metrics.add_bytes_sent(pump.bytes as u64);
+        }
+        if st.writer.is_empty() {
+            st.stalled_since = None;
+        } else if pump.bytes > 0 || st.stalled_since.is_none() {
+            st.stalled_since = Some(Instant::now());
+        }
+        Ok(())
+    }
+
+    /// Whether bytes are queued that the socket has not accepted.
+    fn queued(&self) -> bool {
+        !self.state.plock().writer.is_empty()
+    }
+
+    fn stalled_since(&self) -> Option<Instant> {
+        self.state.plock().stalled_since
+    }
+
+    /// Refuses every later send with `why`.
+    fn close(&self, why: &RuntimeError) {
+        self.state.plock().closed.get_or_insert_with(|| why.clone());
     }
 }
 
@@ -784,7 +935,8 @@ mod timed {
 /// One unit of accepted server work: a request frame tagged with the
 /// connection it arrived on, headed for the dispatch worker pool.
 pub(crate) struct ServerJob {
-    pub conn: u64,
+    /// Where the worker writes the reply.
+    pub out: Arc<Outbound>,
     /// This connection's queued-frame count (admission control);
     /// decremented by the worker that picks the job up.
     pub queued: Arc<AtomicUsize>,
@@ -817,24 +969,23 @@ pub(crate) struct ServerCtx {
 }
 
 pub(crate) enum Command {
-    /// Adopt a connected, handshaken, nonblocking client stream.
+    /// Adopt a connected, handshaken client connection.
     RegisterClient {
-        id: u64,
-        stream: TcpStream,
+        out: Arc<Outbound>,
         core: Arc<MuxCore>,
         metrics: Arc<MetricsRegistry>,
     },
     /// Adopt an accepted server-side stream (server reactors only).
     RegisterServer { stream: TcpStream },
-    /// Queue one encoded request frame on a client connection,
-    /// optionally arming a deadline for its request id.
-    Submit {
+    /// A caller or dispatch worker wrote a frame on `conn` itself and
+    /// hands over what it cannot finish: a tail the socket refused (the
+    /// reactor re-derives write interest), a deadline for the wheel,
+    /// or the failed write that closes the connection.
+    Wrote {
         conn: u64,
-        frame: Vec<u8>,
         deadline: Option<(u32, Instant)>,
+        failed: Option<RuntimeError>,
     },
-    /// Queue one encoded reply frame on a server connection.
-    Reply { conn: u64, frame: Vec<u8> },
     /// Drop a connection (client handle dropped).
     Close { conn: u64 },
     /// Server shutdown, phase one: stop reading new frames.
@@ -874,6 +1025,41 @@ impl ReactorHandle {
             .map_err(|_| RuntimeError::Transport("transport reactor is gone".into()))?;
         self.waker.wake();
         Ok(())
+    }
+
+    /// Writes one encoded frame on `out` from the calling thread
+    /// ([`Outbound::send`]) and wakes the reactor only for what that
+    /// thread cannot finish: a tail the socket refused, a deadline to
+    /// arm (after the write, which is safe because the wheel cancels
+    /// lazily), or a failed write, which closes the connection.
+    ///
+    /// # Errors
+    ///
+    /// Why the connection closed, or why this write failed.
+    pub fn write(
+        &self,
+        out: &Outbound,
+        frame: Vec<u8>,
+        deadline: Option<(u32, Instant)>,
+    ) -> Result<(), RuntimeError> {
+        let conn = out.id;
+        match out.send(frame) {
+            Ok(false) if deadline.is_none() => Ok(()),
+            Ok(_) => self.send(Command::Wrote {
+                conn,
+                deadline,
+                failed: None,
+            }),
+            Err(Refused::Closed(e)) => Err(e),
+            Err(Refused::Failed(e)) => {
+                let _ = self.send(Command::Wrote {
+                    conn,
+                    deadline: None,
+                    failed: Some(e.clone()),
+                });
+                Err(e)
+            }
+        }
     }
 }
 
@@ -941,18 +1127,14 @@ enum Role {
 }
 
 struct ConnState {
-    stream: TcpStream,
+    out: Arc<Outbound>,
     reader: FrameReader,
-    writer: FrameWriter,
     role: Role,
     /// Reject verdicts and protocol errors flush their last reply
     /// before the socket closes.
     close_after_flush: bool,
     /// What the poller currently reports for this connection.
     interest: Interest,
-    /// Set while the write queue is nonempty: when it last made
-    /// progress (or first failed to).
-    stalled_since: Option<Instant>,
 }
 
 /// Why a connection left the reactor.
@@ -1050,7 +1232,7 @@ impl Reactor {
         let stall = self
             .unflushed
             .iter()
-            .filter_map(|id| self.conns.get(id)?.stalled_since)
+            .filter_map(|id| self.conns.get(id)?.out.stalled_since())
             .min()
             .map(|since| since + WRITE_STALL);
         self.wheel.next_due().into_iter().chain(stall).min()
@@ -1062,7 +1244,8 @@ impl Reactor {
     /// write is tried, because a receiving kernel that compacts its
     /// queue takes a few more bytes with nobody reading, which would
     /// restart the clock; as with a blocking write's timeout, only room
-    /// the socket reports, or a write for a new frame, is progress.
+    /// the socket reports is progress (a frame queued behind a tail is
+    /// not written at all).
     fn expire_stalls(&mut self, now: Instant) {
         let due: Vec<u64> = self
             .unflushed
@@ -1071,7 +1254,7 @@ impl Reactor {
             .filter(|id| {
                 self.conns
                     .get(id)
-                    .and_then(|c| c.stalled_since)
+                    .and_then(|c| c.out.stalled_since())
                     .is_some_and(|since| now >= since + WRITE_STALL)
             })
             .collect();
@@ -1087,57 +1270,37 @@ impl Reactor {
 
     fn handle(&mut self, cmd: Command) {
         match cmd {
-            Command::RegisterClient {
-                id,
-                stream,
-                core,
-                metrics,
-            } => {
-                self.insert(id, stream, Role::Client { core, metrics });
+            Command::RegisterClient { out, core, metrics } => {
+                self.insert(out, Role::Client { core, metrics });
             }
             Command::RegisterServer { stream } => {
                 if self.server.is_some() {
                     self.next_conn += 1;
-                    let id = self.next_conn;
+                    let out = Arc::new(Outbound::new(self.next_conn, stream, None));
                     self.insert(
-                        id,
-                        stream,
+                        out,
                         Role::Server {
                             queued: Arc::new(AtomicUsize::new(0)),
                         },
                     );
                 }
             }
-            Command::Submit {
+            Command::Wrote {
                 conn,
-                frame,
                 deadline,
-            } => {
-                if let Some(c) = self.conns.get_mut(&conn) {
+                failed,
+            } => match failed {
+                Some(e) => self.close(conn, &Closed::Error(e)),
+                None if self.conns.contains_key(&conn) => {
                     if let Some((request_id, at)) = deadline {
                         self.wheel.insert(conn, request_id, at);
                     }
-                    c.writer.enqueue(frame);
-                    self.flush(conn);
+                    self.rearm(conn);
                 }
                 // Unknown conn: it died and fail_all already resolved
-                // the caller's slot; the frame is dropped.
-            }
-            Command::Reply { conn, frame } => {
-                if let Some(c) = self.conns.get_mut(&conn) {
-                    if c.writer.queued_bytes() + frame.len() > WRITE_BACKLOG_MAX {
-                        self.close(
-                            conn,
-                            &Closed::Error(RuntimeError::Transport(
-                                "write backlog limit exceeded".into(),
-                            )),
-                        );
-                        return;
-                    }
-                    c.writer.enqueue(frame);
-                    self.flush(conn);
-                }
-            }
+                // the caller's slot.
+                None => {}
+            },
             Command::Close { conn } => {
                 self.close(
                     conn,
@@ -1149,18 +1312,16 @@ impl Reactor {
         }
     }
 
-    fn insert(&mut self, id: u64, stream: TcpStream, role: Role) {
-        stream.set_nonblocking(true).ok();
+    fn insert(&mut self, out: Arc<Outbound>, role: Role) {
+        let id = out.id;
         self.conns.insert(
             id,
             ConnState {
-                stream,
+                out,
                 reader: FrameReader::new(),
-                writer: FrameWriter::new(),
                 role,
                 close_after_flush: false,
                 interest: Interest::default(),
-                stalled_since: None,
             },
         );
         self.open_conns.store(self.conns.len(), Ordering::SeqCst);
@@ -1176,14 +1337,17 @@ impl Reactor {
         };
         let want = Interest {
             read: !self.stop_reading && !conn.close_after_flush,
-            write: !conn.writer.is_empty(),
+            write: conn.out.queued(),
         };
         if want.write {
             self.unflushed.insert(id);
         } else {
             self.unflushed.remove(&id);
         }
-        match self.poller.update(&conn.stream, id, conn.interest, want) {
+        match self
+            .poller
+            .update(&conn.out.stream, id, conn.interest, want)
+        {
             Ok(()) => conn.interest = want,
             Err(e) => self.close(
                 id,
@@ -1197,10 +1361,10 @@ impl Reactor {
     /// Pumps one connection's writer, then re-arms it (or closes it on
     /// a write error).
     fn flush(&mut self, id: u64) {
-        let Some(conn) = self.conns.get_mut(&id) else {
+        let Some(conn) = self.conns.get(&id) else {
             return;
         };
-        match Self::pump_write(conn) {
+        match conn.out.flush() {
             Ok(()) => self.rearm(id),
             Err(e) => self.close(id, &Closed::Error(e)),
         }
@@ -1224,18 +1388,24 @@ impl Reactor {
         self.open_conns.store(self.conns.len(), Ordering::SeqCst);
         self.unflushed.remove(&id);
         // Deregister before the descriptor closes: the kernel would
-        // drop it anyway, but only once no duplicate refers to it.
+        // drop it anyway, but only once no duplicate refers to it (a
+        // caller or a queued job may still hold the outbound half).
         self.poller
-            .update(&conn.stream, id, conn.interest, Interest::default())
+            .update(&conn.out.stream, id, conn.interest, Interest::default())
             .ok();
+        // Only client callers ever see the reason.
+        let err = match why {
+            Closed::Clean => RuntimeError::Transport("server closed the connection".into()),
+            Closed::Error(e) => e.clone(),
+        };
+        // Closed before the waiters fail: a caller that registered
+        // after the broadcast finds the connection dead, one that
+        // registered before it finds nothing left to write to.
+        conn.out.close(&err);
         if let Role::Client { core, .. } = &conn.role {
-            let err = match why {
-                Closed::Clean => RuntimeError::Transport("server closed the connection".into()),
-                Closed::Error(e) => e.clone(),
-            };
             core.fail_all(&err);
         }
-        conn.stream.shutdown(Shutdown::Both).ok();
+        conn.out.stream.shutdown(Shutdown::Both).ok();
     }
 
     fn fail_everything(&mut self, err: &RuntimeError) {
@@ -1251,51 +1421,30 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        match Self::pump(conn, id, self.server.as_ref(), frames, self.stop_reading) {
+        match Self::pump(conn, self.server.as_ref(), frames, self.stop_reading) {
             Ok(false) => self.rearm(id),
             Ok(true) => self.close(id, &Closed::Clean),
             Err(e) => self.close(id, &Closed::Error(e)),
         }
     }
 
-    /// Pumps one connection's writer, restarting the stall clock on
-    /// progress ([`expire_stalls`](Self::expire_stalls) reads it).
-    fn pump_write(conn: &mut ConnState) -> Result<(), RuntimeError> {
-        if conn.writer.is_empty() {
-            conn.stalled_since = None;
-            return Ok(());
-        }
-        let pump = conn.writer.pump(&mut conn.stream)?;
-        if pump.bytes > 0 {
-            if let Role::Client { metrics, .. } = &conn.role {
-                metrics.add_bytes_sent(pump.bytes as u64);
-            }
-        }
-        if conn.writer.is_empty() {
-            conn.stalled_since = None;
-        } else if pump.bytes > 0 || conn.stalled_since.is_none() {
-            conn.stalled_since = Some(Instant::now());
-        }
-        Ok(())
-    }
-
     /// One ready connection's I/O: write pump, then read pump + frame
-    /// handling, then a second write pump for the replies those frames
-    /// produced inline. Returns whether the connection reached a clean
-    /// close.
+    /// handling (replies produced inline go out as they are built).
+    /// Returns whether the connection reached a clean close.
     fn pump(
         conn: &mut ConnState,
-        id: u64,
         server: Option<&ServerCtx>,
         frames: &mut Vec<Message>,
         stop_reading: bool,
     ) -> Result<bool, RuntimeError> {
-        Self::pump_write(conn)?;
+        conn.out.flush()?;
         if conn.close_after_flush || stop_reading {
-            return Ok(conn.close_after_flush && conn.writer.is_empty());
+            return Ok(conn.close_after_flush && !conn.out.queued());
         }
         frames.clear();
-        let pump = conn.reader.pump(&mut conn.stream, frames, READ_BUDGET)?;
+        let pump = conn
+            .reader
+            .pump(&mut &conn.out.stream, frames, READ_BUDGET)?;
         if pump.bytes > 0 {
             match (&conn.role, server) {
                 (Role::Client { metrics, .. }, _) => metrics.add_bytes_received(pump.bytes as u64),
@@ -1316,37 +1465,33 @@ impl Reactor {
                 }
                 Role::Server { queued } => {
                     let Some(ctx) = server else { continue };
-                    Self::serve_frame(
-                        conn_parts(&mut conn.writer, &mut conn.close_after_flush),
-                        id,
-                        queued,
-                        ctx,
-                        msg,
-                    );
+                    Self::serve_frame(&conn.out, &mut conn.close_after_flush, queued, ctx, msg)?;
                 }
             }
         }
-        Self::pump_write(conn)?;
-        Ok(pump.eof || (conn.close_after_flush && conn.writer.is_empty()))
+        Ok(pump.eof || (conn.close_after_flush && !conn.out.queued()))
     }
 
     /// Handles one inbound server-side frame: handshake, admission,
-    /// queue or shed.
+    /// queue or shed. Replies built here are written by the reactor
+    /// itself, through the same [`Outbound::send`] the workers use.
     fn serve_frame(
-        parts: (&mut FrameWriter, &mut bool),
-        id: u64,
+        out: &Arc<Outbound>,
+        close_after_flush: &mut bool,
         queued: &Arc<AtomicUsize>,
         ctx: &ServerCtx,
         msg: Message,
-    ) {
-        let (writer, close_after_flush) = parts;
+    ) -> Result<(), RuntimeError> {
+        let reply_inline = |reply: Message| match out.send(reply.to_bytes()) {
+            Ok(_) => Ok(()),
+            Err(Refused::Closed(e) | Refused::Failed(e)) => Err(e),
+        };
         if let MessageKind::Hello { info, .. } = &msg.kind {
             let (reply, keep) = hello_reply(info, msg.endian, &ctx.cfg, &ctx.metrics);
-            writer.enqueue(reply.to_bytes());
             if !keep {
                 *close_after_flush = true;
             }
-            return;
+            return reply_inline(reply);
         }
         if let MessageKind::Artifact {
             request_id,
@@ -1354,14 +1499,12 @@ impl Reactor {
         } = &msg.kind
         {
             // Answered inline like Hello: a store read, no dispatch slot.
-            let reply = crate::artifacts::artifact_fetch_reply(
+            return reply_inline(crate::artifacts::artifact_fetch_reply(
                 *request_id,
                 msg.endian,
                 &msg.body,
                 ctx.cfg.artifacts.as_deref(),
-            );
-            writer.enqueue(reply.to_bytes());
-            return;
+            ));
         }
         // Admission control: an already-expired propagated deadline is
         // refused at the door, the rest pass the limiter (brownout cuts
@@ -1374,10 +1517,7 @@ impl Reactor {
             .and_then(|d| d.budget())
             .map(|b| Instant::now() + b);
         if expires_at.is_some_and(|at| Instant::now() >= at) {
-            if let Some(reply) = deadline_expired_reply(&msg, &ctx.metrics) {
-                writer.enqueue(reply.to_bytes());
-            }
-            return;
+            return deadline_expired_reply(&msg, &ctx.metrics).map_or(Ok(()), reply_inline);
         }
         let sheddable = msg.deadline.is_some_and(|d| d.sheddable);
         let admission = ctx.limiter.admit(
@@ -1405,7 +1545,7 @@ impl Reactor {
             queued.fetch_add(1, Ordering::SeqCst);
             if target
                 .try_push(ServerJob {
-                    conn: id,
+                    out: Arc::clone(out),
                     queued: Arc::clone(queued),
                     msg,
                     expires_at,
@@ -1417,8 +1557,9 @@ impl Reactor {
                 queued.fetch_sub(1, Ordering::SeqCst);
             }
         } else if let Some(reply) = shed_reply(&msg, &ctx.metrics) {
-            writer.enqueue(reply.to_bytes());
+            return reply_inline(reply);
         }
+        Ok(())
     }
 
     /// Server shutdown, phase two: flush pending reply bytes (bounded)
@@ -1442,13 +1583,6 @@ impl Reactor {
         }
         self.fail_everything(&RuntimeError::Transport("server shut down".into()));
     }
-}
-
-fn conn_parts<'a>(
-    writer: &'a mut FrameWriter,
-    close_after_flush: &'a mut bool,
-) -> (&'a mut FrameWriter, &'a mut bool) {
-    (writer, close_after_flush)
 }
 
 /// Builds the server's half of the handshake. Returns the reply frame
@@ -1752,6 +1886,66 @@ mod tests {
     }
 
     #[test]
+    fn sends_leave_a_tail_that_the_reactor_side_pump_finishes() {
+        let (near, mut far) = socket_pair();
+        let metrics = MetricsRegistry::shared();
+        let out = Outbound::new(1, near, Some(Arc::clone(&metrics)));
+        // Far more than the kernel buffers for a peer that is not
+        // reading, but under the 16 MiB frame cap.
+        let big = request_frame(1, &vec![0x5A; 8 << 20]).to_bytes();
+        let small = request_frame(2, b"queued behind the tail").to_bytes();
+
+        // The caller writes until the socket refuses more, and reports
+        // a tail only the reactor can finish.
+        assert!(matches!(out.send(big.clone()), Ok(true)));
+        let written = metrics.snapshot().bytes_sent as usize;
+        let queued = out.state.plock().writer.queued_bytes();
+        assert!(
+            written > 0 && queued > 0,
+            "{written} written, {queued} queued"
+        );
+        assert_eq!(written + queued, big.len());
+        assert!(out.stalled_since().is_some(), "the stall clock runs");
+
+        // A second frame queues behind the tail without a write, and
+        // without asking for a wake: the tail's writer already woke
+        // the reactor.
+        assert!(matches!(out.send(small.clone()), Ok(false)));
+        assert_eq!(metrics.snapshot().bytes_sent as usize, written);
+        assert_eq!(
+            out.state.plock().writer.queued_bytes(),
+            queued + small.len()
+        );
+
+        // Once the peer reads, the reactor's pump drains the queue.
+        let total = big.len() + small.len();
+        let peer = std::thread::spawn(move || {
+            let mut buf = vec![0u8; total];
+            far.read_exact(&mut buf).unwrap();
+            buf
+        });
+        let t = Instant::now();
+        while out.queued() {
+            out.flush().unwrap();
+            assert!(t.elapsed() < Duration::from_secs(10), "tail never drained");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let bytes = peer.join().unwrap();
+        assert!(out.stalled_since().is_none(), "the stall clock stopped");
+        assert_eq!(metrics.snapshot().bytes_sent as usize, total);
+
+        // Both frames arrive whole, byte-identical and in order.
+        let mut frames = Vec::new();
+        let p = FrameReader::new()
+            .pump(&mut Cursor::new(bytes), &mut frames, usize::MAX)
+            .unwrap();
+        assert!(p.eof);
+        assert_eq!(frames.len(), 2);
+        assert_eq!(frames[0].to_bytes(), big);
+        assert_eq!(frames[1].to_bytes(), small);
+    }
+
+    #[test]
     fn wheel_fires_due_deadlines_and_keeps_future_ones() {
         let origin = Instant::now();
         let mut wheel = DeadlineWheel::new(origin);
@@ -1944,8 +2138,7 @@ mod tests {
         let core = Arc::new(MuxCore::new());
         handle
             .send(Command::RegisterClient {
-                id: handle.alloc_id(),
-                stream: near,
+                out: Arc::new(Outbound::new(handle.alloc_id(), near, None)),
                 core: Arc::clone(&core),
                 metrics: MetricsRegistry::shared(),
             })

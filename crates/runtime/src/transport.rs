@@ -7,9 +7,11 @@
 //!   socket noise);
 //! - [`TcpConnection`] — a serial socket: one in-flight request at a
 //!   time, the stream lock held across the write/read exchange;
-//! - [`MultiplexedConnection`] — a shared socket driven by the
-//!   process-wide [`reactor`](crate::reactor): writers queue frames on
-//!   the reactor's per-connection write state machine, the reactor
+//! - [`MultiplexedConnection`] — a shared socket watched by the
+//!   process-wide [`reactor`](crate::reactor): each caller writes its
+//!   own request frame to the nonblocking socket when nothing is
+//!   queued ahead of it (else it queues behind, and the reactor
+//!   finishes the queue on write readiness); the reactor reads,
 //!   demultiplexes replies to per-request waiter slots by GIOP request
 //!   id and unparks exactly the waiting thread, so N threads pipeline
 //!   calls over one connection without a reader thread per socket.
@@ -23,7 +25,9 @@
 //! [`TcpServer`] uses the same reactor architecture: an acceptor
 //! thread registers sockets with a per-server reactor, frames pass
 //! admission control into the dispatch queue, and a fixed worker pool
-//! sends replies back through the reactor.
+//! writes each reply to its socket itself, on the same terms as a
+//! client caller. Either side wakes its reactor only for a tail the
+//! socket refused, a deadline to arm, or a failed write.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -47,7 +51,8 @@ use crate::limiter::AimdLimiter;
 use crate::metrics::MetricsRegistry;
 use crate::options::CallOptions;
 use crate::reactor::{
-    client_reactor, spawn_reactor, Command, MuxCore, ReactorHandle, ServerCtx, ServerJob, Slot,
+    client_reactor, spawn_reactor, Command, MuxCore, Outbound, ReactorHandle, ServerCtx, ServerJob,
+    Slot,
 };
 use crate::sync::{cv_wait, LockExt};
 
@@ -506,13 +511,15 @@ const TIMEOUT_GRACE: Duration = Duration::from_millis(250);
 
 /// A multiplexed TCP client connection: many threads share one socket.
 ///
-/// The process-wide reactor owns the socket. Callers stamp each request
-/// with a connection-unique id, register a waiter slot, hand the
-/// encoded frame to the reactor, and park; the reactor's read state
-/// machine demultiplexes replies back to slots and unparks exactly the
-/// owning thread. The caller's own request id is restored on the
-/// reply, so [`RemoteRef`](crate::proxy::RemoteRef)'s correlation check
-/// is oblivious to the rewrite.
+/// The socket's outbound half is shared with the process-wide reactor,
+/// which does all the reading. Callers frame each request under a
+/// connection-unique id, register a waiter slot, write the frame
+/// themselves (the reactor finishes any tail the socket refuses), and
+/// park; the reactor's read state machine demultiplexes replies back
+/// to slots and unparks exactly the owning thread. The caller's own
+/// request id is restored on the reply, so
+/// [`RemoteRef`](crate::proxy::RemoteRef)'s correlation check is
+/// oblivious to the rewrite.
 ///
 /// Deadlines are entries on the reactor's deadline wheel — per-call
 /// state, never socket state: one slow call cannot stall the others,
@@ -525,7 +532,7 @@ const TIMEOUT_GRACE: Duration = Duration::from_millis(250);
 /// failure broadcast and hang.
 pub struct MultiplexedConnection {
     reactor: ReactorHandle,
-    conn_id: u64,
+    out: Arc<Outbound>,
     core: Arc<MuxCore>,
     ids: RequestIds,
     closed: AtomicBool,
@@ -579,17 +586,20 @@ impl MultiplexedConnection {
             None => true,
         };
         let reactor = client_reactor().clone();
-        let conn_id = reactor.alloc_id();
+        let out = Arc::new(Outbound::new(
+            reactor.alloc_id(),
+            stream,
+            Some(Arc::clone(&metrics)),
+        ));
         let core = Arc::new(MuxCore::new());
         reactor.send(Command::RegisterClient {
-            id: conn_id,
-            stream,
+            out: Arc::clone(&out),
             core: Arc::clone(&core),
             metrics: Arc::clone(&metrics),
         })?;
         Ok(MultiplexedConnection {
             reactor,
-            conn_id,
+            out,
             core,
             ids: RequestIds::new(),
             closed: AtomicBool::new(false),
@@ -619,21 +629,6 @@ impl MultiplexedConnection {
     }
 }
 
-fn with_request_id(msg: &Message, id: u32) -> Message {
-    let mut m = msg.clone();
-    match &mut m.kind {
-        MessageKind::Request { request_id, .. }
-        | MessageKind::Reply { request_id, .. }
-        | MessageKind::Artifact { request_id, .. } => {
-            *request_id = id;
-        }
-        // Handshake frames are exchanged before multiplexing starts and
-        // carry no request id.
-        MessageKind::Hello { .. } => {}
-    }
-    m
-}
-
 impl Connection for MultiplexedConnection {
     fn call(&self, msg: &Message) -> Result<Option<Message>, RuntimeError> {
         self.call_with(msg, &CallOptions::default())
@@ -655,13 +650,12 @@ impl Connection for MultiplexedConnection {
             ));
         };
 
-        // Rewrite to a connection-unique id: several RemoteRefs (each
+        // Frame under a connection-unique id: several RemoteRefs (each
         // with its own id counter) may share this socket.
         let wire_id = self.ids.next();
-        let rewritten = with_request_id(msg, wire_id);
-        let frame = rewritten.to_bytes();
+        let frame = msg.to_bytes_with_id(wire_id);
 
-        // Register the waiter *before* the frame is submitted: if the
+        // Register the waiter *before* the frame is written: if the
         // connection dies at any point after this, fail_all resolves
         // this slot under the registration lock — no gap to hang in.
         {
@@ -675,12 +669,13 @@ impl Connection for MultiplexedConnection {
             }
         }
 
-        let deadline = options.deadline.map(|d| (wire_id, Instant::now() + d));
-        if let Err(e) = self.reactor.send(Command::Submit {
-            conn: self.conn_id,
-            frame,
-            deadline,
-        }) {
+        // This thread writes the frame; the reactor is woken only for a
+        // tail the socket refused, a deadline, or a failed write.
+        let deadline = options
+            .deadline
+            .filter(|_| response_expected)
+            .map(|d| (wire_id, Instant::now() + d));
+        if let Err(e) = self.reactor.write(&self.out, frame, deadline) {
             if response_expected {
                 self.abandon(wire_id);
             }
@@ -703,8 +698,9 @@ impl Connection for MultiplexedConnection {
                         let slot = st.pending.remove(&wire_id);
                         drop(st);
                         return match slot {
-                            Some(Slot::Ready(reply)) => {
-                                Ok(Some(with_request_id(&reply, caller_id)))
+                            Some(Slot::Ready(mut reply)) => {
+                                reply.set_request_id(caller_id);
+                                Ok(Some(reply))
                             }
                             Some(Slot::Failed(RuntimeError::Timeout(_))) => {
                                 Err(self.local_timeout(options.deadline))
@@ -750,7 +746,9 @@ impl Drop for MultiplexedConnection {
         self.closed.store(true, Ordering::SeqCst);
         // The reactor prunes the slot and closes the socket; no thread
         // to join — churn leaves the process thread count flat.
-        let _ = self.reactor.send(Command::Close { conn: self.conn_id });
+        let _ = self.reactor.send(Command::Close {
+            conn: self.out.id(),
+        });
     }
 }
 
@@ -998,11 +996,12 @@ fn serve_metrics(listener: TcpListener, registry: Arc<MetricsRegistry>, stop: Ar
 }
 
 /// A TCP server: accepts connections and dispatches each frame through
-/// a [`Dispatcher`]. A single reactor thread owns every accepted socket
-/// and answers `Hello` and artifact fetches inline; requests pass
-/// admission control into the dispatch queue, which a fixed worker pool
-/// drains. [`shutdown`] is deterministic: accepted work drains to real
-/// replies before the reactor and listener threads are joined.
+/// a [`Dispatcher`]. A single reactor thread reads every accepted
+/// socket and answers `Hello` and artifact fetches inline; requests
+/// pass admission control into the dispatch queue, which a fixed worker
+/// pool drains, each worker writing its replies to the socket itself.
+/// [`shutdown`] is deterministic: accepted work drains to real replies
+/// before the reactor and listener threads are joined.
 ///
 /// Alongside the GIOP listener, every server exposes a metrics listener
 /// on an ephemeral port of the same interface: `/metrics` serves the
@@ -1100,10 +1099,7 @@ impl TcpServer {
                         // without occupying a dispatch slot.
                         if job.expires_at.is_some_and(|at| Instant::now() >= at) {
                             if let Some(reply) = deadline_expired_reply(&job.msg, &m) {
-                                let _ = h.send(Command::Reply {
-                                    conn: job.conn,
-                                    frame: reply.to_bytes(),
-                                });
+                                let _ = h.write(&job.out, reply.to_bytes(), None);
                             }
                             continue;
                         }
@@ -1114,11 +1110,10 @@ impl TcpServer {
                         // must reach the limiter.
                         lim.observe(job.admitted.elapsed(), &m);
                         busy.fetch_sub(1, Ordering::SeqCst);
+                        // The worker writes its own reply; the reactor
+                        // only finishes a tail the socket refused.
                         if let Some(reply) = reply {
-                            let _ = h.send(Command::Reply {
-                                conn: job.conn,
-                                frame: reply.to_bytes(),
-                            });
+                            let _ = h.write(&job.out, reply.to_bytes(), None);
                         }
                     }
                 })
@@ -1414,6 +1409,69 @@ mod tests {
             })
             .collect();
         for h in handles {
+            h.join().unwrap();
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn multiplexed_frames_larger_than_the_socket_buffers_echo_intact() {
+        // Several MiB per body, more than a loopback send buffer holds:
+        // requests and replies both leave tails for the reactors to
+        // finish, while other threads' frames queue behind them.
+        const THREADS: i64 = 4;
+        const CALLS: i64 = 3;
+        const ELEMENTS: i64 = 512 * 1024; // 4 MiB of 64-bit integers
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(64));
+        let list = g.list_of(i);
+        let graph = Arc::new(g);
+        let servant: Arc<dyn Servant> = Arc::new(|_: &str, v: MValue| Ok(v));
+        let mut ops = HashMap::new();
+        ops.insert("echo".to_string(), WireOp::new(graph.clone(), list, list));
+        let d = Arc::new(Dispatcher::new());
+        d.register(b"echo".to_vec(), WireServant::new(servant, ops));
+        let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
+        let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());
+        let callers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (c, g) = (Arc::clone(&conn), Arc::clone(&graph));
+                std::thread::spawn(move || {
+                    for k in 0..CALLS {
+                        let first = (t * CALLS + k) * ELEMENTS;
+                        let value = MValue::List(
+                            (first..first + ELEMENTS)
+                                .map(|x| MValue::Int(x.into()))
+                                .collect(),
+                        );
+                        let mut w = CdrWriter::new(Endian::Little);
+                        w.put_value(&g, list, &value).unwrap();
+                        let id = k as u32;
+                        let req = Message::request(
+                            id,
+                            true,
+                            b"echo".to_vec(),
+                            "echo",
+                            Endian::Little,
+                            w.into_bytes(),
+                        );
+                        let reply = c.call(&req).unwrap().expect("a reply");
+                        assert_eq!(
+                            reply.kind,
+                            MessageKind::Reply {
+                                request_id: id,
+                                status: ReplyStatus::NoException
+                            }
+                        );
+                        assert!(
+                            reply.body == req.body,
+                            "thread {t}, call {k}: the reply is not its own request"
+                        );
+                    }
+                })
+            })
+            .collect();
+        for h in callers {
             h.join().unwrap();
         }
         server.shutdown();

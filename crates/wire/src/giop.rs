@@ -436,8 +436,15 @@ impl Message {
     ///
     /// `restamp` replaces the deadline slot's value at encode time
     /// (same slot, same size, so no length changes); it is ignored when
-    /// the message frames no deadline slot of its own.
-    fn head_into(&self, out: &mut Vec<u8>, reserve: usize, restamp: Option<WireDeadline>) {
+    /// the message frames no deadline slot of its own. `id` likewise
+    /// replaces the request id of kinds that carry one.
+    fn head_into(
+        &self,
+        out: &mut Vec<u8>,
+        reserve: usize,
+        restamp: Option<WireDeadline>,
+        id: Option<u32>,
+    ) {
         let deadline = match (self.deadline, restamp) {
             (Some(_), Some(r)) => Some(r),
             (own, _) => own,
@@ -467,7 +474,7 @@ impl Message {
                 object_key,
                 operation,
             } => {
-                self.put_u32_endian(out, *request_id);
+                self.put_u32_endian(out, id.unwrap_or(*request_id));
                 self.put_u32_endian(out, *response_expected as u32);
                 self.put_u32_endian(out, object_key.len() as u32);
                 out.extend_from_slice(object_key);
@@ -507,7 +514,7 @@ impl Message {
                 }
             }
             MessageKind::Reply { request_id, status } => {
-                self.put_u32_endian(out, *request_id);
+                self.put_u32_endian(out, id.unwrap_or(*request_id));
                 self.put_u32_endian(out, status.to_u32());
             }
             MessageKind::Hello { info, verdict } => {
@@ -521,7 +528,7 @@ impl Message {
                 self.put_u32_endian(out, info.rules_fp as u32);
             }
             MessageKind::Artifact { request_id, reply } => {
-                self.put_u32_endian(out, *request_id);
+                self.put_u32_endian(out, id.unwrap_or(*request_id));
                 self.put_u32_endian(out, *reply as u32);
             }
         }
@@ -540,10 +547,36 @@ impl Message {
     /// Serialises into a caller-owned (pooled) buffer: the exact frame
     /// size is reserved once, so a warmed buffer never reallocates.
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
+        self.frame_into(out, None);
+    }
+
+    /// Serialises the message as if its request id were `id`, in one
+    /// pass and without copying the message: the frame a multiplexing
+    /// transport sends after renumbering a caller's request. Kinds
+    /// without a request id (`Hello`) serialise unchanged.
+    #[must_use]
+    pub fn to_bytes_with_id(&self, id: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.frame_into(&mut out, Some(id));
+        out
+    }
+
+    fn frame_into(&self, out: &mut Vec<u8>, id: Option<u32>) {
         let total = 12 + self.header_len().div_ceil(8) * 8 + self.body.len();
-        self.head_into(out, total, None);
+        self.head_into(out, total, None, id);
         out.extend_from_slice(&self.body);
         debug_assert_eq!(out.len(), total);
+    }
+
+    /// Replaces the request id of kinds that carry one (a no-op for
+    /// `Hello`).
+    pub fn set_request_id(&mut self, id: u32) {
+        match &mut self.kind {
+            MessageKind::Request { request_id, .. }
+            | MessageKind::Reply { request_id, .. }
+            | MessageKind::Artifact { request_id, .. } => *request_id = id,
+            MessageKind::Hello { .. } => {}
+        }
     }
 
     /// Writes the framed message to `w` without copying the body: the
@@ -575,7 +608,12 @@ impl Message {
         scratch: &mut Vec<u8>,
         restamp: Option<WireDeadline>,
     ) -> io::Result<()> {
-        self.head_into(scratch, 12 + self.header_len().div_ceil(8) * 8, restamp);
+        self.head_into(
+            scratch,
+            12 + self.header_len().div_ceil(8) * 8,
+            restamp,
+            None,
+        );
         let head = scratch.len();
         let total = head + self.body.len();
         let mut written = 0usize;
@@ -937,6 +975,52 @@ mod tests {
         m.write_to(&mut sink, &mut scratch).unwrap();
         assert_eq!(sink, m.to_bytes());
         assert_eq!(scratch.capacity(), cap);
+    }
+
+    #[test]
+    fn renumbered_frames_match_a_renumbered_copy() {
+        use std::time::Duration;
+        let trace = TraceContext {
+            trace_id: 0x0011_2233_4455_6677_8899_AABB_CCDD_EEFF,
+            span_id: 0x1234_5678_9ABC_DEF0,
+            sampled: true,
+        };
+        let deadline = WireDeadline::new(Duration::from_micros(987_654), true);
+        for endian in [Endian::Little, Endian::Big] {
+            let request =
+                Message::request(7, true, b"obj-42".to_vec(), "fitter", endian, vec![1; 37]);
+            let mut messages = vec![
+                Message::reply(8, ReplyStatus::NoException, endian, vec![9; 111]),
+                Message::artifact(9, false, endian, b"MBAR-payload".to_vec()),
+                Message::artifact(10, true, endian, vec![]),
+            ];
+            for (with_trace, with_deadline) in
+                [(false, false), (true, false), (false, true), (true, true)]
+            {
+                let mut m = request.clone();
+                m.trace = with_trace.then_some(trace);
+                m.deadline = with_deadline.then_some(deadline);
+                messages.push(m);
+            }
+            for m in &messages {
+                for id in [0, 1, 0xBEEF, u32::MAX] {
+                    let mut renumbered = m.clone();
+                    renumbered.set_request_id(id);
+                    assert_eq!(
+                        m.to_bytes_with_id(id),
+                        renumbered.to_bytes(),
+                        "{m:?} as {id}"
+                    );
+                }
+            }
+        }
+        // Handshake frames carry no request id and serialise unchanged.
+        let hello = Message::hello(
+            HandshakeInfo::new(1, 2),
+            HandshakeVerdict::Propose,
+            Endian::Big,
+        );
+        assert_eq!(hello.to_bytes_with_id(5), hello.to_bytes());
     }
 
     #[test]

@@ -2994,8 +2994,9 @@ impl WireProgram {
     }
 
     /// Structural validation: node references in range, slot indexes
-    /// within each node's frame (so deserialised programs cannot panic
-    /// the executors).
+    /// within each node's frame, and no frame larger than its decode
+    /// ops can fill (so deserialised programs cannot panic the
+    /// executors, or make them allocate a frame the image never uses).
     fn validate(&self) -> Result<(), ProgramCodecError> {
         fn check_enc_arm(a: &EncArm, n_nodes: u32) -> Result<(), ProgramCodecError> {
             match a {
@@ -3024,6 +3025,14 @@ impl WireProgram {
             });
         }
         for node in &self.nodes {
+            // The compiler allocates one slot per slot-writing decode
+            // op, so a larger count is forged: a decode would size the
+            // slot frame to it before reading a byte.
+            if node.slots as usize > node.dec.len() {
+                return Err(ProgramCodecError::Invalid {
+                    what: "slot count exceeds the decode ops",
+                });
+            }
             for op in &node.enc {
                 match op {
                     EncOp::Seq { elem, .. } if *elem >= n_nodes => {
@@ -3538,6 +3547,21 @@ mod tests {
             Err(ProgramCodecError::UnknownOpcode {
                 section: "encode",
                 code: 0xFF
+            })
+        );
+
+        // A node claiming 2^32 - 1 slots with no decode op to fill them
+        // is refused at load, before any decode could size its frame.
+        let mut huge_frame = vec![CODEC_VERSION, 0];
+        huge_frame.extend_from_slice(&1u32.to_le_bytes()); // one node
+        huge_frame.extend_from_slice(&u32::MAX.to_le_bytes()); // slots
+        for _ in 0..3 {
+            huge_frame.extend_from_slice(&0u32.to_le_bytes()); // no enc, dec or build ops
+        }
+        assert_eq!(
+            WireProgram::from_bytes(&huge_frame),
+            Err(ProgramCodecError::Invalid {
+                what: "slot count exceeds the decode ops"
             })
         );
     }
