@@ -2,9 +2,10 @@
 //! DESIGN.md §4 with live measurements and prints them as the tables
 //! recorded in EXPERIMENTS.md.
 //!
-//! Usage: `report [t1|f5|e1|e2|e3|x1|x2|x3|x4|x5|x6|x7|x8|x9|x10|x11|x12|x13]...`
-//! (no args = everything). `x5` additionally writes `BENCH_compile.json`
-//! with the measured cache hit rate and warm-vs-cold speedup; `x6`
+//! Usage: `report [t1|f5|f4|e1|e2|e3|x1|x2|x3|x4|x5|x6|x7|x8|x9|x10|x11|x12|x13]...`
+//! (no args = everything; an unknown name exits non-zero). `x5`
+//! additionally writes `BENCH_compile.json` with the measured cache hit
+//! rate and warm-vs-cold speedup; `x6`
 //! writes `BENCH_marshal.json` with the fused-vs-interpretive
 //! marshalling speedup over a 200-class corpus; `x7` writes
 //! `BENCH_resilience.json` with success rates and p99 latency under
@@ -30,6 +31,7 @@
 //! `MB_BENCH_QUICK=1` shrinks every experiment to CI-smoke size.
 
 use std::collections::HashMap;
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -2389,69 +2391,76 @@ fn x13() {
     println!();
 }
 
-fn main() {
+/// Every section, in the order a run prints them.
+const SECTIONS: [(&str, fn()); 19] = [
+    ("t1", t1),
+    ("f5", f5),
+    ("f4", f4),
+    ("e1", e1),
+    ("e2", e2),
+    ("e3", e3),
+    ("x1", x1),
+    ("x2", x2),
+    ("x3", x3),
+    ("x4", x4),
+    ("x5", x5),
+    ("x6", x6),
+    ("x7", x7),
+    ("x8", x8),
+    ("x9", x9),
+    ("x10", x10),
+    ("x11", x11),
+    ("x12", x12),
+    ("x13", x13),
+];
+
+/// The sections `args` names, in run order (all of them for no
+/// arguments), or the first argument that names no section.
+fn select(args: &[String]) -> Result<Vec<fn()>, String> {
+    if let Some(bad) = args.iter().find(|a| SECTIONS.iter().all(|(k, _)| k != a)) {
+        return Err(format!("unknown section `{bad}`"));
+    }
+    Ok(SECTIONS
+        .iter()
+        .filter(|(k, _)| args.is_empty() || args.iter().any(|a| a == k))
+        .map(|&(_, run)| run)
+        .collect())
+}
+
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     // Hidden child-process modes for X9 (each side of the scaling
     // experiment needs its own fd budget).
     if args.first().map(String::as_str) == Some("x9-server") {
-        return x9_server();
+        x9_server();
+        return ExitCode::SUCCESS;
     }
-    let want = |k: &str| args.is_empty() || args.iter().any(|a| a == k);
-    if want("t1") {
-        t1();
+    match select(&args) {
+        Ok(sections) => {
+            for run in sections {
+                run();
+            }
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            let names: Vec<&str> = SECTIONS.iter().map(|(k, _)| *k).collect();
+            eprintln!("report: {e}\nusage: report [{}]...", names.join("|"));
+            ExitCode::FAILURE
+        }
     }
-    if want("f5") {
-        f5();
-    }
-    if want("f4") {
-        f4();
-    }
-    if want("e1") {
-        e1();
-    }
-    if want("e2") {
-        e2();
-    }
-    if want("e3") {
-        e3();
-    }
-    if want("x1") {
-        x1();
-    }
-    if want("x2") {
-        x2();
-    }
-    if want("x3") {
-        x3();
-    }
-    if want("x4") {
-        x4();
-    }
-    if want("x5") {
-        x5();
-    }
-    if want("x6") {
-        x6();
-    }
-    if want("x7") {
-        x7();
-    }
-    if want("x8") {
-        x8();
-    }
-    if want("x9") {
-        x9();
-    }
-    if want("x10") {
-        x10();
-    }
-    if want("x11") {
-        x11();
-    }
-    if want("x12") {
-        x12();
-    }
-    if want("x13") {
-        x13();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_section_names_are_rejected() {
+        let args = |v: &[&str]| v.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        assert_eq!(select(&[]).unwrap().len(), SECTIONS.len());
+        assert_eq!(select(&args(&["x11", "t1"])).unwrap().len(), 2);
+        let err = select(&args(&["x55", "t1x"])).unwrap_err();
+        assert!(err.contains("`x55`"), "{err}");
+        assert!(select(&args(&["t1", "x9-server"])).is_err());
     }
 }

@@ -5,8 +5,13 @@
 //! numbers in EXPERIMENTS.md and the bench output describe the same
 //! workloads.
 
-pub mod generated_stubs;
 pub mod harness;
+
+/// The native marshal stubs of the seed-pinned fixture corpus, emitted
+/// by this crate's build script (the same text `mbc emit-stubs` writes).
+pub mod generated_stubs {
+    include!(concat!(env!("OUT_DIR"), "/generated_stubs.rs"));
+}
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -11,7 +11,7 @@
 //! mbc emit  <files...> --left A --right B --script F [--name N]
 //! mbc save  <files...> --script F --out P.mbproj.json
 //! mbc batch <files...> --pairs F [--jobs N] [--subtype] [--profile] [--out P.mbproj.json]
-//! mbc emit-stubs --out generated_stubs.rs
+//! mbc emit-stubs --out stubs.rs
 //! ```
 //!
 //! `batch` compiles many pairs through one shared, content-addressed
@@ -20,11 +20,11 @@
 //! project file restores any cache it carries, and `--out` saves the
 //! warmed cache back for the next run.
 //!
-//! `emit-stubs` is the build-time half of the second Futamura
-//! projection: it compiles the canonical fixture corpus (the same pairs
-//! `report x6`/`x11` and the differential property suite reconstruct)
-//! into wire programs, specialises each into straight-line native Rust,
-//! and writes the module. The output is deterministic — running it
+//! `emit-stubs` writes the module of the second Futamura projection
+//! that the bench crate's build script compiles: the canonical fixture
+//! corpus (the same pairs `report x6`/`x11` and the differential
+//! property suite reconstruct) as wire programs, each specialised into
+//! straight-line native Rust. The output is deterministic — running it
 //! twice yields byte-identical source.
 //!
 //! [`BatchCompiler`]: mockingbird::BatchCompiler
@@ -376,116 +376,21 @@ fn run(args: Args) -> Result<(), String> {
     result
 }
 
-/// `emit-stubs --out FILE`: specialise the canonical fixture corpus'
-/// wire programs into native Rust marshal stubs (the second Futamura
-/// projection). The corpus is seed-pinned and shared with `report
-/// x6`/`x11` and the differential property suite, so the emitted
-/// functions resolve by nominal fingerprint in those binaries.
+/// `emit-stubs --out FILE`: writes the native marshal stubs of the
+/// seed-pinned fixture corpus (see [`mockingbird::emit_fixture_stubs`]),
+/// byte for byte the module the bench crate's build script compiles.
 fn emit_stubs(out: &str) -> Result<(), String> {
-    use mockingbird::comparer::{CacheKey, Comparer, RuleSet};
-    use mockingbird::corpus::{
-        choice_heavy_pair, deep_list_pair, fitter_pair, marshal_corpus, property_pair,
-    };
-    use mockingbird::mtype::{MtypeGraph, MtypeId};
-    use mockingbird::plan::CoercionPlan;
-    use mockingbird::stubgen::{emit_native_module, native_keys_for, FunctionStub};
-    use mockingbird::wire::{nominal_fingerprint, NativeKey, NativeProgramKind, WireProgram};
-    use mockingbird::{BatchCompiler, BatchOptions};
-    use std::sync::Arc;
-
-    let mut entries: Vec<(NativeKey, Arc<WireProgram>)> = Vec::new();
-
-    // The X6/X11 marshal corpus: batch-compile the 200 classes and take
-    // every program the shared cache holds — its keys are exactly what
-    // the benches derive at run time.
-    let corpus = marshal_corpus(200, 42);
-    let bc = BatchCompiler::new(corpus.graph.clone());
-    let report = bc.compile(&corpus.pairs, &BatchOptions::default());
-    let corpus_programs = bc.programs().export().len();
-    for (key, prog) in bc.programs().export() {
-        entries.push((
-            NativeKey {
-                pair: key,
-                kind: NativeProgramKind::Value,
-            },
-            prog,
-        ));
-    }
-
-    // The 64-seed property stream plus the adversarial shapes, each
-    // pair across its own two graphs — the layout the differential
-    // suite reconstructs.
-    let mut fixture_pair = |g: &MtypeGraph, h: &MtypeGraph, ty: MtypeId, var: MtypeId| {
-        let Ok(corr) = Comparer::new(g, h).compare(ty, var, Mode::Equivalence) else {
-            return;
-        };
-        let plan = CoercionPlan::new(g, h, corr, RuleSet::full(), Mode::Equivalence);
-        // Pairs the program compiler declines stay interpretive.
-        let Ok(prog) = WireProgram::compile(&plan) else {
-            return;
-        };
-        let key = CacheKey {
-            left_fp: nominal_fingerprint(g, ty),
-            right_fp: nominal_fingerprint(h, var),
-            mode: Mode::Equivalence,
-            rules_fp: RuleSet::full().fingerprint(),
-        };
-        entries.push((
-            NativeKey {
-                pair: key,
-                kind: NativeProgramKind::Value,
-            },
-            Arc::new(prog),
-        ));
-    };
-    for seed in 0..64u64 {
-        let (g, h, ty, var, _) = property_pair(seed);
-        fixture_pair(&g, &h, ty, var);
-    }
-    let (g, h, ty, var) = choice_heavy_pair();
-    fixture_pair(&g, &h, ty, var);
-    let (g, h, ty, var) = deep_list_pair();
-    fixture_pair(&g, &h, ty, var);
-
-    // The fitter's remote data plane: invocation (encode) and result
-    // (decode) programs, keyed the way `RemoteStub::new` resolves them.
-    let mut fg = MtypeGraph::new();
-    let (java, cfun) = fitter_pair(&mut fg);
-    let corr = Comparer::new(&fg, &fg)
-        .compare(java, cfun, Mode::Equivalence)
-        .map_err(|e| format!("fitter pair does not match: {e}"))?;
-    let plan = Arc::new(CoercionPlan::new(
-        &fg,
-        &fg,
-        corr,
-        RuleSet::full(),
-        Mode::Equivalence,
-    ));
-    let stub = FunctionStub::new(plan.clone()).map_err(|e| e.to_string())?;
-    let (args_key, result_key) = native_keys_for(&stub);
-    let (left, right) = (stub.left_shape(), stub.right_shape());
-    let inv = WireProgram::compile_invocation(
-        &plan,
-        left.invocation,
-        right.invocation,
-        right.reply_index,
-    )
-    .map_err(|e| format!("fitter invocation program: {e}"))?;
-    let res = WireProgram::compile_pair(&plan, left.output, right.output)
-        .map_err(|e| format!("fitter result program: {e}"))?;
-    entries.push((args_key, Arc::new(inv)));
-    entries.push((result_key, Arc::new(res)));
-
-    let total = entries.len();
-    let source = emit_native_module(&entries).map_err(|e| e.to_string())?;
-    std::fs::write(out, &source).map_err(|e| format!("{out}: {e}"))?;
+    let stubs = mockingbird::emit_fixture_stubs()?;
+    std::fs::write(out, &stubs.source).map_err(|e| format!("{out}: {e}"))?;
     println!(
-        "emitted {total} native stub programs ({corpus_programs} corpus, \
-         {} fixture, 2 fitter; {} of {} corpus pairs interpretive) to {out} ({} bytes)",
-        total - corpus_programs - 2,
-        report.stats.programs.unsupported,
-        report.stats.matched,
-        source.len()
+        "emitted {} native stub programs ({} corpus, {} fixture, 2 fitter; \
+         {} of {} corpus pairs interpretive) to {out} ({} bytes)",
+        stubs.programs,
+        stubs.corpus_programs,
+        stubs.programs - stubs.corpus_programs - 2,
+        stubs.corpus_interpretive,
+        stubs.corpus_matched,
+        stubs.source.len()
     );
     Ok(())
 }

@@ -48,6 +48,7 @@
 //! ```
 
 pub mod batch;
+pub mod fixture_stubs;
 pub mod session;
 
 pub use mockingbird_baselines as baselines;
@@ -70,6 +71,7 @@ pub use batch::{
     BatchCompiler, BatchOptions, BatchReport, BatchStats, NamedBatchReport, NamedPairReport,
     PairOutcome, PairReport, PhaseStats,
 };
+pub use fixture_stubs::{emit_fixture_stubs, FixtureStubs};
 pub use mockingbird_artifact as artifact;
 pub use mockingbird_comparer::{CacheStats, CompareCache, Mode};
 pub use mockingbird_plan::CoercionPlan;

@@ -12,7 +12,7 @@
 
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mockingbird_artifact::{ArtifactStore, FetchReply, FetchRequest};
 use mockingbird_values::Endian;
@@ -22,8 +22,9 @@ use crate::error::RuntimeError;
 use crate::metrics::MetricsRegistry;
 use crate::transport::{read_frame, write_frame};
 
-/// How long a fetch waits for the peer's reply before giving up (the
-/// caller falls back to cold compilation, so this only bounds join time).
+/// How long a whole fetch, handshake included, waits for the peer's
+/// replies before giving up (the caller falls back to cold compilation,
+/// so this only bounds join time).
 const FETCH_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Builds the server-side answer to one `MBAR` fetch frame. A missing
@@ -88,13 +89,13 @@ pub fn fetch_artifacts(
     let mut stream =
         TcpStream::connect(addr).map_err(|e| RuntimeError::Transport(e.to_string()))?;
     stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(FETCH_TIMEOUT)).ok();
+    let deadline = Some(Instant::now() + FETCH_TIMEOUT);
 
     // Prove agreement first: same Hello the call path uses.
     metrics.add_handshake();
     let hello = Message::hello(*info, HandshakeVerdict::Propose, Endian::Little);
     write_frame(&mut stream, &hello, metrics)?;
-    let reply = read_frame(&mut stream, metrics)?
+    let reply = read_frame(&mut stream, deadline, metrics)?
         .ok_or_else(|| RuntimeError::Transport("peer closed during the handshake".into()))?;
     let MessageKind::Hello { verdict, .. } = reply.kind else {
         return Err(RuntimeError::Protocol(
@@ -114,7 +115,7 @@ pub fn fetch_artifacts(
     };
     let frame = Message::artifact(1, false, Endian::Little, request.to_bytes());
     write_frame(&mut stream, &frame, metrics)?;
-    let reply = read_frame(&mut stream, metrics)?
+    let reply = read_frame(&mut stream, deadline, metrics)?
         .ok_or_else(|| RuntimeError::Transport("peer closed during the artifact fetch".into()))?;
     let MessageKind::Artifact { reply: true, .. } = reply.kind else {
         return Err(RuntimeError::Protocol(

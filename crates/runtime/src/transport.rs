@@ -17,10 +17,10 @@
 //!   calls over one connection without a reader thread per socket.
 //!
 //! Per-call deadlines arrive via [`CallOptions`]: the serial transport
-//! maps them onto socket read timeouts scoped to the call, the
-//! multiplexed transport onto reactor deadline-wheel entries — per-call
-//! state, never a mutation of the shared socket, so concurrent calls
-//! cannot observe each other's timeouts.
+//! bounds all of the call's reads by one absolute deadline, the
+//! multiplexed transport turns them into reactor deadline-wheel
+//! entries — per-call state, never a mutation of the shared socket, so
+//! concurrent calls cannot observe each other's timeouts.
 //!
 //! [`TcpServer`] uses the same reactor architecture: an acceptor
 //! thread registers sockets with a per-server reactor, frames pass
@@ -51,8 +51,8 @@ use crate::limiter::AimdLimiter;
 use crate::metrics::MetricsRegistry;
 use crate::options::CallOptions;
 use crate::reactor::{
-    client_reactor, spawn_reactor, Command, MuxCore, Outbound, ReactorHandle, ServerCtx, ServerJob,
-    Slot,
+    client_reactor, spawn_reactor, Command, FrameReader, MuxCore, Outbound, ReactorHandle,
+    ServerCtx, ServerJob, Slot,
 };
 use crate::sync::{cv_wait, LockExt};
 
@@ -78,10 +78,7 @@ fn client_handshake(
     metrics.add_handshake();
     let hello = Message::hello(*info, HandshakeVerdict::Propose, Endian::Little);
     write_frame(stream, &hello, metrics)?;
-    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT)).ok();
-    let outcome = read_frame(stream, metrics);
-    stream.set_read_timeout(None).ok();
-    let reply = outcome?
+    let reply = read_frame(stream, Some(Instant::now() + HANDSHAKE_TIMEOUT), metrics)?
         .ok_or_else(|| RuntimeError::Transport("connection closed during the handshake".into()))?;
     let MessageKind::Hello {
         info: peer,
@@ -222,84 +219,49 @@ impl Connection for InMemoryConnection {
     }
 }
 
-fn is_timeout(e: &std::io::Error) -> bool {
-    matches!(
-        e.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Consecutive read timeouts tolerated once a frame has started before
-/// the stream is declared broken: bounds how long a stalled peer can
-/// pin a reader that is polling with a short timeout.
-const MID_FRAME_PATIENCE: u32 = 40;
-
-/// Reads one frame from a blocking stream (serial transport, client
-/// handshake and artifact fetches; the reactor paths use
-/// [`crate::reactor::FrameReader`] instead).
+/// Reads one frame from a blocking stream before `deadline` (serial
+/// transport, client handshake and artifact fetches; the reactor paths
+/// pump their own [`FrameReader`]s).
+///
+/// Each pump makes one `read` that stops at the frame's end (a budget
+/// of one byte), so no byte of the next frame leaves the socket — the
+/// reactor adopts a client's socket right after the handshake read.
+/// Nothing received by the deadline is [`RuntimeError::Timeout`]; a
+/// deadline passed mid-frame is [`RuntimeError::Transport`], because
+/// the stream is no longer at a frame boundary.
 pub(crate) fn read_frame(
     stream: &mut TcpStream,
+    deadline: Option<Instant>,
     metrics: &MetricsRegistry,
 ) -> Result<Option<Message>, RuntimeError> {
-    let mut header = [0u8; 12];
-    let mut filled = 0usize;
-    let mut stalls = 0u32;
-    while filled < 12 {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None), // clean EOF
-            Ok(0) => {
-                return Err(RuntimeError::Transport(
-                    "connection closed mid-frame".into(),
-                ))
+    let mut reader = FrameReader::new();
+    let mut frames = Vec::with_capacity(1);
+    let mut received = 0u64;
+    loop {
+        let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
+            Some(left) if left.is_zero() && reader.mid_frame() => {
+                return Err(RuntimeError::Transport("read stalled mid-frame".into()))
             }
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e) if is_timeout(&e) && filled == 0 => {
+            Some(left) if left.is_zero() => {
                 return Err(RuntimeError::Timeout(
                     "no frame within the read timeout".into(),
                 ))
             }
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > MID_FRAME_PATIENCE {
-                    return Err(RuntimeError::Transport("read stalled mid-frame".into()));
-                }
-            }
-            Err(e) => return Err(RuntimeError::Transport(e.to_string())),
+            wait => wait,
+        };
+        stream
+            .set_read_timeout(wait)
+            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
+        let pump = reader.pump(stream, &mut frames, 1)?;
+        received += pump.bytes as u64;
+        if let Some(msg) = frames.pop() {
+            metrics.add_bytes_received(received);
+            return Ok(Some(msg));
+        }
+        if pump.eof {
+            return Ok(None);
         }
     }
-    // frame_len enforces the MAX_FRAME_LEN cap, so a forged length
-    // header is rejected here, before the buffer below is allocated.
-    let total = Message::frame_len(&header).map_err(|e| RuntimeError::Protocol(e.to_string()))?;
-    let mut buf = vec![0u8; total];
-    buf[..12].copy_from_slice(&header);
-    let mut filled = 12usize;
-    while filled < total {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                return Err(RuntimeError::Transport(
-                    "connection closed mid-frame".into(),
-                ))
-            }
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
-            Err(e) if is_timeout(&e) => {
-                stalls += 1;
-                if stalls > MID_FRAME_PATIENCE {
-                    return Err(RuntimeError::Transport("read stalled mid-frame".into()));
-                }
-            }
-            Err(e) => return Err(RuntimeError::Transport(e.to_string())),
-        }
-    }
-    metrics.add_bytes_received(total as u64);
-    Message::from_bytes(&buf)
-        .map(Some)
-        .map_err(|e| RuntimeError::Protocol(e.to_string()))
 }
 
 pub(crate) fn write_frame(
@@ -444,15 +406,15 @@ impl Connection for TcpConnection {
         if !response_expected {
             return Ok(None);
         }
-        // The deadline becomes a socket read timeout scoped to this
-        // exchange. Every call sets its own value (including `None`),
-        // so no call can inherit the previous caller's deadline.
-        stream
-            .set_read_timeout(options.deadline.map(|d| d.max(Duration::from_millis(1))))
-            .ok();
+        // One deadline bounds every read of this exchange, stale
+        // replies included; each call passes its own (or none), so no
+        // call can inherit the previous caller's.
+        let deadline = options
+            .deadline
+            .map(|d| Instant::now() + d.max(Duration::from_millis(1)));
         let mut stale = 0u32;
         let outcome = loop {
-            match read_frame(&mut stream, &self.metrics) {
+            match read_frame(&mut stream, deadline, &self.metrics) {
                 Ok(Some(reply)) => {
                     // A reply whose id does not match this exchange is
                     // a leftover from a call that timed out earlier on
@@ -473,7 +435,6 @@ impl Connection for TcpConnection {
                 other => break other,
             }
         };
-        stream.set_read_timeout(None).ok();
         match outcome {
             Ok(Some(reply)) => Ok(Some(reply)),
             Ok(None) => Err(RuntimeError::Transport(
@@ -1575,6 +1536,67 @@ mod tests {
         assert!(MultiplexedConnection::connect("127.0.0.1:1".parse().unwrap()).is_err());
     }
 
+    /// A peer that accepts one connection, sends the first six bytes of
+    /// a GIOP header and stalls until the client hangs up.
+    fn stalled_peer() -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream.write_all(b"GIOP\x01\x00").unwrap();
+            let _ = stream.read_to_end(&mut Vec::new());
+        });
+        (addr, peer)
+    }
+
+    #[test]
+    fn serial_call_deadline_bounds_a_peer_stalled_mid_frame() {
+        let (addr, peer) = stalled_peer();
+        let conn = TcpConnection::connect(addr).unwrap();
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(64));
+        let rec = g.record(vec![i]);
+        let req = echo_request(&g, rec, b"void", 1, 1);
+        let opts = CallOptions::new().with_deadline(Duration::from_millis(50));
+        let start = Instant::now();
+        let out = conn.call_with(&req, &opts);
+        let elapsed = start.elapsed();
+        // Transport, not Timeout: the pool must drop a socket left
+        // mid-frame.
+        assert!(
+            matches!(out, Err(RuntimeError::Transport(_))),
+            "got {out:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "the 50 ms deadline bounded the call: {elapsed:?}"
+        );
+        drop(conn);
+        peer.join().unwrap();
+    }
+
+    #[test]
+    fn handshake_read_is_bounded_by_the_handshake_timeout() {
+        let (addr, peer) = stalled_peer();
+        // The dial runs on its own thread so that a read outliving its
+        // bound fails the test instead of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let dialer = std::thread::spawn(move || {
+            let info = HandshakeInfo::new(1, 7);
+            let out = MultiplexedConnection::connect_with(addr, Some(&info)).map(|_| ());
+            tx.send(out).unwrap();
+        });
+        let out = rx
+            .recv_timeout(HANDSHAKE_TIMEOUT + Duration::from_secs(1))
+            .expect("the handshake read ended within HANDSHAKE_TIMEOUT + 1 s");
+        assert!(
+            matches!(out, Err(RuntimeError::Transport(_))),
+            "got {out:?}"
+        );
+        dialer.join().unwrap();
+        peer.join().unwrap();
+    }
+
     #[test]
     fn handshake_accepts_matching_peers() {
         let (d, graph, args, result) = adder_dispatcher();
@@ -1712,8 +1734,8 @@ mod tests {
         });
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(&req.to_bytes()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let reply = read_frame(&mut raw, &MetricsRegistry::new())
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let reply = read_frame(&mut raw, Some(deadline), &MetricsRegistry::new())
             .unwrap()
             .expect("a reply frame");
         let MessageKind::Reply {

@@ -12,8 +12,8 @@
 //! The emitted source is **deterministic**: the same set of programs
 //! produces byte-identical text (entries are sorted by nominal
 //! fingerprint, names are content-derived, no map-iteration order
-//! leaks). It is also `rustfmt`-stable, so checked-in generated files
-//! survive `cargo fmt --check`.
+//! leaks). It is also `rustfmt`-stable: `rustfmt --check` accepts the
+//! emitted module as it stands.
 //!
 //! Generated modules target the `mockingbird` facade paths and call the
 //! helper vocabulary in `mockingbird::wire::native` (one helper per VM
@@ -50,9 +50,9 @@ impl fmt::Display for EmitError {
 impl std::error::Error for EmitError {}
 
 /// The registry keys a [`FunctionStub`]'s two data-plane programs
-/// resolve under: `(args_key, result_key)`. Both sides — `mbc
-/// emit-stubs` at build time and [`RemoteStub`](crate::RemoteStub) at
-/// call time — derive keys through this one function, so a stub built
+/// resolve under: `(args_key, result_key)`. Both sides — the fixture
+/// emitter at build time and [`RemoteStub`](crate::RemoteStub) at call
+/// time — derive keys through this one function, so a stub built
 /// in a different process from different graph instances still finds
 /// its emitted code (fingerprints are structural, not graph-identity).
 #[must_use]
@@ -81,7 +81,7 @@ pub fn native_keys_for(stub: &FunctionStub) -> (NativeKey, NativeKey) {
 /// Emits one self-contained Rust module specialising every program in
 /// `entries` (duplicate keys are collapsed; order does not matter —
 /// the output is sorted). The text is a complete file body: header
-/// docs, per-program functions, and a `register_all(&NativeStubRegistry)
+/// comments, per-program functions, and a `register_all(&NativeStubRegistry)
 /// -> usize` that installs each stub under its key.
 ///
 /// # Errors
@@ -112,19 +112,20 @@ pub fn emit_native_module(entries: &[(NativeKey, Arc<WireProgram>)]) -> Result<S
     Ok(out)
 }
 
+// Plain `//` comments: the bench crate `include!`s this module, and
+// inner doc comments are rejected there (E0753).
 const HEADER: &str = "\
-//! @generated by `mbc emit-stubs` \u{2014} DO NOT EDIT.
-//!
-//! Native marshal stubs (second Futamura projection): each function
-//! family below is one cached wire program specialised into
-//! straight-line Rust. The opcode fetch/decode loop, path navigation,
-//! and width dispatch are gone; what remains is the exact sequence of
-//! checks and fixed-width copies the opcode VM would have executed.
-//! Regenerate with:
-//!
-//! ```text
-//! cargo run -p mockingbird --bin mbc -- emit-stubs --out <this file>
-//! ```
+// @generated by `stubgen::emit_native_module` \u{2014} DO NOT EDIT.
+//
+// Native marshal stubs (second Futamura projection): each function
+// family below is one cached wire program specialised into
+// straight-line Rust. The opcode fetch/decode loop, path navigation,
+// and width dispatch are gone; what remains is the exact sequence of
+// checks and fixed-width copies the opcode VM would have executed.
+// The bench crate's build script emits this module into `OUT_DIR`; to
+// read it, write the same text to a file with:
+//
+//     cargo run -p mockingbird --bin mbc -- emit-stubs --out <file>
 
 use mockingbird::values::MValue;
 use mockingbird::wire::native as nat;
@@ -984,7 +985,7 @@ mod tests {
     fn emitted_source_has_entries_and_registration() {
         let entries = sample_entries();
         let text = emit_native_module(&entries).unwrap();
-        assert!(text.starts_with("//! @generated"));
+        assert!(text.starts_with("// @generated"));
         assert_eq!(text.matches("_encode(w: &mut CdrWriter").count(), 3);
         assert_eq!(text.matches("_decode(r: &mut CdrReader").count(), 3);
         assert_eq!(text.matches("reg.register(").count(), 3);

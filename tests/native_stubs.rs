@@ -11,9 +11,9 @@
 //! `RemoteStub` end-to-end path (native tier resolved by fingerprint,
 //! metrics attributed).
 //!
-//! The stubs under test are the checked-in `generated_stubs.rs` the
-//! bench crate carries; `mbc emit-stubs` regenerates it from the same
-//! seed-pinned fixtures this suite reconstructs.
+//! The stubs under test are the module the bench crate's build script
+//! emits into `OUT_DIR` from the same seed-pinned fixtures this suite
+//! reconstructs; `mbc emit-stubs` writes the same text for reading.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
