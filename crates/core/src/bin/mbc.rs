@@ -383,11 +383,12 @@ fn emit_stubs(out: &str) -> Result<(), String> {
     let stubs = mockingbird::emit_fixture_stubs()?;
     std::fs::write(out, &stubs.source).map_err(|e| format!("{out}: {e}"))?;
     println!(
-        "emitted {} native stub programs ({} corpus, {} fixture, 2 fitter; \
+        "emitted {} native stub programs ({} corpus, {} fixture, {} fitter; \
          {} of {} corpus pairs interpretive) to {out} ({} bytes)",
         stubs.programs,
         stubs.corpus_programs,
-        stubs.programs - stubs.corpus_programs - 2,
+        stubs.programs - stubs.corpus_programs - stubs.fitter_programs,
+        stubs.fitter_programs,
         stubs.corpus_interpretive,
         stubs.corpus_matched,
         stubs.source.len()

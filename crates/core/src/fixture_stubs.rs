@@ -10,14 +10,14 @@
 
 use std::sync::Arc;
 
-use mockingbird_comparer::{CacheKey, Comparer, Mode, RuleSet};
+use mockingbird_comparer::{Comparer, Mode, RuleSet};
 use mockingbird_corpus::{
     choice_heavy_pair, deep_list_pair, fitter_pair, marshal_corpus, property_pair,
 };
 use mockingbird_mtype::{MtypeGraph, MtypeId};
 use mockingbird_plan::CoercionPlan;
-use mockingbird_stubgen::{emit_native_module, native_keys_for, FunctionStub};
-use mockingbird_wire::{nominal_fingerprint, NativeKey, NativeProgramKind, WireProgram};
+use mockingbird_stubgen::{emit_native_module, native_keys_for, FnShape, FunctionStub};
+use mockingbird_wire::{NativeKey, NativeProgramKind, ProgramSource, WireProgram};
 
 use crate::batch::{BatchCompiler, BatchOptions};
 
@@ -32,6 +32,9 @@ pub struct FixtureStubs {
     pub programs: usize,
     /// Of those, programs from the 200-class marshal corpus.
     pub corpus_programs: usize,
+    /// Of those, the fitter's: the client stub's invocation and result
+    /// programs and the server op's two identity programs.
+    pub fitter_programs: usize,
     /// Marshal-corpus pairs that matched.
     pub corpus_matched: usize,
     /// Matched marshal-corpus pairs the program compiler declined
@@ -41,11 +44,12 @@ pub struct FixtureStubs {
 
 /// Emits the native stub module for the canonical fixture corpus: the
 /// marshal corpus (200 classes, seed 42) through [`BatchCompiler`],
-/// the 64-seed property stream, the two adversarial pairs and the
-/// fitter's invocation and result programs. The corpus is seed-pinned,
-/// so the emitted functions resolve by nominal fingerprint in every
-/// binary that reconstructs the same fixtures, and the output is
-/// byte-identical from run to run.
+/// the 64-seed property stream, the two adversarial pairs, the
+/// fitter's invocation and result programs and the identity programs
+/// of the fitter's server op. The corpus is seed-pinned, so the emitted
+/// functions resolve by nominal fingerprint in every binary that
+/// reconstructs the same fixtures, and the output is byte-identical
+/// from run to run.
 ///
 /// # Errors
 ///
@@ -83,19 +87,15 @@ pub fn emit_fixture_stubs() -> Result<FixtureStubs, String> {
         let Ok(prog) = WireProgram::compile(&plan) else {
             return;
         };
-        let key = CacheKey {
-            left_fp: nominal_fingerprint(g, ty),
-            right_fp: nominal_fingerprint(h, var),
+        let key = ProgramSource::Pair {
+            left: (g, ty),
+            right: (h, var),
             mode: Mode::Equivalence,
             rules_fp: RuleSet::full().fingerprint(),
-        };
-        entries.push((
-            NativeKey {
-                pair: key,
-                kind: NativeProgramKind::Value,
-            },
-            Arc::new(prog),
-        ));
+            reply_child: None,
+        }
+        .key();
+        entries.push((key, Arc::new(prog)));
     };
     for seed in 0..64u64 {
         let (g, h, ty, var, _) = property_pair(seed);
@@ -108,6 +108,7 @@ pub fn emit_fixture_stubs() -> Result<FixtureStubs, String> {
 
     // The fitter's remote data plane: invocation (encode) and result
     // (decode) programs, keyed the way `RemoteStub::new` resolves them.
+    let before_fitter = entries.len();
     let mut fg = MtypeGraph::new();
     let (java, cfun) = fitter_pair(&mut fg);
     let corr = Comparer::new(&fg, &fg)
@@ -135,10 +136,22 @@ pub fn emit_fixture_stubs() -> Result<FixtureStubs, String> {
     entries.push((args_key, Arc::new(inv)));
     entries.push((result_key, Arc::new(res)));
 
+    // The fitter's server op: the identity programs of its argument and
+    // result records, typed as `Session::wire_op` types them and keyed
+    // the way `WireOp::new` resolves them.
+    let shape = FnShape::of_function(&fg, cfun).map_err(|e| e.to_string())?;
+    let server_args = fg.record(shape.inputs.clone());
+    for ty in [server_args, shape.output] {
+        let prog =
+            WireProgram::identity(&fg, ty).map_err(|e| format!("fitter server op program: {e}"))?;
+        entries.push((ProgramSource::Identity(&fg, ty).key(), Arc::new(prog)));
+    }
+
     Ok(FixtureStubs {
         source: emit_native_module(&entries).map_err(|e| e.to_string())?,
         programs: entries.len(),
         corpus_programs,
+        fitter_programs: entries.len() - before_fitter,
         corpus_matched: report.stats.matched,
         corpus_interpretive: report.stats.programs.unsupported,
     })
@@ -155,6 +168,7 @@ mod tests {
         let a = emit_fixture_stubs().expect("fixtures emit");
         let b = emit_fixture_stubs().expect("fixtures emit");
         assert!(a.corpus_programs > 0 && a.programs > a.corpus_programs);
+        assert_eq!(a.fitter_programs, 4);
         assert!(a.source == b.source, "two emissions differ");
     }
 }

@@ -7,8 +7,10 @@ use std::sync::RwLock;
 
 use mockingbird_mtype::{MtypeGraph, MtypeId};
 use mockingbird_values::{Endian, MValue};
+use mockingbird_wire::native::{self, ProgramSource};
 use mockingbird_wire::{
-    nominal_fingerprint, CdrReader, CdrWriter, Message, MessageKind, ReplyStatus, WireProgram,
+    nominal_fingerprint, CdrReader, CdrWriter, Message, MessageKind, NativeStub, ReplyStatus,
+    WireProgram,
 };
 
 use mockingbird_obs::{SpanKind, SpanRecord};
@@ -45,8 +47,12 @@ where
 ///
 /// Construction compiles fused identity [`WireProgram`]s for both types
 /// (both ends of a `WireOp` share the Mtype, so the coercion is the
-/// identity); encode/decode run them in one pass with no graph walk.
-/// Types the program compiler declines fall back to the interpretive
+/// identity) and resolves the emitted native stubs registered for them
+/// under their [`Identity`](mockingbird_wire::NativeProgramKind::Identity)
+/// keys, the way `RemoteStub` resolves its pair programs. Each
+/// direction then runs native → opcode VM → interpreter: the server
+/// decodes requests and encodes replies with no opcode loop, and types
+/// the program compiler declines fall back to the interpretive
 /// `put_value`/`get_value` path transparently.
 #[derive(Debug, Clone)]
 pub struct WireOp {
@@ -59,40 +65,61 @@ pub struct WireOp {
     /// Whether re-invoking after an ambiguous failure is safe. Only
     /// idempotent operations participate in the client's retry policy.
     pub idempotent: bool,
-    /// Fused identity program for `args_ty` (`None`: interpretive path).
-    args_program: Option<Arc<WireProgram>>,
-    /// Fused identity program for `result_ty`.
-    result_program: Option<Arc<WireProgram>>,
-    /// How many fused programs construction compiled (reported to the
-    /// registry when one is attached).
-    compiled: u64,
+    /// The marshal tiers of `args_ty`.
+    args: Tiers,
+    /// The marshal tiers of `result_ty`.
+    result: Tiers,
     /// The registry marshalling byte counts are recorded into; attached
     /// when the op joins a node (servant registration / proxy build).
     metrics: Option<Arc<MetricsRegistry>>,
 }
 
+/// One record type's marshal tiers above the interpreter.
+#[derive(Debug, Clone)]
+struct Tiers {
+    /// Fused identity program (`None`: interpretive path).
+    program: Option<Arc<WireProgram>>,
+    /// Emitted stub for `program`, used ahead of its opcode VM.
+    native: NativeStub,
+    /// The type's nominal fingerprint, derived while resolving
+    /// `native` (only for a compiled program: rendering the type can
+    /// be costly) and kept for [`interface_fingerprint`].
+    fingerprint: Option<u128>,
+}
+
+impl Tiers {
+    fn identity(graph: &MtypeGraph, ty: MtypeId) -> Tiers {
+        let program = WireProgram::identity(graph, ty).ok().map(Arc::new);
+        let resolved = native::resolve(program.as_deref(), ProgramSource::Identity(graph, ty));
+        Tiers {
+            program,
+            native: resolved.map_or_else(NativeStub::default, |r| r.stub),
+            fingerprint: resolved.map(|r| r.key.pair.left_fp),
+        }
+    }
+}
+
 impl WireOp {
     /// A non-idempotent operation over `graph` (use [`idempotent`] to
-    /// opt into retries). Compiles the fused marshal programs up front.
+    /// opt into retries). Compiles the fused marshal programs up front
+    /// and resolves their emitted native stubs.
     ///
     /// [`idempotent`]: WireOp::idempotent
     #[must_use]
     pub fn new(graph: Arc<MtypeGraph>, args_ty: MtypeId, result_ty: MtypeId) -> Self {
-        let args_program = WireProgram::identity(&graph, args_ty).ok().map(Arc::new);
-        let result_program = if result_ty == args_ty {
-            args_program.clone()
+        let args = Tiers::identity(&graph, args_ty);
+        let result = if result_ty == args_ty {
+            args.clone()
         } else {
-            WireProgram::identity(&graph, result_ty).ok().map(Arc::new)
+            Tiers::identity(&graph, result_ty)
         };
-        let compiled = args_program.is_some() as u64 + result_program.is_some() as u64;
         WireOp {
             graph,
             args_ty,
             result_ty,
             idempotent: false,
-            args_program,
-            result_program,
-            compiled,
+            args,
+            result,
             metrics: None,
         }
     }
@@ -103,7 +130,9 @@ impl WireOp {
     /// node's registry.
     pub fn attach_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
         if self.metrics.is_none() {
-            registry.add_programs_compiled(self.compiled);
+            let compiled =
+                self.args.program.is_some() as u64 + self.result.program.is_some() as u64;
+            registry.add_programs_compiled(compiled);
             self.metrics = Some(Arc::clone(registry));
         }
     }
@@ -133,17 +162,33 @@ impl WireOp {
 
     /// Whether `ty` has a fused program on this operation.
     pub fn is_fused(&self, ty: MtypeId) -> bool {
-        self.program_for(ty).is_some()
+        self.tiers_for(ty).is_some_and(|t| t.program.is_some())
     }
 
-    fn program_for(&self, ty: MtypeId) -> Option<&Arc<WireProgram>> {
+    /// Whether `ty` encodes and decodes through emitted native stubs.
+    pub fn is_native(&self, ty: MtypeId) -> bool {
+        self.tiers_for(ty)
+            .is_some_and(|t| t.native.encode.is_some() && t.native.decode.is_some())
+    }
+
+    fn tiers_for(&self, ty: MtypeId) -> Option<&Tiers> {
         if ty == self.args_ty {
-            self.args_program.as_ref()
+            Some(&self.args)
         } else if ty == self.result_ty {
-            self.result_program.as_ref()
+            Some(&self.result)
         } else {
             None
         }
+    }
+
+    /// The nominal fingerprints of the argument and result types: kept
+    /// from construction, rendered here only for a type whose identity
+    /// program did not compile.
+    fn fingerprints(&self) -> [u128; 2] {
+        [(&self.args, self.args_ty), (&self.result, self.result_ty)].map(|(t, ty)| {
+            t.fingerprint
+                .unwrap_or_else(|| nominal_fingerprint(&self.graph, ty))
+        })
     }
 
     /// Encodes an argument/result record for the wire.
@@ -177,14 +222,16 @@ impl WireOp {
         value: &MValue,
     ) -> Result<(), RuntimeError> {
         let before = w.len();
-        match self.program_for(ty) {
-            Some(p) => p
-                .encode_value(w, value)
-                .map_err(|e| RuntimeError::Conversion(e.to_string()))?,
-            None => w
-                .put_value(&self.graph, ty, value)
-                .map_err(|e| RuntimeError::Conversion(e.to_string()))?,
+        let tiers = self.tiers_for(ty);
+        match (
+            tiers.and_then(|t| t.native.encode),
+            tiers.and_then(|t| t.program.as_ref()),
+        ) {
+            (Some(native), _) => native(w, value),
+            (None, Some(p)) => p.encode_value(w, value),
+            (None, None) => w.put_value(&self.graph, ty, value),
         }
+        .map_err(|e| RuntimeError::Conversion(e.to_string()))?;
         if let Some(m) = &self.metrics {
             m.add_bytes_marshalled((w.len() - before) as u64);
         }
@@ -198,14 +245,16 @@ impl WireOp {
     /// Returns [`RuntimeError::Conversion`] on malformed bodies.
     pub fn decode(&self, ty: MtypeId, body: &[u8], endian: Endian) -> Result<MValue, RuntimeError> {
         let mut r = CdrReader::new(body, endian);
-        let value = match self.program_for(ty) {
-            Some(p) if p.two_way() => p
-                .decode_value(&mut r)
-                .map_err(|e| RuntimeError::Conversion(e.to_string()))?,
-            _ => r
-                .get_value(&self.graph, ty)
-                .map_err(|e| RuntimeError::Conversion(e.to_string()))?,
-        };
+        let tiers = self.tiers_for(ty);
+        let value = match (
+            tiers.and_then(|t| t.native.decode),
+            tiers.and_then(|t| t.program.as_ref()),
+        ) {
+            (Some(native), _) => native(&mut r),
+            (None, Some(p)) if p.two_way() => p.decode_value(&mut r),
+            _ => r.get_value(&self.graph, ty),
+        }
+        .map_err(|e| RuntimeError::Conversion(e.to_string()))?;
         if let Some(m) = &self.metrics {
             m.add_bytes_unmarshalled((body.len() - r.remaining()) as u64);
         }
@@ -230,10 +279,7 @@ pub fn interface_fingerprint(ops: &HashMap<String, WireOp>) -> u128 {
         for &b in name.as_bytes() {
             h = (h ^ u128::from(b)).wrapping_mul(FNV_PRIME);
         }
-        for word in [
-            nominal_fingerprint(&op.graph, op.args_ty),
-            nominal_fingerprint(&op.graph, op.result_ty),
-        ] {
+        for word in op.fingerprints() {
             h = (h ^ word).wrapping_mul(FNV_PRIME);
         }
         acc.wrapping_add(h)

@@ -30,7 +30,7 @@ use mockingbird_comparer::Mode;
 use mockingbird_wire::program::{
     enc_runs, BuildOp, DecArm, DecOp, EncArm, EncOp, EncStep, NodeView, STEP_CHOICE0,
 };
-use mockingbird_wire::{nominal_fingerprint, NativeKey, NativeProgramKind, WireProgram};
+use mockingbird_wire::{NativeKey, NativeProgramKind, ProgramSource, WireProgram};
 
 use crate::stub::FunctionStub;
 
@@ -49,33 +49,41 @@ impl fmt::Display for EmitError {
 
 impl std::error::Error for EmitError {}
 
+/// What a [`FunctionStub`]'s two data-plane programs compile from:
+/// `(args, result)`, the invocation program of its argument coercion
+/// and the value program of its result coercion.
+pub(crate) fn native_sources(stub: &FunctionStub) -> (ProgramSource<'_>, ProgramSource<'_>) {
+    let plan = stub.plan();
+    let (lg, rg) = (plan.left_graph(), plan.right_graph());
+    let (mode, rules_fp) = (plan.mode(), plan.rules().fingerprint());
+    let (left, right) = (stub.left_shape(), stub.right_shape());
+    let args = ProgramSource::Pair {
+        left: (lg, left.invocation),
+        right: (rg, right.invocation),
+        mode,
+        rules_fp,
+        reply_child: Some(right.reply_index as u32),
+    };
+    let result = ProgramSource::Pair {
+        left: (lg, left.output),
+        right: (rg, right.output),
+        mode,
+        rules_fp,
+        reply_child: None,
+    };
+    (args, result)
+}
+
 /// The registry keys a [`FunctionStub`]'s two data-plane programs
 /// resolve under: `(args_key, result_key)`. Both sides — the fixture
 /// emitter at build time and [`RemoteStub`](crate::RemoteStub) at call
-/// time — derive keys through this one function, so a stub built
+/// time — derive keys through [`ProgramSource::key`], so a stub built
 /// in a different process from different graph instances still finds
 /// its emitted code (fingerprints are structural, not graph-identity).
 #[must_use]
 pub fn native_keys_for(stub: &FunctionStub) -> (NativeKey, NativeKey) {
-    let plan = stub.plan();
-    let (lg, rg) = (plan.left_graph(), plan.right_graph());
-    let equivalence = plan.mode() == Mode::Equivalence;
-    let rules_fp = plan.rules().fingerprint();
-    let (left, right) = (stub.left_shape(), stub.right_shape());
-    let args = mockingbird_wire::native::invocation_key(
-        nominal_fingerprint(lg, left.invocation),
-        nominal_fingerprint(rg, right.invocation),
-        equivalence,
-        rules_fp,
-        right.reply_index as u32,
-    );
-    let result = mockingbird_wire::native::value_key(
-        nominal_fingerprint(lg, left.output),
-        nominal_fingerprint(rg, right.output),
-        equivalence,
-        rules_fp,
-    );
-    (args, result)
+    let (args, result) = native_sources(stub);
+    (args.key(), result.key())
 }
 
 /// Emits one self-contained Rust module specialising every program in
@@ -141,6 +149,7 @@ fn sort_key(k: &NativeKey) -> (u128, u128, u64, u8, u8, u32) {
     let (kind, reply) = match k.kind {
         NativeProgramKind::Value => (0u8, 0u32),
         NativeProgramKind::Invocation { reply_child } => (1u8, reply_child),
+        NativeProgramKind::Identity => (2u8, 0u32),
     };
     (
         k.pair.left_fp,
@@ -247,7 +256,11 @@ fn emit_program(out: &mut String, key: &NativeKey, p: &WireProgram) -> Result<()
     src.blank();
     src.line(&format!(
         "// {} program {}: left {:#034x}, right {:#034x},",
-        if invocation { "invocation" } else { "value" },
+        match key.kind {
+            NativeProgramKind::Value => "value",
+            NativeProgramKind::Invocation { .. } => "invocation",
+            NativeProgramKind::Identity => "identity",
+        },
         prefix,
         key.pair.left_fp,
         key.pair.right_fp
@@ -878,17 +891,11 @@ fn emit_register_all(out: &mut String, entries: &[(NativeKey, &WireProgram)]) {
                 src.line(&format!("{:#018x},", key.pair.rules_fp));
                 src.indent -= 1;
                 src.line("),");
-                src.line("NativeStub {");
-                src.indent += 1;
-                src.line(&format!("encode: Some({prefix}_encode),"));
-                src.line("encode_invocation: None,");
-                if program.two_way() {
-                    src.line(&format!("decode: Some({prefix}_decode),"));
-                } else {
-                    src.line("decode: None,");
-                }
-                src.indent -= 1;
-                src.line("},");
+                emit_value_stub(&mut src, &prefix, program);
+            }
+            NativeProgramKind::Identity => {
+                src.line(&format!("nat::identity_key({:#034x}),", key.pair.left_fp));
+                emit_value_stub(&mut src, &prefix, program);
             }
             NativeProgramKind::Invocation { reply_child } => {
                 src.line("nat::invocation_key(");
@@ -919,13 +926,29 @@ fn emit_register_all(out: &mut String, entries: &[(NativeKey, &WireProgram)]) {
     src.line("}");
 }
 
+/// The `NativeStub` literal of a value or identity program: encode,
+/// and decode where the program is two-way.
+fn emit_value_stub(src: &mut Src<'_>, prefix: &str, program: &WireProgram) {
+    src.line("NativeStub {");
+    src.indent += 1;
+    src.line(&format!("encode: Some({prefix}_encode),"));
+    src.line("encode_invocation: None,");
+    if program.two_way() {
+        src.line(&format!("decode: Some({prefix}_decode),"));
+    } else {
+        src.line("decode: None,");
+    }
+    src.indent -= 1;
+    src.line("},");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mockingbird_comparer::{CacheKey, Comparer, RuleSet};
     use mockingbird_mtype::{IntRange, MtypeGraph, RealPrecision};
     use mockingbird_plan::CoercionPlan;
-    use mockingbird_wire::NativeStubRegistry;
+    use mockingbird_wire::{nominal_fingerprint, NativeStubRegistry};
 
     fn value_program(
         g: &MtypeGraph,
@@ -998,6 +1021,29 @@ mod tests {
         assert!(text.contains("match d {"));
         assert!(text.contains("nat::put_int::<4>"));
         assert!(text.contains("nat::put_real::<true>"));
+    }
+
+    #[test]
+    fn identity_programs_register_under_their_own_key() {
+        let mut g = MtypeGraph::new();
+        let f = g.real(RealPrecision::SINGLE);
+        let point = g.record(vec![f, f]);
+        let list = g.list_of(point);
+        let rec = g.record(vec![list]);
+        let identity = ProgramSource::Identity(&g, rec).key();
+        let program = Arc::new(WireProgram::identity(&g, rec).unwrap());
+        let mut entries = vec![(identity, program)];
+        // The plan-compiled `T ≡ T` program of the same type is a
+        // separate entry with its own functions.
+        entries.push((key_for(&g, rec, rec), value_program(&g, rec, rec)));
+        let text = emit_native_module(&entries).unwrap();
+        assert_eq!(text.matches("reg.register(").count(), 2);
+        assert_eq!(text.matches("// identity program ").count(), 1);
+        assert!(text.contains(&format!(
+            "nat::identity_key({:#034x}),",
+            nominal_fingerprint(&g, rec)
+        )));
+        assert_eq!(text.matches("_decode(r: &mut CdrReader").count(), 2);
     }
 
     #[test]

@@ -8,9 +8,7 @@ use mockingbird_comparer::{Entry, Mode};
 use mockingbird_plan::{CoercionPlan, ConvertError};
 use mockingbird_runtime::{RemoteRef, RuntimeError, Servant};
 use mockingbird_values::{MValue, PortRef};
-use mockingbird_wire::{
-    CdrReader, NativeDecodeFn, NativeEncodeInvocationFn, NativeStubRegistry, WireProgram,
-};
+use mockingbird_wire::{native, CdrReader, NativeDecodeFn, NativeEncodeInvocationFn, WireProgram};
 
 use crate::shape::{methods_of, FnShape, ShapeError};
 
@@ -321,20 +319,12 @@ impl RemoteStub {
             remote.metrics().add_programs_compiled(compiled);
         }
         // Native tier: an emitted stub may stand in for each direction's
-        // opcode program. Gated on the program having compiled — the
-        // native stub was emitted *from* that program, so a pair the
-        // compiler declines stays interpretive even if a stale stub is
-        // registered under its fingerprint.
-        let (args_key, result_key) = crate::native::native_keys_for(&inner);
-        let registry = NativeStubRegistry::global();
-        let native_args = args_program
-            .as_ref()
-            .and_then(|_| registry.lookup(&args_key))
-            .and_then(|s| s.encode_invocation);
-        let native_result = result_program
-            .as_ref()
-            .and_then(|_| registry.lookup(&result_key))
-            .and_then(|s| s.decode);
+        // opcode program (the resolver gates it on that program).
+        let (args_source, result_source) = crate::native::native_sources(&inner);
+        let native_args = native::resolve(args_program.as_deref(), args_source)
+            .and_then(|r| r.stub.encode_invocation);
+        let native_result =
+            native::resolve(result_program.as_deref(), result_source).and_then(|r| r.stub.decode);
         RemoteStub {
             inner,
             remote,

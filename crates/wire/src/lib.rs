@@ -50,7 +50,7 @@ pub use giop::{
 pub use mockingbird_obs::TraceContext;
 pub use native::{
     NativeDecodeFn, NativeEncodeFn, NativeEncodeInvocationFn, NativeKey, NativeProgramKind,
-    NativeStub, NativeStubRegistry,
+    NativeStub, NativeStubRegistry, ProgramSource,
 };
 pub use program::{
     nominal_fingerprint, FallbackKind, ProgramCache, ProgramCodecError, ProgramStats, Unsupported,

@@ -5,8 +5,11 @@
 //! fetch/decode loop, no path navigation, constant-width primitive
 //! copies). The generated functions are registered here under the same
 //! nominal fingerprints the [`ProgramCache`](crate::ProgramCache) uses,
-//! so call sites resolve native → opcode VM → interpretive oracle in
-//! that order at dispatch time.
+//! and [`resolve`] finds them again for both halves of a call: the
+//! client's `RemoteStub` (value and invocation programs of a matched
+//! pair) and the server's `WireOp` (identity programs, under their own
+//! [`NativeProgramKind::Identity`] key). Each direction then runs
+//! native → opcode VM → interpretive oracle, in that order.
 //!
 //! The `#[inline]` helpers in this module are the generated code's
 //! vocabulary: every helper is the body of one VM opcode with the
@@ -18,9 +21,11 @@ use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
 use mockingbird_comparer::{CacheKey, Mode};
+use mockingbird_mtype::{MtypeGraph, MtypeId};
 use mockingbird_values::{Endian, MValue, PortRef};
 
 use crate::cdr::{CdrError, CdrReader, CdrWriter};
+use crate::program::{nominal_fingerprint, WireProgram};
 use crate::MAX_NESTING_DEPTH;
 
 /// Which program shape a native function was emitted for. Value
@@ -33,6 +38,11 @@ pub enum NativeProgramKind {
     Value,
     /// An invocation program eliding the destination reply child.
     Invocation { reply_child: u32 },
+    /// The identity program of one type ([`WireProgram::identity`], a
+    /// `WireOp`'s codec). A kind of its own, so a plan-compiled `T ≡ T`
+    /// value program, whose opcodes follow the plan's rules, can never
+    /// answer for one.
+    Identity,
 }
 
 /// Registry key: the program cache's nominal `(left_fp, right_fp,
@@ -41,7 +51,7 @@ pub enum NativeProgramKind {
 pub struct NativeKey {
     /// The nominal pair key (same derivation as the opcode cache).
     pub pair: CacheKey,
-    /// Value vs invocation shape.
+    /// Value, invocation or identity shape.
     pub kind: NativeProgramKind,
 }
 
@@ -93,6 +103,109 @@ pub const fn invocation_key(
         },
         kind: NativeProgramKind::Invocation { reply_child },
     }
+}
+
+/// Builds an identity-program registry key from the type's nominal
+/// fingerprint. An identity program follows no comparer verdict, so
+/// the key carries the equivalence mode and a rules fingerprint of 0.
+#[must_use]
+pub const fn identity_key(fp: u128) -> NativeKey {
+    NativeKey {
+        pair: CacheKey {
+            left_fp: fp,
+            right_fp: fp,
+            mode: Mode::Equivalence,
+            rules_fp: 0,
+        },
+        kind: NativeProgramKind::Identity,
+    }
+}
+
+/// What a wire program was compiled from: everything its registry key
+/// derives from.
+#[derive(Debug, Clone, Copy)]
+pub enum ProgramSource<'a> {
+    /// A plan's program from `left` to `right` under `mode` and the
+    /// rule set fingerprinted `rules_fp`: a value program, or with
+    /// `reply_child` an invocation program eliding that destination
+    /// child.
+    Pair {
+        /// The source graph and type.
+        left: (&'a MtypeGraph, MtypeId),
+        /// The destination graph and type.
+        right: (&'a MtypeGraph, MtypeId),
+        /// The plan's mode.
+        mode: Mode,
+        /// The plan's rules fingerprint.
+        rules_fp: u64,
+        /// The elided destination reply child of an invocation program.
+        reply_child: Option<u32>,
+    },
+    /// The identity program of one type.
+    Identity(&'a MtypeGraph, MtypeId),
+}
+
+impl ProgramSource<'_> {
+    /// The key the program's emitted stub registers under. Both the
+    /// emitter and [`resolve`] derive keys here; fingerprints are
+    /// structural, so a stub emitted in one process from one graph
+    /// resolves in another from a different graph instance. Rendering
+    /// the types is the cost of [`nominal_fingerprint`].
+    #[must_use]
+    pub fn key(&self) -> NativeKey {
+        match *self {
+            ProgramSource::Pair {
+                left: (lg, l),
+                right: (rg, r),
+                mode,
+                rules_fp,
+                reply_child,
+            } => NativeKey {
+                pair: CacheKey {
+                    left_fp: nominal_fingerprint(lg, l),
+                    right_fp: nominal_fingerprint(rg, r),
+                    mode,
+                    rules_fp,
+                },
+                kind: match reply_child {
+                    Some(reply_child) => NativeProgramKind::Invocation { reply_child },
+                    None => NativeProgramKind::Value,
+                },
+            },
+            ProgramSource::Identity(g, ty) => identity_key(nominal_fingerprint(g, ty)),
+        }
+    }
+}
+
+/// A compiled program's native tier: the key it resolves under and the
+/// entry points registered there (all `None` when no stub is).
+#[derive(Debug, Clone, Copy)]
+pub struct Resolved {
+    /// The program's registry key.
+    pub key: NativeKey,
+    /// The emitted entry points the program may use.
+    pub stub: NativeStub,
+}
+
+/// Resolves the emitted stub that stands in for `program`, from the
+/// global registry: the one resolver `RemoteStub` and `WireOp` share.
+///
+/// `None` when the program did not compile. A stub is emitted *from*
+/// its program, so a pair or type the compiler declines stays on the
+/// interpreter even if a stale stub sits under its fingerprint, and
+/// its key is never derived. A one-way program's decode entry point is
+/// dropped, so decode runs native only where the VM could decode too.
+#[must_use]
+pub fn resolve(program: Option<&WireProgram>, source: ProgramSource<'_>) -> Option<Resolved> {
+    let program = program?;
+    let key = source.key();
+    let mut stub = NativeStubRegistry::global()
+        .lookup(&key)
+        .unwrap_or_default();
+    if !program.two_way() {
+        stub.decode = None;
+    }
+    Some(Resolved { key, stub })
 }
 
 /// An emitted-stub node function for the encode direction (internal
@@ -616,6 +729,28 @@ mod tests {
         };
         assert!(reg.lookup(&inv).is_none());
         assert_eq!(reg.len(), 1);
+    }
+
+    #[test]
+    fn identity_keys_never_alias_value_keys() {
+        use mockingbird_mtype::IntRange;
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(32));
+        let rec = g.record(vec![i]);
+        let fp = nominal_fingerprint(&g, rec);
+        let key = ProgramSource::Identity(&g, rec).key();
+        assert_eq!(key, identity_key(fp));
+        // The `T ≡ T` value program of the same type is a different
+        // slot, even under the identity key's rules fingerprint of 0.
+        let pair = ProgramSource::Pair {
+            left: (&g, rec),
+            right: (&g, rec),
+            mode: Mode::Equivalence,
+            rules_fp: 0,
+            reply_child: None,
+        };
+        assert_eq!(pair.key(), value_key(fp, fp, true, 0));
+        assert_ne!(pair.key(), key);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! fail identically on every tier), the sequence-count bound (a count
 //! the body cannot back must fail on every tier without allocating for
 //! it), a zero-allocation check for native encode over a pooled
-//! buffer, the allocation count of a request decode, and the
+//! buffer, the allocation count of a request decode, the server's
+//! `WireOp` on the native tier (three-way agreement, hostile request
+//! bodies, and the fallbacks when no stub applies), and the
 //! `RemoteStub` end-to-end path (native tier resolved by fingerprint,
 //! metrics attributed).
 //!
@@ -408,25 +410,196 @@ fn unbacked_sequence_counts_fail_on_every_tier() {
     }
 }
 
-/// A server decodes each request with the opcode VM, which allocates
-/// only what the decoded value owns: a fitter request of `n` points
-/// costs one allocation per point record plus a constant, so 4,032 more
-/// points cost exactly 4,032 more allocations.
+/// A request decode allocates only what the decoded value owns, on
+/// the opcode VM and on the emitted native stub alike: a fitter request
+/// of `n` points costs one allocation per point record plus a constant,
+/// so 4,032 more points cost exactly 4,032 more allocations.
 #[test]
 fn request_decode_allocates_once_per_point() {
-    let op = fitter_session().unwrap().wire_op("fitter").unwrap();
-    let decode_allocations = |n: usize| {
+    let op = native_fitter_op();
+    let vm = WireProgram::identity(&op.graph, op.args_ty).expect("the fitter request compiles");
+    assert!(
+        op.is_native(op.args_ty),
+        "the request decodes on the native tier"
+    );
+    let decode_allocations = |n: usize, native: bool| {
         let args = MValue::Record(vec![point_list(n)]);
         let body = op.encode(op.args_ty, &args, Endian::Little).unwrap();
-        let (count, decoded) = allocations_in(|| op.decode(op.args_ty, &body, Endian::Little));
-        assert_eq!(decoded.unwrap(), args, "{n} points round-trip");
+        let (count, decoded) = if native {
+            allocations_in(|| op.decode(op.args_ty, &body, Endian::Little).ok())
+        } else {
+            allocations_in(|| {
+                vm.decode_value(&mut CdrReader::new(&body, Endian::Little))
+                    .ok()
+            })
+        };
+        assert_eq!(decoded, Some(args), "{n} points round-trip");
         count
     };
-    assert!(
-        op.is_fused(op.args_ty),
-        "the request decodes on the opcode VM"
+    for native in [false, true] {
+        assert_eq!(
+            decode_allocations(4096, native) - decode_allocations(64, native),
+            4032,
+            "native tier: {native}"
+        );
+    }
+}
+
+/// The fitter's server op as servers build it, `Session::wire_op`,
+/// constructed after the emitted stubs are registered.
+fn native_fitter_op() -> WireOp {
+    register_native_stubs();
+    fitter_session().unwrap().wire_op("fitter").unwrap()
+}
+
+/// A seeded point of single-precision reals (what the fitter's
+/// `Real{24,8}` coordinates carry, so every tier round-trips it).
+fn seeded_point(rng: &mut mockingbird_rng::StdRng) -> MValue {
+    let mut coord = || MValue::Real(f64::from(rng.gen_range(-1.0e6f32..1.0e6f32)));
+    MValue::Record(vec![coord(), coord()])
+}
+
+/// The server op's three tiers agree: over seeded fitter requests (0,
+/// 1, 4 and 4,096 points among them) and replies, in both byte orders,
+/// the native stubs `WireOp` resolved, the opcode VM and the
+/// interpreter write the same bytes and decode the same values.
+#[test]
+fn server_op_agrees_three_ways() {
+    let op = native_fitter_op();
+    for ty in [op.args_ty, op.result_ty] {
+        assert!(op.is_native(ty), "both records resolve emitted stubs");
+    }
+    let mut rng = mockingbird_rng::StdRng::seed_from_u64(20);
+    let mut lengths = vec![0, 1, 4, 4096];
+    lengths.extend((0..12).map(|_| rng.gen_range(0..300usize)));
+    let mut cases: Vec<(MtypeId, MValue)> = Vec::new();
+    for n in lengths {
+        let points = (0..n).map(|_| seeded_point(&mut rng)).collect();
+        cases.push((op.args_ty, MValue::Record(vec![MValue::List(points)])));
+        let reply = MValue::Record(vec![seeded_point(&mut rng), seeded_point(&mut rng)]);
+        cases.push((op.result_ty, reply));
+    }
+    for (ty, v) in &cases {
+        let vm = WireProgram::identity(&op.graph, *ty).expect("the fitter records compile");
+        for endian in [Endian::Little, Endian::Big] {
+            let mut oracle = CdrWriter::new(endian);
+            oracle.put_value(&op.graph, *ty, v).unwrap();
+            let oracle = oracle.into_bytes();
+            let mut w = CdrWriter::new(endian);
+            vm.encode_value(&mut w, v).unwrap();
+            assert_eq!(w.into_bytes(), oracle, "opcode encode {endian:?}");
+            assert_eq!(
+                op.encode(*ty, v, endian).unwrap(),
+                oracle,
+                "native encode {endian:?}"
+            );
+
+            let reader = || CdrReader::new(&oracle, endian);
+            assert_eq!(&reader().get_value(&op.graph, *ty).unwrap(), v);
+            assert_eq!(&vm.decode_value(&mut reader()).unwrap(), v);
+            assert_eq!(&op.decode(*ty, &oracle, endian).unwrap(), v);
+        }
+    }
+}
+
+/// Bitwise value equality (a flipped bit can make a NaN, which `==`
+/// never equates).
+fn same_bits(a: &MValue, b: &MValue) -> bool {
+    match (a, b) {
+        (MValue::Real(x), MValue::Real(y)) => x.to_bits() == y.to_bits(),
+        (MValue::Record(xs), MValue::Record(ys)) | (MValue::List(xs), MValue::List(ys)) => {
+            xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| same_bits(x, y))
+        }
+        _ => a == b,
+    }
+}
+
+/// The server's native request decode fails closed exactly where the
+/// opcode VM does: every prefix of a fitter request body and every
+/// flip of bit 0, 3 or 7 of each byte decodes to the same value on
+/// both tiers, or fails on both.
+#[test]
+fn server_native_decode_matches_the_vm_on_hostile_bodies() {
+    let op = native_fitter_op();
+    assert!(op.is_native(op.args_ty));
+    let vm = WireProgram::identity(&op.graph, op.args_ty).expect("the fitter request compiles");
+    let mut rng = mockingbird_rng::StdRng::seed_from_u64(21);
+    let mut bodies = 0usize;
+    for n in [0, 1, 6] {
+        let points = (0..n).map(|_| seeded_point(&mut rng)).collect();
+        let args = MValue::Record(vec![MValue::List(points)]);
+        for endian in [Endian::Little, Endian::Big] {
+            let valid = op.encode(op.args_ty, &args, endian).unwrap();
+            let prefixes = (0..valid.len()).map(|k| valid[..k].to_vec());
+            let flips = (0..valid.len()).flat_map(|i| {
+                let valid = &valid;
+                [0, 3, 7].map(move |bit| {
+                    let mut body = valid.clone();
+                    body[i] ^= 1 << bit;
+                    body
+                })
+            });
+            for body in prefixes.chain(flips) {
+                bodies += 1;
+                let native = op.decode(op.args_ty, &body, endian);
+                let opcode = vm.decode_value(&mut CdrReader::new(&body, endian));
+                match (&native, &opcode) {
+                    (Err(_), Err(_)) => {}
+                    (Ok(a), Ok(b)) if same_bits(a, b) => {}
+                    _ => panic!(
+                        "{n} points {endian:?} body {body:?}: native {native:?}, \
+                         opcode {opcode:?}"
+                    ),
+                }
+            }
+        }
+    }
+    assert!(bodies > 500, "only {bodies} hostile bodies checked");
+}
+
+/// A `WireOp` runs native only where a stub was emitted from the
+/// program it compiled: a type with no registered stub stays on the
+/// opcode VM, and a type whose identity program the compiler declines
+/// stays on the interpreter even with a stale stub registered under
+/// its identity key.
+#[test]
+fn wire_ops_without_an_emitted_stub_stay_on_the_vm_or_interpreter() {
+    fn stale_encode(_: &mut CdrWriter, _: &MValue) -> Result<(), CdrError> {
+        Ok(())
+    }
+    fn stale_decode(_: &mut CdrReader<'_>) -> Result<MValue, CdrError> {
+        Ok(MValue::Unit)
+    }
+    register_native_stubs();
+    let mut g = MtypeGraph::new();
+    let i = g.integer(mockingbird::mtype::IntRange::new(-7, 12_345));
+    let unstubbed = g.record(vec![i, i]);
+    // A record cycle with no intervening choice: declined.
+    let declined = g.recursive(|g, me| g.record(vec![i, me]));
+    let stale = NativeStub {
+        encode: Some(stale_encode),
+        encode_invocation: None,
+        decode: Some(stale_decode),
+    };
+    NativeStubRegistry::global().register(
+        native::identity_key(nominal_fingerprint(&g, declined)),
+        stale,
     );
-    assert_eq!(decode_allocations(4096) - decode_allocations(64), 4032);
+    let graph = Arc::new(g);
+
+    let op = WireOp::new(Arc::clone(&graph), unstubbed, unstubbed);
+    assert!(op.is_fused(unstubbed) && !op.is_native(unstubbed));
+    let v = MValue::Record(vec![MValue::Int(-7), MValue::Int(12_345)]);
+    for endian in [Endian::Little, Endian::Big] {
+        let body = op.encode(unstubbed, &v, endian).unwrap();
+        assert_eq!(op.decode(unstubbed, &body, endian).unwrap(), v);
+    }
+
+    let op = WireOp::new(graph, declined, declined);
+    assert!(!op.is_fused(declined) && !op.is_native(declined));
+    // The stale stub would accept both; the interpreter refuses both.
+    assert!(op.encode(declined, &MValue::Unit, Endian::Little).is_err());
+    assert!(op.decode(declined, &[], Endian::Little).is_err());
 }
 
 /// End to end: a `RemoteStub` built in this process resolves the
