@@ -142,6 +142,7 @@ fn e1() {
         "{:>8} {:>9} {:>12} {:>12} {:>12} {:>10}",
         "classes", "methods", "annotations", "lower (s)", "compare (s)", "matched"
     );
+    let mut short = Vec::new();
     for n in [12usize, 50, 100, 250, 500] {
         let mut pair = visualage(n, 42);
         let annotations = pair
@@ -182,8 +183,17 @@ fn e1() {
             "{n:>8} {:>9} {annotations:>12} {lower_s:>12.4} {cmp_s:>12.4} {matched:>9}/{n}",
             pair.method_count
         );
+        if matched != n {
+            short.push(format!("{matched}/{n} at {n} classes"));
+        }
     }
     println!();
+    // The paper's §5 claim is that the annotated corpus matches in
+    // full; a short count fails the run.
+    if !short.is_empty() {
+        eprintln!("report e1: not every class matched: {}", short.join(", "));
+        std::process::exit(1);
+    }
 }
 
 fn e2() {
@@ -1703,11 +1713,9 @@ fn x10() {
 }
 
 fn x11() {
-    use mockingbird::comparer::CacheKey;
     use mockingbird::stype::json::Json;
     use mockingbird::wire::{
-        nominal_fingerprint, NativeDecodeFn, NativeEncodeFn, NativeKey, NativeProgramKind,
-        NativeStubRegistry, WireProgram,
+        Layouts, NativeDecodeFn, NativeEncodeFn, NativeStubRegistry, ProgramSource, WireProgram,
     };
     use mockingbird::{BatchCompiler, BatchOptions, PairOutcome};
     use std::hint::black_box;
@@ -1719,7 +1727,7 @@ fn x11() {
 
     // The same canonical corpus X6 measures and `mbc emit-stubs`
     // specialised at build time; the emitted functions resolve here by
-    // nominal fingerprint alone (different process, different graph
+    // layout fingerprint alone (different process, different graph
     // instances).
     let n = 200usize;
     let corpus = mockingbird::corpus::marshal_corpus(n, 42);
@@ -1729,6 +1737,7 @@ fn x11() {
     let report = bc.compile(&corpus.pairs, &BatchOptions::default());
     let rules_fp = RuleSet::full().fingerprint();
     let registry = NativeStubRegistry::global();
+    let mut layouts = Layouts::new(&graph);
 
     struct Case {
         plan: Arc<mockingbird::plan::CoercionPlan>,
@@ -1750,15 +1759,14 @@ fn x11() {
                 continue;
             }
             let value = sample_value(&graph, plan.left_root(), &mut rng, 6);
-            let key = NativeKey {
-                pair: CacheKey {
-                    left_fp: nominal_fingerprint(&graph, plan.left_root()),
-                    right_fp: nominal_fingerprint(&graph, plan.right_root()),
-                    mode: Mode::Equivalence,
-                    rules_fp,
-                },
-                kind: NativeProgramKind::Value,
-            };
+            let key = ProgramSource::Pair {
+                left: (&*graph, plan.left_root()),
+                right: (&*graph, plan.right_root()),
+                mode: Mode::Equivalence,
+                rules_fp,
+                reply_child: None,
+            }
+            .key_in(&mut layouts);
             let native = registry.lookup(&key).unwrap_or_default();
             let (Some(native_encode), Some(native_decode)) = (native.encode, native.decode) else {
                 native_missing += 1;

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use mockingbird_mtype::canon::{fingerprint, Canonizer, MtypeSummary};
+use mockingbird_mtype::canon::{Canonizer, FingerprintMemo, MtypeSummary};
 use mockingbird_mtype::{MtypeGraph, MtypeId, MtypeKind};
 
 use crate::cache::{CacheKey, CompareCache, Verdict};
@@ -57,8 +57,12 @@ struct Cache {
     /// coinductive assumptions can only create successes — so a failure
     /// observed under any assumption set holds absolutely.
     disproved: HashSet<(MtypeId, MtypeId, Rel)>,
+    /// Per-side filter fingerprints of the ids queried so far.
     lfp: HashMap<MtypeId, u64>,
     rfp: HashMap<MtypeId, u64>,
+    /// Per-side `(node, depth)` memos the filter fingerprints share.
+    lmemo: FingerprintMemo,
+    rmemo: FingerprintMemo,
     lviews: HashMap<MtypeId, std::rc::Rc<Vec<MtypeId>>>,
     rviews: HashMap<MtypeId, std::rc::Rc<Vec<MtypeId>>>,
 }
@@ -400,7 +404,7 @@ impl Ctx<'_> {
         if let Some(&h) = self.cache.lfp.get(&id) {
             return h;
         }
-        let h = fingerprint(self.l, id);
+        let h = self.cache.lmemo.fingerprint(self.l, id);
         self.cache.lfp.insert(id, h);
         h
     }
@@ -409,7 +413,7 @@ impl Ctx<'_> {
         if let Some(&h) = self.cache.rfp.get(&id) {
             return h;
         }
-        let h = fingerprint(self.r, id);
+        let h = self.cache.rmemo.fingerprint(self.r, id);
         self.cache.rfp.insert(id, h);
         h
     }

@@ -14,12 +14,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use mockingbird_comparer::{CacheKey, CacheStats, CompareCache, Comparer, Mismatch, Mode, RuleSet};
+use mockingbird_comparer::{CacheStats, CompareCache, Comparer, Mismatch, Mode, RuleSet};
 use mockingbird_mtype::{MtypeGraph, MtypeId};
 use mockingbird_obs::Histogram;
 use mockingbird_plan::CoercionPlan;
 use mockingbird_wire::{
-    nominal_fingerprint, FallbackKind, ProgramCache, ProgramStats, WireProgram,
+    FallbackKind, Layouts, ProgramCache, ProgramSource, ProgramStats, WireProgram,
 };
 
 /// Knobs for one [`BatchCompiler::compile`] run.
@@ -283,6 +283,7 @@ impl BatchCompiler {
     fn outcome(
         &self,
         cmp: &Comparer<'_, '_>,
+        layouts: &mut Layouts<'_>,
         l: MtypeId,
         r: MtypeId,
         opts: &BatchOptions,
@@ -309,12 +310,15 @@ impl BatchCompiler {
                 let (program, fallback) = match (&plan, opts.build_programs) {
                     (Some(plan), true) => {
                         let t = Instant::now();
-                        let key = CacheKey {
-                            left_fp: nominal_fingerprint(&self.graph, l),
-                            right_fp: nominal_fingerprint(&self.graph, r),
+                        let key = ProgramSource::Pair {
+                            left: (&*self.graph, l),
+                            right: (&*self.graph, r),
                             mode: opts.mode,
                             rules_fp: self.rules.fingerprint(),
-                        };
+                            reply_child: None,
+                        }
+                        .key_in(layouts)
+                        .pair;
                         timers.canonize.record_duration(t.elapsed());
                         let t = Instant::now();
                         let program = self
@@ -386,9 +390,10 @@ impl BatchCompiler {
         let timers = PhaseTimings::default();
         let outcomes: Vec<PairOutcome> = if workers == 1 {
             let cmp = self.comparer();
+            let mut layouts = Layouts::new(&self.graph);
             unique
                 .iter()
-                .map(|&(l, r)| self.outcome(&cmp, l, r, opts, &timers))
+                .map(|&(l, r)| self.outcome(&cmp, &mut layouts, l, r, opts, &timers))
                 .collect()
         } else {
             let next = AtomicUsize::new(0);
@@ -396,13 +401,15 @@ impl BatchCompiler {
             std::thread::scope(|s| {
                 for _ in 0..workers {
                     s.spawn(|| {
-                        // One long-lived comparer per worker: its
-                        // fingerprint memo amortises across pairs.
+                        // One long-lived comparer and layout engine per
+                        // worker: their fingerprint memos amortise
+                        // across pairs.
                         let cmp = self.comparer();
+                        let mut layouts = Layouts::new(&self.graph);
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
                             let Some(&(l, r)) = unique.get(i) else { break };
-                            let out = self.outcome(&cmp, l, r, opts, &timers);
+                            let out = self.outcome(&cmp, &mut layouts, l, r, opts, &timers);
                             slots.lock().expect("batch slots")[i] = Some(out);
                         }
                     });
@@ -612,5 +619,42 @@ mod tests {
         assert_eq!(rep.stats.workers, 3);
         assert_eq!(rep.pairs.len(), 4);
         assert!(rep.pairs[3].outcome.is_match(), "reflexive pair matches");
+    }
+
+    #[test]
+    fn the_section_5_miniature_compiles_with_default_options() {
+        // The paper's 12-class VisualAge miniature, after its batch
+        // script, through the whole compile: every pair matches and
+        // every pair gets a wire program. Every class root reaches the
+        // whole inter-related class graph, whose rendering runs to
+        // gigabytes, so no key may be derived from it.
+        use mockingbird_stype::lower::Lowerer;
+        use mockingbird_stype::script::apply_script;
+        let mut pair = mockingbird_corpus::visualage(12, 42);
+        apply_script(&mut pair.java, &pair.script).unwrap();
+        let mut g = MtypeGraph::new();
+        let mut pairs = Vec::new();
+        for name in &pair.class_names {
+            let cxx = Lowerer::new(&pair.cxx, &mut g).lower_named(name).unwrap();
+            let java = Lowerer::new(&pair.java, &mut g).lower_named(name).unwrap();
+            pairs.push((cxx, java));
+        }
+        let report = BatchCompiler::new(Arc::new(g)).compile(&pairs, &BatchOptions::default());
+        assert_eq!(report.stats.matched, 12);
+        let programs = report
+            .pairs
+            .iter()
+            .filter(|p| {
+                matches!(
+                    p.outcome,
+                    PairOutcome::Match {
+                        program: Some(_),
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert_eq!(programs, 12);
+        assert_eq!(report.stats.programs.unsupported, 0);
     }
 }

@@ -47,7 +47,7 @@ pub struct FixtureStubs {
 /// the 64-seed property stream, the two adversarial pairs, the
 /// fitter's invocation and result programs and the identity programs
 /// of the fitter's server op. The corpus is seed-pinned, so the emitted
-/// functions resolve by nominal fingerprint in every binary that
+/// functions resolve by layout fingerprint in every binary that
 /// reconstructs the same fixtures, and the output is byte-identical
 /// from run to run.
 ///

@@ -161,9 +161,10 @@ pub struct Session {
     /// *values*, and fingerprint-equal types may still lay out their
     /// values differently, e.g. comm-reordered records).
     plans: HashMap<(MtypeId, MtypeId, Mode), Arc<CoercionPlan>>,
-    /// Fused wire programs compiled from plans, keyed by *nominal*
-    /// fingerprints (layout-faithful, unlike the canonical fingerprints
-    /// the verdict cache uses) and persisted into project files.
+    /// Fused wire programs compiled from plans, keyed by *layout*
+    /// fingerprints (the strict canonical identity: order- and
+    /// wrapper-faithful, unlike the full-rule canonical fingerprints the
+    /// verdict cache uses) and persisted into project files.
     programs: Arc<ProgramCache>,
 }
 
@@ -223,7 +224,7 @@ impl Session {
     }
 
     /// The session's shared fused-program cache (data-plane programs
-    /// keyed by nominal fingerprints; see [`ProgramCache`]).
+    /// keyed by layout fingerprints; see [`ProgramCache`]).
     pub fn wire_programs(&self) -> &Arc<ProgramCache> {
         &self.programs
     }

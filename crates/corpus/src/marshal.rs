@@ -3,7 +3,7 @@
 //! The X6/X11 marshal experiments, `mbc emit-stubs`, and the three-way
 //! differential property suite must all agree on the *same* type pairs:
 //! native stubs are compiled into binaries ahead of time and resolved by
-//! nominal fingerprint, so every consumer has to reconstruct the exact
+//! layout fingerprint, so every consumer has to reconstruct the exact
 //! corpus the emitter saw. These constructors are that single source of
 //! truth — all deterministic, all seed-pinned.
 
@@ -98,7 +98,7 @@ pub fn deep_list_pair() -> (MtypeGraph, MtypeGraph, MtypeId, MtypeId) {
 /// Java-style `(list) -> (line)` on the left, C-style
 /// `(list) -> (point, point)` on the right. `mbc emit-stubs` compiles
 /// its invocation/result programs into native stubs; `RemoteStub`
-/// resolves them back by nominal fingerprint.
+/// resolves them back by layout fingerprint.
 pub fn fitter_pair(g: &mut MtypeGraph) -> (MtypeId, MtypeId) {
     let r = g.real(RealPrecision::SINGLE);
     let point = g.record(vec![r, r]);

@@ -172,28 +172,103 @@ pub fn list_element_type(graph: &MtypeGraph, ty: MtypeId) -> Option<MtypeId> {
 /// through to the comparer's coinduction). Used as a canonical sort key
 /// for commutative matching and as a fast rejection filter.
 pub fn fingerprint(graph: &MtypeGraph, id: MtypeId) -> u64 {
-    fingerprint_depth(graph, id, FINGERPRINT_DEPTH)
+    FingerprintMemo::default().fingerprint(graph, id)
 }
 
-/// [`fingerprint`] with an explicit unfolding depth.
-pub fn fingerprint_depth(graph: &MtypeGraph, id: MtypeId, depth: u32) -> u64 {
-    let mut memo: HashMap<(MtypeId, u32), u64> = HashMap::new();
-    let mut in_progress: Vec<(MtypeId, u32)> = Vec::new();
-    let mut flats: HashMap<MtypeId, std::rc::Rc<Vec<MtypeId>>> = HashMap::new();
-    fp(graph, id, depth, &mut memo, &mut in_progress, &mut flats)
+/// A [`fingerprint`] memo that outlives one query: the comparer keeps
+/// one per side, so the `(node, depth)` unfoldings of a shared graph are
+/// hashed once per comparer instead of once per queried node.
+///
+/// Every query returns what a fresh [`fingerprint`] returns, in any
+/// query order. Only a same-depth edge (a unary record or a singleton
+/// choice collapsing into its one child) can lead back to an
+/// in-progress `(node, depth)`, and such a node has no other same-depth
+/// edge, so the cycle is a plain ring of collapses: every node on it
+/// hashes to the cycle constant whichever node the walk entered at.
+#[derive(Debug, Default)]
+pub struct FingerprintMemo {
+    memo: HashMap<(MtypeId, u32), u64>,
+    in_progress: Vec<(MtypeId, u32)>,
+    flats: HashMap<MtypeId, std::rc::Rc<Vec<MtypeId>>>,
 }
 
-fn flatten_memo(
-    graph: &MtypeGraph,
-    id: MtypeId,
-    flats: &mut HashMap<MtypeId, std::rc::Rc<Vec<MtypeId>>>,
-) -> std::rc::Rc<Vec<MtypeId>> {
-    if let Some(v) = flats.get(&id) {
-        return v.clone();
+impl FingerprintMemo {
+    /// The [`fingerprint`] of `id`. Every query on one memo must pass
+    /// the same graph.
+    pub fn fingerprint(&mut self, graph: &MtypeGraph, id: MtypeId) -> u64 {
+        self.fp(graph, id, FINGERPRINT_DEPTH)
     }
-    let v = std::rc::Rc::new(flatten_record(graph, id));
-    flats.insert(id, v.clone());
-    v
+
+    fn flatten(&mut self, graph: &MtypeGraph, id: MtypeId) -> std::rc::Rc<Vec<MtypeId>> {
+        self.flats
+            .entry(id)
+            .or_insert_with(|| std::rc::Rc::new(flatten_record(graph, id)))
+            .clone()
+    }
+
+    fn fp(&mut self, graph: &MtypeGraph, id: MtypeId, k: u32) -> u64 {
+        let id = graph.resolve(id);
+        if k == 0 {
+            return DEPTH_CUTOFF_HASH;
+        }
+        if let Some(&h) = self.memo.get(&(id, k)) {
+            return h;
+        }
+        if self.in_progress.contains(&(id, k)) {
+            // Only reachable through same-depth transparent collapses
+            // (non-contractive shapes); hash as an opaque cycle.
+            return CYCLE_HASH;
+        }
+        self.in_progress.push((id, k));
+        let h = match graph.kind(id) {
+            MtypeKind::Integer(r) => mix(
+                mix(1, r.lo as u64 ^ (r.lo >> 64) as u64),
+                r.hi as u64 ^ (r.hi >> 64) as u64,
+            ),
+            MtypeKind::Character(rep) => {
+                let mut h = 2u64;
+                for b in format!("{rep}").bytes() {
+                    h = mix(h, b as u64);
+                }
+                h
+            }
+            MtypeKind::Real(p) => mix(mix(3, p.mantissa_bits as u64), p.exponent_bits as u64),
+            MtypeKind::Unit => 4,
+            MtypeKind::Dynamic => 5,
+            MtypeKind::Record(_) => {
+                // Hash the flattened children as an unordered multiset
+                // (assoc + comm invariance). An empty record hashes like
+                // Unit; a unary record hashes like its child at the same
+                // depth (collapse invariance).
+                let kids = self.flatten(graph, id);
+                match kids.len() {
+                    0 => 4,
+                    1 => self.fp(graph, kids[0], k),
+                    _ => self.multiset(graph, 6, &kids, k - 1),
+                }
+            }
+            MtypeKind::Choice(_) => {
+                let kids = flatten_choice(graph, id);
+                if kids.len() == 1 {
+                    self.fp(graph, kids[0], k)
+                } else {
+                    self.multiset(graph, 7, &kids, k - 1)
+                }
+            }
+            MtypeKind::Port(p) => mix(8, self.fp(graph, *p, k - 1)),
+            MtypeKind::Recursive(_) => unreachable!("resolve() removes binders"),
+        };
+        self.in_progress.pop();
+        self.memo.insert((id, k), h);
+        h
+    }
+
+    /// The order-independent hash of `kids` at depth `k` under `tag`.
+    fn multiset(&mut self, graph: &MtypeGraph, tag: u64, kids: &[MtypeId], k: u32) -> u64 {
+        let mut hashes: Vec<u64> = kids.iter().map(|&c| self.fp(graph, c, k)).collect();
+        hashes.sort_unstable();
+        hashes.into_iter().fold(tag, mix)
+    }
 }
 
 fn mix(h: u64, v: u64) -> u64 {
@@ -203,93 +278,6 @@ fn mix(h: u64, v: u64) -> u64 {
 
 const DEPTH_CUTOFF_HASH: u64 = 0xD3E9_C07F;
 const CYCLE_HASH: u64 = 0xBACC_0ED6;
-
-fn fp(
-    graph: &MtypeGraph,
-    id: MtypeId,
-    k: u32,
-    memo: &mut HashMap<(MtypeId, u32), u64>,
-    in_progress: &mut Vec<(MtypeId, u32)>,
-    flats: &mut HashMap<MtypeId, std::rc::Rc<Vec<MtypeId>>>,
-) -> u64 {
-    let id = graph.resolve(id);
-    if k == 0 {
-        return DEPTH_CUTOFF_HASH;
-    }
-    if let Some(&h) = memo.get(&(id, k)) {
-        return h;
-    }
-    if in_progress.contains(&(id, k)) {
-        // Only reachable through same-depth transparent collapses
-        // (non-contractive shapes); hash as an opaque cycle.
-        return CYCLE_HASH;
-    }
-    in_progress.push((id, k));
-    let h = match graph.kind(id) {
-        MtypeKind::Integer(r) => mix(
-            mix(1, r.lo as u64 ^ (r.lo >> 64) as u64),
-            r.hi as u64 ^ (r.hi >> 64) as u64,
-        ),
-        MtypeKind::Character(rep) => {
-            let mut h = 2u64;
-            for b in format!("{rep}").bytes() {
-                h = mix(h, b as u64);
-            }
-            h
-        }
-        MtypeKind::Real(p) => mix(mix(3, p.mantissa_bits as u64), p.exponent_bits as u64),
-        MtypeKind::Unit => 4,
-        MtypeKind::Dynamic => 5,
-        MtypeKind::Record(_) => {
-            // Hash the flattened children as an unordered multiset
-            // (assoc + comm invariance). An empty record hashes like
-            // Unit; a unary record hashes like its child at the same
-            // depth (collapse invariance).
-            let kids = flatten_memo(graph, id, flats);
-            match kids.len() {
-                0 => 4,
-                1 => fp(graph, kids[0], k, memo, in_progress, flats),
-                _ => {
-                    let mut hashes: Vec<u64> = kids
-                        .iter()
-                        .map(|&c| fp(graph, c, k - 1, memo, in_progress, flats))
-                        .collect();
-                    hashes.sort_unstable();
-                    let mut h = 6u64;
-                    for x in hashes {
-                        h = mix(h, x);
-                    }
-                    h
-                }
-            }
-        }
-        MtypeKind::Choice(_) => {
-            let kids = flatten_choice(graph, id);
-            if kids.len() == 1 {
-                fp(graph, kids[0], k, memo, in_progress, flats)
-            } else {
-                let mut hashes: Vec<u64> = kids
-                    .iter()
-                    .map(|&c| fp(graph, c, k - 1, memo, in_progress, flats))
-                    .collect();
-                hashes.sort_unstable();
-                let mut h = 7u64;
-                for x in hashes {
-                    h = mix(h, x);
-                }
-                h
-            }
-        }
-        MtypeKind::Port(p) => {
-            let inner = fp(graph, *p, k - 1, memo, in_progress, flats);
-            mix(8, inner)
-        }
-        MtypeKind::Recursive(_) => unreachable!("resolve() removes binders"),
-    };
-    in_progress.pop();
-    memo.insert((id, k), h);
-    h
-}
 
 /// Which isomorphism rules a [`canonical_fingerprint_opts`] run is allowed
 /// to normalise away. Mirrors the structural flags of the comparer's
@@ -1101,6 +1089,31 @@ mod tests {
     }
 
     #[test]
+    fn shared_memo_agrees_with_fresh_walks_on_collapse_cycles() {
+        // A non-contractive cycle (a unary record and a singleton choice
+        // collapsing into each other) meets in-progress nodes; a shared
+        // memo must still answer every query as a fresh walk does.
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(8));
+        let r = g.real(RealPrecision::DOUBLE);
+        let a = g.recursive(|g, me| {
+            let c = g.choice(vec![me]);
+            g.record(vec![c])
+        });
+        let pair = g.record(vec![i, a]);
+        let wide = g.record(vec![r, pair, a]);
+        let ids = g.reachable(wide);
+        let fresh: Vec<u64> = ids.iter().map(|&id| fingerprint(&g, id)).collect();
+        for order in [ids.clone(), ids.iter().rev().copied().collect()] {
+            let mut memo = FingerprintMemo::default();
+            for id in order {
+                let k = ids.iter().position(|&x| x == id).unwrap();
+                assert_eq!(memo.fingerprint(&g, id), fresh[k], "node {id:?}");
+            }
+        }
+    }
+
+    #[test]
     fn fingerprint_invariant_under_binder_placement() {
         // Mutually recursive A = Record(Int, B), B = Record(Real, A),
         // built twice with the μ-binder on A first, then on B first.
@@ -1184,7 +1197,7 @@ mod tests {
     }
 
     #[test]
-    fn canonical_fp_sees_past_the_bounded_fingerprint_depth() {
+    fn canonical_fp_sees_past_the_fingerprint_cutoff() {
         // A chain of Ports deeper than FINGERPRINT_DEPTH: the bounded
         // fingerprint truncates and collides, the canonical one must not.
         let build = |g: &mut MtypeGraph, leaf: MtypeId| -> MtypeId {

@@ -6,7 +6,7 @@
 
 use mockingbird_rng::StdRng;
 
-use crate::canon::{fingerprint, flatten_choice, flatten_record};
+use crate::canon::{fingerprint, flatten_choice, flatten_record, FingerprintMemo};
 use crate::graph::{MtypeGraph, MtypeId};
 use crate::kind::{IntRange, MtypeKind, RealPrecision, Repertoire};
 
@@ -192,6 +192,34 @@ fn reachable_is_closed() {
         for &id in &reach {
             for &c in g.kind(id).children() {
                 assert!(reach.contains(&c));
+            }
+        }
+    });
+}
+
+#[test]
+fn shared_fingerprint_memo_matches_fresh_fingerprints_in_any_order() {
+    for_recipes(128, |recipe| {
+        let mut g = MtypeGraph::new();
+        let root = build(&mut g, recipe);
+        let ids = g.reachable(root);
+        let fresh: std::collections::HashMap<MtypeId, u64> =
+            ids.iter().map(|&id| (id, fingerprint(&g, id))).collect();
+        let mut orders = vec![ids.clone(), ids.iter().rev().copied().collect()];
+        let mut rng = StdRng::seed_from_u64(ids.len() as u64);
+        let mut shuffled = ids.clone();
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        orders.push(shuffled);
+        for order in orders {
+            let mut memo = FingerprintMemo::default();
+            for id in order {
+                assert_eq!(
+                    memo.fingerprint(&g, id),
+                    fresh[&id],
+                    "node {id:?} of {recipe:?}"
+                );
             }
         }
     });

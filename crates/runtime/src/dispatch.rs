@@ -7,10 +7,9 @@ use std::sync::RwLock;
 
 use mockingbird_mtype::{MtypeGraph, MtypeId};
 use mockingbird_values::{Endian, MValue};
-use mockingbird_wire::native::{self, ProgramSource};
+use mockingbird_wire::native::{self, Layouts, ProgramSource};
 use mockingbird_wire::{
-    nominal_fingerprint, CdrReader, CdrWriter, Message, MessageKind, NativeStub, ReplyStatus,
-    WireProgram,
+    CdrReader, CdrWriter, Message, MessageKind, NativeStub, ReplyStatus, WireProgram,
 };
 
 use mockingbird_obs::{SpanKind, SpanRecord};
@@ -81,20 +80,19 @@ struct Tiers {
     program: Option<Arc<WireProgram>>,
     /// Emitted stub for `program`, used ahead of its opcode VM.
     native: NativeStub,
-    /// The type's nominal fingerprint, derived while resolving
-    /// `native` (only for a compiled program: rendering the type can
-    /// be costly) and kept for [`interface_fingerprint`].
-    fingerprint: Option<u128>,
+    /// The type's layout fingerprint: its identity key's part, kept for
+    /// [`interface_fingerprint`].
+    fingerprint: u128,
 }
 
 impl Tiers {
-    fn identity(graph: &MtypeGraph, ty: MtypeId) -> Tiers {
+    fn identity(graph: &MtypeGraph, ty: MtypeId, layouts: &mut Layouts<'_>) -> Tiers {
         let program = WireProgram::identity(graph, ty).ok().map(Arc::new);
-        let resolved = native::resolve(program.as_deref(), ProgramSource::Identity(graph, ty));
+        let key = ProgramSource::Identity(graph, ty).key_in(layouts);
         Tiers {
+            native: native::resolve(program.as_deref(), &key),
             program,
-            native: resolved.map_or_else(NativeStub::default, |r| r.stub),
-            fingerprint: resolved.map(|r| r.key.pair.left_fp),
+            fingerprint: key.pair.left_fp,
         }
     }
 }
@@ -107,11 +105,12 @@ impl WireOp {
     /// [`idempotent`]: WireOp::idempotent
     #[must_use]
     pub fn new(graph: Arc<MtypeGraph>, args_ty: MtypeId, result_ty: MtypeId) -> Self {
-        let args = Tiers::identity(&graph, args_ty);
+        let mut layouts = Layouts::new(&graph);
+        let args = Tiers::identity(&graph, args_ty, &mut layouts);
         let result = if result_ty == args_ty {
             args.clone()
         } else {
-            Tiers::identity(&graph, result_ty)
+            Tiers::identity(&graph, result_ty, &mut layouts)
         };
         WireOp {
             graph,
@@ -179,16 +178,6 @@ impl WireOp {
         } else {
             None
         }
-    }
-
-    /// The nominal fingerprints of the argument and result types: kept
-    /// from construction, rendered here only for a type whose identity
-    /// program did not compile.
-    fn fingerprints(&self) -> [u128; 2] {
-        [(&self.args, self.args_ty), (&self.result, self.result_ty)].map(|(t, ty)| {
-            t.fingerprint
-                .unwrap_or_else(|| nominal_fingerprint(&self.graph, ty))
-        })
     }
 
     /// Encodes an argument/result record for the wire.
@@ -264,8 +253,9 @@ impl WireOp {
 
 /// An order-independent fingerprint of an operation table.
 ///
-/// Each operation contributes a digest of its name and the *nominal*
-/// fingerprints of its argument and result Mtypes; the digests combine
+/// Each operation contributes a digest of its name and the *layout*
+/// fingerprints of its argument and result Mtypes (see [`Layouts`]),
+/// computed when the [`WireOp`] was built; the digests combine
 /// with a wrapping sum, so iteration order (and hence `HashMap`
 /// ordering) cannot change the value. Two peers agree on this
 /// fingerprint exactly when their stubs were compiled from the same
@@ -279,7 +269,7 @@ pub fn interface_fingerprint(ops: &HashMap<String, WireOp>) -> u128 {
         for &b in name.as_bytes() {
             h = (h ^ u128::from(b)).wrapping_mul(FNV_PRIME);
         }
-        for word in op.fingerprints() {
+        for word in [op.args.fingerprint, op.result.fingerprint] {
             h = (h ^ word).wrapping_mul(FNV_PRIME);
         }
         acc.wrapping_add(h)

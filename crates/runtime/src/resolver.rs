@@ -21,7 +21,7 @@
 
 use std::net::SocketAddr;
 
-/// The logical identity of a remote object: a name and the nominal
+/// The logical identity of a remote object: a name and the layout
 /// interface fingerprint the caller's stubs were compiled against.
 ///
 /// Two replicas serve "the same object" when they advertise the same
@@ -32,7 +32,7 @@ use std::net::SocketAddr;
 pub struct ObjectName {
     /// Human-readable object name (the mesh advertisement key).
     pub name: String,
-    /// Nominal fingerprint of the operation table
+    /// Layout fingerprint of the operation table
     /// ([`interface_fingerprint`](crate::dispatch::interface_fingerprint)).
     pub interface_fp: u128,
 }

@@ -64,8 +64,8 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 /// [`HandshakeInfo`] as a `Hello` proposal and interprets the peer's
 /// verdict. Returns whether fused wire programs are allowed on this
 /// connection (`false`: the peers' marshal rules disagree, so both
-/// sides fall back to the interpretive path while the nominal types
-/// still line up).
+/// sides fall back to the interpretive path while the layouts still
+/// line up).
 ///
 /// Runs serially on the raw (still-blocking) stream *before* the
 /// reactor adopts it, so no request can cross a connection whose
@@ -145,7 +145,7 @@ pub trait Connection: Send + Sync {
     /// Whether fused wire programs may be used over this connection.
     /// The connect-time handshake clears this when the peers' program
     /// caches disagree (rules fingerprint mismatch), forcing the
-    /// interpretive marshal path while the nominal types still agree.
+    /// interpretive marshal path while the layouts still agree.
     fn fused_allowed(&self) -> bool {
         true
     }
@@ -295,6 +295,23 @@ fn write_frame_restamped(
     })
 }
 
+/// The deadline slot to frame now: the caller's budget less everything
+/// since the caller measured it (a wait for a pool slot, a dial, a
+/// delay injected upstream, a wait for the stream). A budget that is
+/// already spent is refused here without wasting the server's time.
+fn deadline_at_write(msg: &Message) -> Result<Option<WireDeadline>, RuntimeError> {
+    let Some(deadline) = msg.deadline else {
+        return Ok(None);
+    };
+    match deadline.remaining() {
+        Some(left) if left.is_zero() => Err(RuntimeError::DeadlineExpired(
+            "budget spent before the request was written".into(),
+        )),
+        Some(left) => Ok(Some(WireDeadline::new(left, deadline.sheddable))),
+        None => Ok(None),
+    }
+}
+
 /// A serial TCP client connection: one in-flight request at a time, the
 /// stream lock held across the whole exchange (the GIOP request id
 /// correlates replies).
@@ -371,29 +388,8 @@ impl Connection for TcpConnection {
         msg: &Message,
         options: &CallOptions,
     ) -> Result<Option<Message>, RuntimeError> {
-        let queued_at = Instant::now();
         let mut stream = self.stream.plock();
-        // Time spent waiting for the shared stream (another caller's
-        // exchange, an injected delay upstream) already came out of the
-        // caller's budget; re-stamp the deadline slot at the actual
-        // send instant so the server's view of the remaining time never
-        // drifts past the caller's. A budget that died in the wait is
-        // refused here without wasting the server's time at all.
-        let restamp = match msg.deadline.and_then(|d| d.budget()) {
-            Some(budget) => {
-                let remaining = budget.saturating_sub(queued_at.elapsed());
-                if remaining.is_zero() {
-                    return Err(RuntimeError::DeadlineExpired(
-                        "budget spent waiting for the connection".into(),
-                    ));
-                }
-                Some(WireDeadline::new(
-                    remaining,
-                    msg.deadline.is_some_and(|d| d.sheddable),
-                ))
-            }
-            None => None,
-        };
+        let restamp = deadline_at_write(msg)?;
         write_frame_restamped(&mut stream, msg, restamp, &self.metrics)?;
         let MessageKind::Request {
             request_id: caller_id,
@@ -613,8 +609,9 @@ impl Connection for MultiplexedConnection {
 
         // Frame under a connection-unique id: several RemoteRefs (each
         // with its own id counter) may share this socket.
+        let restamp = deadline_at_write(msg)?;
         let wire_id = self.ids.next();
-        let frame = msg.to_bytes_with_id(wire_id);
+        let frame = msg.to_bytes_with_id(wire_id, restamp);
 
         // Register the waiter *before* the frame is written: if the
         // connection dies at any point after this, fail_all resolves
@@ -1728,10 +1725,8 @@ mod tests {
         .unwrap();
 
         // One raw frame whose propagated budget is already spent.
-        let req = echo_request(&graph, rec, b"echo", 5, 1).with_deadline(WireDeadline {
-            budget_us: Some(0),
-            sheddable: false,
-        });
+        let req = echo_request(&graph, rec, b"echo", 5, 1)
+            .with_deadline(WireDeadline::new(Duration::ZERO, false));
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(&req.to_bytes()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);

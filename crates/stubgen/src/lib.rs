@@ -19,7 +19,7 @@
 //!   and Rust adapters, each derived from the same coercion plan;
 //! - [`native`] — the second Futamura projection: cached wire programs
 //!   specialised into straight-line native Rust marshal stubs,
-//!   registered by nominal fingerprint and resolved ahead of the opcode
+//!   registered by layout fingerprint and resolved ahead of the opcode
 //!   VM at call time.
 //!
 //! The executable stubs are the behavioural ground truth; the emitters

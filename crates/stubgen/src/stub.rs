@@ -289,7 +289,7 @@ pub struct RemoteStub {
     /// Fused unmarshal: right-side reply bytes → left output record.
     result_program: Option<Arc<WireProgram>>,
     /// Emitted native marshal stub (the second Futamura projection):
-    /// resolved from the global registry by nominal fingerprint at
+    /// resolved from the global registry by layout fingerprint at
     /// construction, used ahead of `args_program`'s opcode VM.
     native_args: Option<NativeEncodeInvocationFn>,
     /// Emitted native unmarshal stub, ahead of `result_program`.
@@ -320,11 +320,9 @@ impl RemoteStub {
         }
         // Native tier: an emitted stub may stand in for each direction's
         // opcode program (the resolver gates it on that program).
-        let (args_source, result_source) = crate::native::native_sources(&inner);
-        let native_args = native::resolve(args_program.as_deref(), args_source)
-            .and_then(|r| r.stub.encode_invocation);
-        let native_result =
-            native::resolve(result_program.as_deref(), result_source).and_then(|r| r.stub.decode);
+        let (args_key, result_key) = crate::native::native_keys_for(&inner);
+        let native_args = native::resolve(args_program.as_deref(), &args_key).encode_invocation;
+        let native_result = native::resolve(result_program.as_deref(), &result_key).decode;
         RemoteStub {
             inner,
             remote,

@@ -8,6 +8,7 @@
 use std::fmt;
 use std::io::{self, IoSlice, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::time::{Duration, Instant};
 
 use mockingbird_obs::TraceContext;
 use mockingbird_values::Endian;
@@ -86,7 +87,12 @@ const DEADLINE_NONE: u64 = u64::MAX;
 /// remains for this attempt, plus the call's criticality tier. Servers
 /// use the budget to refuse doomed work (admission, dequeue, and
 /// pre-dispatch checks) and the tier to shed brownout traffic first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// The slot also remembers, off the wire, when its budget was measured
+/// (built by the sender, decoded by the receiver), so a transport can
+/// frame what is left at the moment it writes. Equality compares only
+/// what is framed.
+#[derive(Debug, Clone, Copy)]
 pub struct WireDeadline {
     /// Remaining budget in microseconds; `None` when the call has no
     /// deadline but still carries a criticality flag.
@@ -94,32 +100,52 @@ pub struct WireDeadline {
     /// Whether the caller marked this request sheddable (cut first
     /// under brownout, before critical traffic).
     pub sheddable: bool,
+    /// When `budget_us` was measured.
+    measured_at: Instant,
 }
+
+impl PartialEq for WireDeadline {
+    fn eq(&self, other: &Self) -> bool {
+        (self.budget_us, self.sheddable) == (other.budget_us, other.sheddable)
+    }
+}
+
+impl Eq for WireDeadline {}
 
 impl WireDeadline {
     /// A slot for `budget` of remaining time (saturating to µs).
     #[must_use]
-    pub fn new(budget: std::time::Duration, sheddable: bool) -> Self {
+    pub fn new(budget: Duration, sheddable: bool) -> Self {
         let us = u64::try_from(budget.as_micros()).unwrap_or(u64::MAX - 1);
-        WireDeadline {
-            budget_us: Some(us.min(u64::MAX - 1)),
-            sheddable,
-        }
+        WireDeadline::measured(Some(us.min(u64::MAX - 1)), sheddable)
     }
 
     /// A slot carrying only the criticality flag (no deadline).
     #[must_use]
     pub fn sheddable_only() -> Self {
+        WireDeadline::measured(None, true)
+    }
+
+    fn measured(budget_us: Option<u64>, sheddable: bool) -> Self {
         WireDeadline {
-            budget_us: None,
-            sheddable: true,
+            budget_us,
+            sheddable,
+            measured_at: Instant::now(),
         }
     }
 
-    /// The remaining budget as a `Duration`, if one was propagated.
+    /// The budget as it was measured, if one was propagated.
     #[must_use]
-    pub fn budget(&self) -> Option<std::time::Duration> {
-        self.budget_us.map(std::time::Duration::from_micros)
+    pub fn budget(&self) -> Option<Duration> {
+        self.budget_us.map(Duration::from_micros)
+    }
+
+    /// The budget left now: [`budget`](Self::budget) less the time
+    /// since it was measured.
+    #[must_use]
+    pub fn remaining(&self) -> Option<Duration> {
+        self.budget()
+            .map(|b| b.saturating_sub(self.measured_at.elapsed()))
     }
 }
 
@@ -130,15 +156,15 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// What a peer asserts about itself at connect time: the two sides of a
 /// Mockingbird boundary were compiled from *independent* declarations,
 /// so before any request flows each side states which contract it was
-/// compiled against. The interface fingerprint is the nominal (layout-
-/// faithful) fingerprint of the operation table; the rules fingerprint
+/// compiled against. The interface fingerprint is the layout fingerprint
+/// of the operation table (see [`Layouts`](crate::Layouts)); the rules fingerprint
 /// identifies the comparer rule set the fused wire programs were
 /// compiled under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandshakeInfo {
     /// Supervision protocol revision ([`PROTOCOL_VERSION`]).
     pub protocol: u32,
-    /// Nominal fingerprint of the interface (operation names and wire
+    /// Layout fingerprint of the interface (operation names and wire
     /// types). Mismatch means the peers were compiled against different
     /// declarations: requests would decode as garbage, so the connection
     /// is rejected.
@@ -547,23 +573,25 @@ impl Message {
     /// Serialises into a caller-owned (pooled) buffer: the exact frame
     /// size is reserved once, so a warmed buffer never reallocates.
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
-        self.frame_into(out, None);
+        self.frame_into(out, None, None);
     }
 
-    /// Serialises the message as if its request id were `id`, in one
-    /// pass and without copying the message: the frame a multiplexing
+    /// Serialises the message as if its request id were `id` and, when
+    /// `restamp` is given, its deadline slot held `restamp` (see
+    /// [`write_to_restamped`](Self::write_to_restamped)), in one pass
+    /// and without copying the message: the frame a multiplexing
     /// transport sends after renumbering a caller's request. Kinds
-    /// without a request id (`Hello`) serialise unchanged.
+    /// without a request id (`Hello`) keep their own.
     #[must_use]
-    pub fn to_bytes_with_id(&self, id: u32) -> Vec<u8> {
+    pub fn to_bytes_with_id(&self, id: u32, restamp: Option<WireDeadline>) -> Vec<u8> {
         let mut out = Vec::new();
-        self.frame_into(&mut out, Some(id));
+        self.frame_into(&mut out, Some(id), restamp);
         out
     }
 
-    fn frame_into(&self, out: &mut Vec<u8>, id: Option<u32>) {
+    fn frame_into(&self, out: &mut Vec<u8>, id: Option<u32>, restamp: Option<WireDeadline>) {
         let total = 12 + self.header_len().div_ceil(8) * 8 + self.body.len();
-        self.head_into(out, total, None, id);
+        self.head_into(out, total, restamp, id);
         out.extend_from_slice(&self.body);
         debug_assert_eq!(out.len(), total);
     }
@@ -593,11 +621,10 @@ impl Message {
 
     /// Like [`write_to`](Self::write_to), but replaces the deadline
     /// slot's value with `restamp` as it encodes (ignored when the
-    /// message frames no deadline slot). Transports use this to deduct
-    /// the time a request spent waiting for a shared connection from
-    /// the propagated budget: the slot is stamped at the *actual* send
-    /// instant, so the server's view of the remaining time never drifts
-    /// past the caller's.
+    /// message frames no deadline slot). Transports use this to frame
+    /// the budget left at the *actual* send instant (see
+    /// [`WireDeadline::remaining`]), so the server's view of the
+    /// remaining time never drifts past the caller's.
     ///
     /// # Errors
     ///
@@ -703,10 +730,10 @@ impl Message {
                             let lo = r.get_u32().map_err(wrap)?;
                             let flags = r.get_u32().map_err(wrap)?;
                             let budget = (u64::from(hi) << 32) | u64::from(lo);
-                            deadline = Some(WireDeadline {
-                                budget_us: (budget != DEADLINE_NONE).then_some(budget),
-                                sheddable: flags & DEADLINE_FLAG_SHEDDABLE != 0,
-                            });
+                            deadline = Some(WireDeadline::measured(
+                                (budget != DEADLINE_NONE).then_some(budget),
+                                flags & DEADLINE_FLAG_SHEDDABLE != 0,
+                            ));
                         }
                         other => {
                             return Err(GiopError(format!(
@@ -979,7 +1006,6 @@ mod tests {
 
     #[test]
     fn renumbered_frames_match_a_renumbered_copy() {
-        use std::time::Duration;
         let trace = TraceContext {
             trace_id: 0x0011_2233_4455_6677_8899_AABB_CCDD_EEFF,
             span_id: 0x1234_5678_9ABC_DEF0,
@@ -1007,7 +1033,7 @@ mod tests {
                     let mut renumbered = m.clone();
                     renumbered.set_request_id(id);
                     assert_eq!(
-                        m.to_bytes_with_id(id),
+                        m.to_bytes_with_id(id, None),
                         renumbered.to_bytes(),
                         "{m:?} as {id}"
                     );
@@ -1020,7 +1046,7 @@ mod tests {
             HandshakeVerdict::Propose,
             Endian::Big,
         );
-        assert_eq!(hello.to_bytes_with_id(5), hello.to_bytes());
+        assert_eq!(hello.to_bytes_with_id(5, None), hello.to_bytes());
     }
 
     #[test]
@@ -1058,7 +1084,6 @@ mod tests {
 
     #[test]
     fn deadline_slot_round_trips_both_endians() {
-        use std::time::Duration;
         for endian in [Endian::Little, Endian::Big] {
             for sheddable in [true, false] {
                 let d = WireDeadline::new(Duration::from_micros(123_456), sheddable);
@@ -1079,7 +1104,6 @@ mod tests {
 
     #[test]
     fn trace_and_deadline_slots_coexist() {
-        use std::time::Duration;
         let t = TraceContext {
             trace_id: 0xAABB,
             span_id: 0xCCDD,

@@ -49,10 +49,9 @@ pub use giop::{
 };
 pub use mockingbird_obs::TraceContext;
 pub use native::{
-    NativeDecodeFn, NativeEncodeFn, NativeEncodeInvocationFn, NativeKey, NativeProgramKind,
-    NativeStub, NativeStubRegistry, ProgramSource,
+    Layouts, NativeDecodeFn, NativeEncodeFn, NativeEncodeInvocationFn, NativeKey,
+    NativeProgramKind, NativeStub, NativeStubRegistry, ProgramSource,
 };
 pub use program::{
-    nominal_fingerprint, FallbackKind, ProgramCache, ProgramCodecError, ProgramStats, Unsupported,
-    WireProgram,
+    FallbackKind, ProgramCache, ProgramCodecError, ProgramStats, Unsupported, WireProgram,
 };

@@ -4,8 +4,9 @@
 //! cached wire program into straight-line Rust source (no opcode
 //! fetch/decode loop, no path navigation, constant-width primitive
 //! copies). The generated functions are registered here under the same
-//! nominal fingerprints the [`ProgramCache`](crate::ProgramCache) uses,
-//! and [`resolve`] finds them again for both halves of a call: the
+//! layout keys the [`ProgramCache`](crate::ProgramCache) uses, all
+//! derived by [`ProgramSource::key`], and [`resolve`] finds them again
+//! for both halves of a call: the
 //! client's `RemoteStub` (value and invocation programs of a matched
 //! pair) and the server's `WireOp` (identity programs, under their own
 //! [`NativeProgramKind::Identity`] key). Each direction then runs
@@ -21,11 +22,12 @@ use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 
 use mockingbird_comparer::{CacheKey, Mode};
+use mockingbird_mtype::canon::{CanonOpts, Canonizer};
 use mockingbird_mtype::{MtypeGraph, MtypeId};
 use mockingbird_values::{Endian, MValue, PortRef};
 
 use crate::cdr::{CdrError, CdrReader, CdrWriter};
-use crate::program::{nominal_fingerprint, WireProgram};
+use crate::program::WireProgram;
 use crate::MAX_NESTING_DEPTH;
 
 /// Which program shape a native function was emitted for. Value
@@ -45,11 +47,11 @@ pub enum NativeProgramKind {
     Identity,
 }
 
-/// Registry key: the program cache's nominal `(left_fp, right_fp,
-/// mode, rules_fp)` key plus the program kind.
+/// Registry key: the program cache's `(left_fp, right_fp, mode,
+/// rules_fp)` layout key plus the program kind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NativeKey {
-    /// The nominal pair key (same derivation as the opcode cache).
+    /// The layout pair key (same derivation as the opcode cache).
     pub pair: CacheKey,
     /// Value, invocation or identity shape.
     pub kind: NativeProgramKind,
@@ -105,7 +107,7 @@ pub const fn invocation_key(
     }
 }
 
-/// Builds an identity-program registry key from the type's nominal
+/// Builds an identity-program registry key from the type's layout
 /// fingerprint. An identity program follows no comparer verdict, so
 /// the key carries the equivalence mode and a rules fingerprint of 0.
 #[must_use]
@@ -146,13 +148,33 @@ pub enum ProgramSource<'a> {
 }
 
 impl ProgramSource<'_> {
-    /// The key the program's emitted stub registers under. Both the
-    /// emitter and [`resolve`] derive keys here; fingerprints are
-    /// structural, so a stub emitted in one process from one graph
-    /// resolves in another from a different graph instance. Rendering
-    /// the types is the cost of [`nominal_fingerprint`].
+    /// The key the program's emitted stub, its [`ProgramCache`] entry
+    /// and its artifact-store record live under: the one derivation of
+    /// layout keys. A type's part of the key is its strict canonical
+    /// identity (see [`Layouts`]), so a stub emitted in one process from
+    /// one graph resolves in another from a different graph instance.
+    ///
+    /// [`ProgramCache`]: crate::ProgramCache
     #[must_use]
     pub fn key(&self) -> NativeKey {
+        let graph = match *self {
+            ProgramSource::Pair { left: (g, _), .. } | ProgramSource::Identity(g, _) => g,
+        };
+        self.key_in(&mut Layouts::new(graph))
+    }
+
+    /// [`ProgramSource::key`] through a caller's engine, so keying many
+    /// programs of one graph hashes each shared type once. A side on
+    /// another graph than `layouts`' gets an engine of its own.
+    #[must_use]
+    pub fn key_in(&self, layouts: &mut Layouts<'_>) -> NativeKey {
+        let mut fp = |g: &MtypeGraph, ty: MtypeId| {
+            if std::ptr::eq(g, layouts.graph) {
+                layouts.fingerprint(ty)
+            } else {
+                Layouts::new(g).fingerprint(ty)
+            }
+        };
         match *self {
             ProgramSource::Pair {
                 left: (lg, l),
@@ -162,8 +184,8 @@ impl ProgramSource<'_> {
                 reply_child,
             } => NativeKey {
                 pair: CacheKey {
-                    left_fp: nominal_fingerprint(lg, l),
-                    right_fp: nominal_fingerprint(rg, r),
+                    left_fp: fp(lg, l),
+                    right_fp: fp(rg, r),
                     mode,
                     rules_fp,
                 },
@@ -172,40 +194,58 @@ impl ProgramSource<'_> {
                     None => NativeProgramKind::Value,
                 },
             },
-            ProgramSource::Identity(g, ty) => identity_key(nominal_fingerprint(g, ty)),
+            ProgramSource::Identity(g, ty) => identity_key(fp(g, ty)),
         }
     }
 }
 
-/// A compiled program's native tier: the key it resolves under and the
-/// entry points registered there (all `None` when no stub is).
-#[derive(Debug, Clone, Copy)]
-pub struct Resolved {
-    /// The program's registry key.
-    pub key: NativeKey,
-    /// The emitted entry points the program may use.
-    pub stub: NativeStub,
+/// The layout fingerprints of one graph's types: each type's strict
+/// canonical identity ([`CanonOpts::strict`]). It keeps child order,
+/// unit children and unary wrappers, so it separates every layout a
+/// wire program bakes in, and it sees through μ-binders, so two graphs
+/// that place a binder differently key the same program. The engine
+/// hashes each strongly connected component once and memoises, so
+/// keying many types of one graph shares all common structure.
+pub struct Layouts<'g> {
+    graph: &'g MtypeGraph,
+    engine: Canonizer<'g>,
 }
 
-/// Resolves the emitted stub that stands in for `program`, from the
-/// global registry: the one resolver `RemoteStub` and `WireOp` share.
+impl<'g> Layouts<'g> {
+    /// A fresh engine over `graph`.
+    #[must_use]
+    pub fn new(graph: &'g MtypeGraph) -> Self {
+        Layouts {
+            graph,
+            engine: Canonizer::new(graph, CanonOpts::strict()),
+        }
+    }
+
+    /// The layout fingerprint of `ty`.
+    pub fn fingerprint(&mut self, ty: MtypeId) -> u128 {
+        self.engine.fingerprint(ty)
+    }
+}
+
+/// Resolves the emitted stub that stands in for `program`, registered
+/// under `key`, from the global registry: the one resolver `RemoteStub`
+/// and `WireOp` share.
 ///
-/// `None` when the program did not compile. A stub is emitted *from*
+/// No entry points when `program` is `None`: a stub is emitted *from*
 /// its program, so a pair or type the compiler declines stays on the
-/// interpreter even if a stale stub sits under its fingerprint, and
-/// its key is never derived. A one-way program's decode entry point is
-/// dropped, so decode runs native only where the VM could decode too.
+/// interpreter even if a stale stub sits under its key. A one-way
+/// program's decode entry point is dropped, so decode runs native only
+/// where the VM could decode too.
 #[must_use]
-pub fn resolve(program: Option<&WireProgram>, source: ProgramSource<'_>) -> Option<Resolved> {
-    let program = program?;
-    let key = source.key();
-    let mut stub = NativeStubRegistry::global()
-        .lookup(&key)
-        .unwrap_or_default();
+pub fn resolve(program: Option<&WireProgram>, key: &NativeKey) -> NativeStub {
+    let Some(program) = program else {
+        return NativeStub::default();
+    };
+    let mut stub = NativeStubRegistry::global().lookup(key).unwrap_or_default();
     if !program.two_way() {
         stub.decode = None;
     }
-    Some(Resolved { key, stub })
+    stub
 }
 
 /// An emitted-stub node function for the encode direction (internal
@@ -237,7 +277,7 @@ pub struct NativeStub {
     pub decode: Option<NativeDecodeFn>,
 }
 
-/// A process-wide table of emitted stubs, keyed by nominal fingerprint.
+/// A process-wide table of emitted stubs, keyed by [`NativeKey`].
 /// Generated modules register themselves once at startup; encoders
 /// probe it per call (one read-lock + hash lookup) before falling back
 /// to the opcode VM.
@@ -737,7 +777,7 @@ mod tests {
         let mut g = MtypeGraph::new();
         let i = g.integer(IntRange::signed_bits(32));
         let rec = g.record(vec![i]);
-        let fp = nominal_fingerprint(&g, rec);
+        let fp = Layouts::new(&g).fingerprint(rec);
         let key = ProgramSource::Identity(&g, rec).key();
         assert_eq!(key, identity_key(fp));
         // The `T ≡ T` value program of the same type is a different
@@ -751,6 +791,100 @@ mod tests {
         };
         assert_eq!(pair.key(), value_key(fp, fp, true, 0));
         assert_ne!(pair.key(), key);
+    }
+
+    fn value_key_of(g: &MtypeGraph, ty: MtypeId) -> NativeKey {
+        ProgramSource::Pair {
+            left: (g, ty),
+            right: (g, ty),
+            mode: Mode::Equivalence,
+            rules_fp: 0,
+            reply_child: None,
+        }
+        .key()
+    }
+
+    #[test]
+    fn layout_keys_separate_every_record_layout() {
+        use mockingbird_mtype::{IntRange, RealPrecision};
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(32));
+        let r = g.real(RealPrecision::DOUBLE);
+        let u = g.unit();
+        let just_r = g.record(vec![r]);
+        let i_r = g.record(vec![i, r]);
+        let layouts = [
+            i_r,
+            g.record(vec![r, i]),
+            g.record(vec![i, just_r]),
+            g.record(vec![i, r, u]),
+            g.record(vec![i_r]),
+        ];
+        let keys: std::collections::HashSet<NativeKey> =
+            layouts.iter().map(|&ty| value_key_of(&g, ty)).collect();
+        assert_eq!(keys.len(), layouts.len(), "{keys:?}");
+    }
+
+    /// A forest: `L` the list of `A` and `A = Record(Int, L)`, with
+    /// μ-binders on both (`binder_on_a`) or on `L` only; returns `L`.
+    fn mutual_pair(g: &mut MtypeGraph, binder_on_a: bool) -> MtypeId {
+        use mockingbird_mtype::IntRange;
+        let i = g.integer(IntRange::signed_bits(32));
+        if binder_on_a {
+            let mut forest = None;
+            g.recursive(|g, a| {
+                let l = g.list_of(a);
+                forest = Some(l);
+                g.record(vec![i, l])
+            });
+            return forest.expect("the binder body ran");
+        }
+        let u = g.unit();
+        g.recursive(|g, l| {
+            let tree = g.record(vec![i, l]);
+            let cell = g.record(vec![tree, l]);
+            g.choice(vec![u, cell])
+        })
+    }
+
+    #[test]
+    fn binder_placement_shares_one_key_and_one_encoding() {
+        let mut g = MtypeGraph::new();
+        let mut h = MtypeGraph::new();
+        let on_a = mutual_pair(&mut g, true);
+        let on_l = mutual_pair(&mut h, false);
+        assert_ne!(g.display(on_a).to_string(), h.display(on_l).to_string());
+        assert_eq!(value_key_of(&g, on_a), value_key_of(&h, on_l));
+        assert_eq!(
+            ProgramSource::Identity(&g, on_a).key(),
+            ProgramSource::Identity(&h, on_l).key()
+        );
+
+        // The program compiled from one placement encodes the other's
+        // values exactly as the interpreter does, and decodes them back.
+        let program = WireProgram::identity(&g, on_a).expect("identity program");
+        let tree =
+            |n: i128, kids: Vec<MValue>| MValue::Record(vec![MValue::Int(n), MValue::List(kids)]);
+        let leaf = tree(-1, Vec::new());
+        let value = MValue::List(vec![
+            tree(2, vec![leaf.clone(), tree(3, vec![leaf.clone()])]),
+            leaf,
+        ]);
+        for endian in [Endian::Little, Endian::Big] {
+            let mut interp = CdrWriter::new(endian);
+            interp
+                .put_value(&h, on_l, &value)
+                .expect("interpreter encodes");
+            let mut fused = CdrWriter::new(endian);
+            program
+                .encode_value(&mut fused, &value)
+                .expect("program encodes");
+            let bytes = interp.into_bytes();
+            assert_eq!(fused.into_bytes(), bytes);
+            let mut r = CdrReader::new(&bytes, endian);
+            assert_eq!(program.decode_value(&mut r).expect("decodes"), value);
+            assert_eq!(r.remaining(), 0);
+        }
     }
 
     #[test]

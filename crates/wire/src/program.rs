@@ -2187,22 +2187,6 @@ impl WireProgram {
 // Content-addressed program cache + persistence
 // ---------------------------------------------------------------------
 
-/// A *nominal* fingerprint of the Mtype rooted at `id`: an FNV-128 hash
-/// of the deterministic nominal rendering. Unlike the canonizer's
-/// equivalence-class fingerprints (which are invariant under record
-/// reordering and regrouping), this distinguishes layouts: a wire
-/// program bakes nominal field paths and permutations in, so two types
-/// that are merely *equivalent* must not share a cache slot.
-#[must_use]
-pub fn nominal_fingerprint(graph: &MtypeGraph, id: MtypeId) -> u128 {
-    let mut h: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    for b in graph.display(graph.resolve(id)).to_string().bytes() {
-        h ^= b as u128;
-        h = h.wrapping_mul(0x0000_0000_0100_0000_0000_0000_0000_013b);
-    }
-    h
-}
-
 /// Program-cache counters (relaxed; reporting only).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramStats {

@@ -170,7 +170,7 @@ fn version_skew_is_rejected_at_connect_time() {
     .unwrap();
 
     // A client compiled against a *different* interface: one extra op
-    // changes the nominal fingerprint, and the handshake refuses it.
+    // changes the interface fingerprint, and the handshake refuses it.
     let mut skewed = ops.clone();
     skewed.insert("evict".to_string(), ops["echo"].clone());
     let skewed_info = HandshakeInfo::new(interface_fingerprint(&skewed), 7);

@@ -245,6 +245,74 @@ fn stalled_server_deadline_is_an_end_to_end_budget() {
     stall.join().unwrap();
 }
 
+/// Sleeps, then forwards the call unchanged: time a request spends
+/// upstream of the transport (a pool acquire, a dial, an injected delay).
+struct Delayed<C> {
+    inner: C,
+    delay: Duration,
+}
+
+impl<C: Connection> Connection for Delayed<C> {
+    fn call(&self, msg: &Message) -> Result<Option<Message>, RuntimeError> {
+        self.call_with(msg, &CallOptions::default())
+    }
+
+    fn call_with(
+        &self,
+        msg: &Message,
+        options: &CallOptions,
+    ) -> Result<Option<Message>, RuntimeError> {
+        std::thread::sleep(self.delay);
+        self.inner.call_with(msg, options)
+    }
+}
+
+#[test]
+fn a_budget_spent_before_the_transport_never_reaches_the_server() {
+    for multiplexed in [false, true] {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let (d, op) = {
+            let ran = ran.clone();
+            let (_, op) = adder();
+            let servant: Arc<dyn Servant> = Arc::new(move |_: &str, v: MValue| {
+                ran.fetch_add(1, Ordering::SeqCst);
+                Ok(v)
+            });
+            let mut ops = HashMap::new();
+            ops.insert("echo".to_string(), op.clone());
+            let d = Arc::new(Dispatcher::new());
+            d.register(b"obj".to_vec(), WireServant::new(servant, ops));
+            (d, op)
+        };
+        let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
+        let delay = Duration::from_millis(40);
+        let conn: Arc<dyn Connection> = if multiplexed {
+            let inner = MultiplexedConnection::connect(server.addr()).unwrap();
+            Arc::new(Delayed { inner, delay })
+        } else {
+            let inner = TcpConnection::connect(server.addr()).unwrap();
+            Arc::new(Delayed { inner, delay })
+        };
+        let mut ops = HashMap::new();
+        ops.insert("echo".to_string(), op);
+        let remote = RemoteRef::new(conn, b"obj".to_vec(), ops, Endian::Little)
+            .with_options(CallOptions::new().with_deadline(Duration::from_millis(30)));
+        let err = remote
+            .invoke("echo", &MValue::Record(vec![MValue::Int(1)]))
+            .unwrap_err();
+        assert!(
+            matches!(err, RuntimeError::DeadlineExpired(_)),
+            "multiplexed={multiplexed}: {err}"
+        );
+        server.shutdown();
+        assert_eq!(
+            ran.load(Ordering::SeqCst),
+            0,
+            "multiplexed={multiplexed}: the servant ran after its caller's deadline"
+        );
+    }
+}
+
 #[test]
 fn multi_client_stress_correlates_replies_over_one_pool() {
     let (d, op) = adder();

@@ -22,7 +22,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mockingbird::comparer::{CacheKey, Comparer, Mode, RuleSet};
+use mockingbird::comparer::{Comparer, Mode, RuleSet};
 use mockingbird::corpus::{
     choice_heavy_pair, deep_list_pair, fitter_pair, property_pair, sample_value,
 };
@@ -34,8 +34,8 @@ use mockingbird::runtime::{
 use mockingbird::stubgen::{FunctionStub, RemoteStub};
 use mockingbird::values::{Endian, MValue};
 use mockingbird::wire::{
-    native, nominal_fingerprint, CdrError, CdrReader, CdrWriter, NativeKey, NativeProgramKind,
-    NativeStub, NativeStubRegistry, WireProgram, MAX_ZERO_WIDTH_SEQUENCE,
+    native, CdrError, CdrReader, CdrWriter, NativeStub, NativeStubRegistry, ProgramSource,
+    WireProgram, MAX_ZERO_WIDTH_SEQUENCE,
 };
 use mockingbird_bench::{fitter_session, point_list, register_native_stubs};
 
@@ -83,15 +83,14 @@ const CASES: u64 = 64;
 
 /// The emitted stub registered for a two-graph value pair, if any.
 fn native_for(g: &MtypeGraph, h: &MtypeGraph, ty: MtypeId, var: MtypeId) -> Option<NativeStub> {
-    let key = NativeKey {
-        pair: CacheKey {
-            left_fp: nominal_fingerprint(g, ty),
-            right_fp: nominal_fingerprint(h, var),
-            mode: Mode::Equivalence,
-            rules_fp: RuleSet::full().fingerprint(),
-        },
-        kind: NativeProgramKind::Value,
-    };
+    let key = ProgramSource::Pair {
+        left: (g, ty),
+        right: (h, var),
+        mode: Mode::Equivalence,
+        rules_fp: RuleSet::full().fingerprint(),
+        reply_child: None,
+    }
+    .key();
     NativeStubRegistry::global().lookup(&key)
 }
 
@@ -581,10 +580,7 @@ fn wire_ops_without_an_emitted_stub_stay_on_the_vm_or_interpreter() {
         encode_invocation: None,
         decode: Some(stale_decode),
     };
-    NativeStubRegistry::global().register(
-        native::identity_key(nominal_fingerprint(&g, declined)),
-        stale,
-    );
+    NativeStubRegistry::global().register(ProgramSource::Identity(&g, declined).key(), stale);
     let graph = Arc::new(g);
 
     let op = WireOp::new(Arc::clone(&graph), unstubbed, unstubbed);
@@ -603,7 +599,7 @@ fn wire_ops_without_an_emitted_stub_stay_on_the_vm_or_interpreter() {
 }
 
 /// End to end: a `RemoteStub` built in this process resolves the
-/// emitted fitter stubs by nominal fingerprint alone, reports the
+/// emitted fitter stubs by layout fingerprint alone, reports the
 /// native dispatch tier, runs a call through them, and attributes the
 /// call in the runtime metrics.
 #[test]

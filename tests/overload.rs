@@ -42,9 +42,9 @@ const FAULT_RATE: f64 = 0.20;
 
 /// Tolerance when checking that the server never *executed* expired
 /// work: the propagated budget is restarted from the server's receive
-/// instant, so loopback transit plus a chaos `Delay` (≤ 2 ms) can
-/// legitimately push execution slightly past the client's absolute
-/// deadline.
+/// instant, so loopback transit can legitimately push execution
+/// slightly past the client's absolute deadline. (A chaos `Delay`
+/// upstream of the transport is deducted before the write.)
 const TRANSIT_SLACK: Duration = Duration::from_millis(10);
 
 /// Each load phase runs warmup (limiter convergence, queue fill) then
