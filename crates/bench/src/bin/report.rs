@@ -2,12 +2,10 @@
 //! DESIGN.md §4 with live measurements and prints them as the tables
 //! recorded in EXPERIMENTS.md.
 //!
-//! Usage: `report [t1|f5|f4|e1|e2|e3|x1|x2|x3|x4|x5|x6|x7|x8|x9|x10|x11|x12|x13]...`
+//! Usage: `report [t1|f5|f4|e1|e2|e3|x1|x2|x3|x4|x5|x7|x8|x9|x10|x11|x12|x13]...`
 //! (no args = everything; an unknown name exits non-zero). `x5`
 //! additionally writes `BENCH_compile.json` with the measured cache hit
-//! rate and warm-vs-cold speedup; `x6`
-//! writes `BENCH_marshal.json` with the fused-vs-interpretive
-//! marshalling speedup over a 200-class corpus; `x7` writes
+//! rate and warm-vs-cold speedup; `x7` writes
 //! `BENCH_resilience.json` with success rates and p99 latency under
 //! injected faults, with and without the breaker+hedging supervision
 //! stack; `x8` writes `BENCH_observability.json` with the tracing-on vs
@@ -18,8 +16,10 @@
 //! `x10` writes `BENCH_mesh.json` with failover latency when a replica
 //! is killed mid-load behind the mesh naming layer, plus gossip
 //! convergence rounds; `x11` writes `BENCH_native.json` with the
-//! three-way marshal comparison (interpreter vs opcode VM vs emitted
-//! native stubs — the second Futamura projection); `x12` writes
+//! 200-class corpus' program coverage (matches, compiled programs,
+//! interpretive fallbacks by reason) and the three-way marshal
+//! comparison (interpreter vs opcode VM vs emitted native stubs — the
+//! second Futamura projection); `x12` writes
 //! `BENCH_overload.json` with goodput and tail latency at 1×/2×/4×
 //! offered load under the adaptive overload-control stack, plus the
 //! kill-and-recover time when a replica dies mid-load; `x13` writes
@@ -665,153 +665,6 @@ fn x5() {
     ]);
     std::fs::write("BENCH_compile.json", json.pretty() + "\n").expect("write BENCH_compile.json");
     println!("wrote BENCH_compile.json");
-    println!();
-}
-
-fn x6() {
-    use mockingbird::stype::json::Json;
-    use mockingbird::wire::WireProgram;
-    use mockingbird::{BatchCompiler, BatchOptions, PairOutcome};
-    use std::hint::black_box;
-    use std::sync::Arc;
-
-    println!("== X6: data-plane compilation — fused programs vs interpretive marshal ==");
-    // The canonical 200-class data corpus (`marshal_corpus`): each class
-    // is a random message Mtype and its comm/assoc-permuted isomorphic
-    // variant, both imported into one shared graph (the shape of a real
-    // project's message universe). X11, `mbc emit-stubs`, and the
-    // property suite reconstruct the same pairs from the same seed.
-    let n = 200usize;
-    let corpus = mockingbird::corpus::marshal_corpus(n, 42);
-    let mut rng = corpus.rng;
-    let graph = corpus.graph.clone();
-    let bc = BatchCompiler::new(graph.clone());
-    let (report, compile_s) = time(|| bc.compile(&corpus.pairs, &BatchOptions::default()));
-
-    // Collect every pair the program compiler fused in both directions,
-    // with a sampled value of the left (native) type.
-    let mut cases: Vec<(
-        Arc<mockingbird::plan::CoercionPlan>,
-        Arc<WireProgram>,
-        MValue,
-    )> = Vec::new();
-    for p in &report.pairs {
-        if let PairOutcome::Match {
-            plan: Some(plan),
-            program: Some(prog),
-            ..
-        } = &p.outcome
-        {
-            if prog.two_way() {
-                let v = sample_value(&graph, plan.left_root(), &mut rng, 6);
-                cases.push((plan.clone(), prog.clone(), v));
-            }
-        }
-    }
-    let ps = &report.stats.programs;
-    println!(
-        "{n} classes compared + fused in {compile_s:.3}s: {} matched, \
-         {} programs compiled, {} interpretive fallbacks, {} two-way cases benched",
-        report.stats.matched,
-        ps.compiles,
-        ps.unsupported,
-        cases.len()
-    );
-    // Attribute every interpretive fallback to the compiler's reason
-    // for declining the pair (the opcode VM's coverage gaps, by class).
-    let breakdown: Vec<_> = bc
-        .programs()
-        .fallback_breakdown()
-        .into_iter()
-        .filter(|&(_, count)| count > 0)
-        .collect();
-    if !breakdown.is_empty() {
-        let parts: Vec<String> = breakdown
-            .iter()
-            .map(|(kind, count)| format!("{count} {}", kind.label()))
-            .collect();
-        println!("fallback reasons: {}", parts.join(", "));
-    }
-
-    // Agreement check (the interpretive path is the oracle), plus the
-    // corpus' total wire footprint for throughput numbers.
-    let mut corpus_bytes = 0usize;
-    for (plan, prog, v) in &cases {
-        let mut fused = CdrWriter::new(Endian::Little);
-        prog.encode_value(&mut fused, v).unwrap();
-        let converted = plan.convert(v).unwrap();
-        let mut oracle = CdrWriter::new(Endian::Little);
-        oracle
-            .put_value(&graph, plan.right_root(), &converted)
-            .unwrap();
-        let fused = fused.into_bytes();
-        let oracle = oracle.into_bytes();
-        assert_eq!(fused, oracle, "fused encode must match oracle");
-        // Decode must agree with the interpretive round trip (values
-        // using dedup-collapsed duplicate alternatives canonicalise to
-        // the first occurrence on both paths, so the oracle — not the
-        // original value — is the ground truth).
-        let mut or = CdrReader::new(&oracle, Endian::Little);
-        let wire = or.get_value(&graph, plan.right_root()).unwrap();
-        let expect = plan.convert_back(&wire).unwrap();
-        let mut r = CdrReader::new(&fused, Endian::Little);
-        assert_eq!(prog.decode_value(&mut r).unwrap(), expect, "round trip");
-        corpus_bytes += fused.len();
-    }
-
-    // One "pass" marshals and unmarshals the whole corpus.
-    let interp_us = per_call_us(200, || {
-        for (plan, _, v) in &cases {
-            let converted = plan.convert(v).unwrap();
-            let mut w = CdrWriter::new(Endian::Little);
-            w.put_value(&graph, plan.right_root(), &converted).unwrap();
-            let bytes = w.into_bytes();
-            let mut r = CdrReader::new(&bytes, Endian::Little);
-            let wire = r.get_value(&graph, plan.right_root()).unwrap();
-            black_box(plan.convert_back(&wire).unwrap());
-        }
-    });
-    let mut pooled = Vec::new();
-    let fused_us = per_call_us(200, || {
-        for (_, prog, v) in &cases {
-            let mut w = CdrWriter::from_vec(std::mem::take(&mut pooled), Endian::Little);
-            prog.encode_value(&mut w, v).unwrap();
-            pooled = w.into_bytes();
-            let mut r = CdrReader::new(&pooled, Endian::Little);
-            black_box(prog.decode_value(&mut r).unwrap());
-        }
-    });
-    let speedup = interp_us / fused_us;
-    let mb = corpus_bytes as f64 / 1e6;
-    println!(
-        "round-trip over the corpus ({corpus_bytes} wire bytes/pass): \
-         interpretive {interp_us:.1} µs ({:.0} MB/s), fused {fused_us:.1} µs \
-         ({:.0} MB/s) -> {speedup:.1}x",
-        mb / (interp_us / 1e6),
-        mb / (fused_us / 1e6)
-    );
-
-    let json = Json::obj([
-        ("classes", Json::Int(n as i128)),
-        ("matched", Json::Int(report.stats.matched as i128)),
-        ("programs_compiled", Json::Int(ps.compiles as i128)),
-        ("interpretive_fallbacks", Json::Int(ps.unsupported as i128)),
-        (
-            "fallback_reasons",
-            Json::obj(
-                breakdown
-                    .iter()
-                    .map(|(kind, count)| (kind.label(), Json::Int(*count as i128))),
-            ),
-        ),
-        ("two_way_cases", Json::Int(cases.len() as i128)),
-        ("corpus_wire_bytes", Json::Int(corpus_bytes as i128)),
-        ("interpretive_roundtrip_us", Json::Float(interp_us)),
-        ("fused_roundtrip_us", Json::Float(fused_us)),
-        ("speedup", Json::Float(speedup)),
-    ]);
-    std::fs::write("BENCH_marshal.json", json.pretty() + "\n").expect("write BENCH_marshal.json");
-    println!("wrote BENCH_marshal.json");
     println!();
 }
 
@@ -1725,16 +1578,39 @@ fn x11() {
     let passes = if quick { 20 } else { 200 };
     let registered = mockingbird_bench::register_native_stubs();
 
-    // The same canonical corpus X6 measures and `mbc emit-stubs`
-    // specialised at build time; the emitted functions resolve here by
-    // layout fingerprint alone (different process, different graph
-    // instances).
+    // The canonical 200-class data corpus (`marshal_corpus`): each class
+    // is a random message Mtype and its comm/assoc-permuted isomorphic
+    // variant, both imported into one shared graph (the shape of a real
+    // project's message universe). `mbc emit-stubs` specialised the same
+    // pairs at build time; the emitted functions resolve here by layout
+    // fingerprint alone (different process, different graph instances).
     let n = 200usize;
     let corpus = mockingbird::corpus::marshal_corpus(n, 42);
     let mut rng = corpus.rng;
     let graph = corpus.graph.clone();
     let bc = BatchCompiler::new(graph.clone());
-    let report = bc.compile(&corpus.pairs, &BatchOptions::default());
+    let (report, compile_s) = time(|| bc.compile(&corpus.pairs, &BatchOptions::default()));
+    let ps = &report.stats.programs;
+    println!(
+        "{n} classes compared + fused in {compile_s:.3}s: {} matched, \
+         {} programs compiled, {} interpretive fallbacks",
+        report.stats.matched, ps.compiles, ps.unsupported
+    );
+    // Attribute every interpretive fallback to the compiler's reason
+    // for declining the pair (the opcode VM's coverage gaps, by class).
+    let breakdown: Vec<_> = bc
+        .programs()
+        .fallback_breakdown()
+        .into_iter()
+        .filter(|&(_, count)| count > 0)
+        .collect();
+    if !breakdown.is_empty() {
+        let parts: Vec<String> = breakdown
+            .iter()
+            .map(|(kind, count)| format!("{count} {}", kind.label()))
+            .collect();
+        println!("fallback reasons: {}", parts.join(", "));
+    }
     let rules_fp = RuleSet::full().fingerprint();
     let registry = NativeStubRegistry::global();
     let mut layouts = Layouts::new(&graph);
@@ -1904,6 +1780,17 @@ fn x11() {
 
     let json = Json::obj([
         ("classes", Json::Int(n as i128)),
+        ("matched", Json::Int(report.stats.matched as i128)),
+        ("programs_compiled", Json::Int(ps.compiles as i128)),
+        ("interpretive_fallbacks", Json::Int(ps.unsupported as i128)),
+        (
+            "fallback_reasons",
+            Json::obj(
+                breakdown
+                    .iter()
+                    .map(|(kind, count)| (kind.label(), Json::Int(*count as i128))),
+            ),
+        ),
         ("programs_registered", Json::Int(registered as i128)),
         ("native_cases", Json::Int(cases.len() as i128)),
         ("opcode_only_cases", Json::Int(native_missing as i128)),
@@ -2400,7 +2287,7 @@ fn x13() {
 }
 
 /// Every section, in the order a run prints them.
-const SECTIONS: [(&str, fn()); 19] = [
+const SECTIONS: [(&str, fn()); 18] = [
     ("t1", t1),
     ("f5", f5),
     ("f4", f4),
@@ -2412,7 +2299,6 @@ const SECTIONS: [(&str, fn()); 19] = [
     ("x3", x3),
     ("x4", x4),
     ("x5", x5),
-    ("x6", x6),
     ("x7", x7),
     ("x8", x8),
     ("x9", x9),

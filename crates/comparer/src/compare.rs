@@ -308,7 +308,8 @@ impl<'l, 'r> Comparer<'l, 'r> {
             stack: Vec::new(),
             stack_index: HashMap::new(),
             cache: &mut cache,
-            cond_proved: HashMap::new(),
+            cond_log: Vec::new(),
+            cond_pos: HashMap::new(),
             budget_exhausted: false,
             entries: HashMap::new(),
             deepest_fail: None,
@@ -376,13 +377,19 @@ struct Ctx<'a> {
     stack_index: HashMap<(MtypeId, MtypeId, Rel), usize>,
     /// Persistent proof state shared across runs (see [`Cache`]).
     cache: &'a mut Cache,
-    /// Pairs proven *conditionally* on the coinductive assumption at the
-    /// stored stack index. Without this cache, strongly-connected
-    /// declaration graphs recompute shared pairs exponentially within a
-    /// single proof. Entries are promoted to `proved` when their
-    /// assumption is discharged, re-tagged when it is itself conditional,
-    /// and discarded when it fails.
-    cond_proved: HashMap<(MtypeId, MtypeId, Rel), usize>,
+    /// Pairs proven *conditionally*, in creation order, each with the
+    /// smallest stack index of the coinductive assumptions it rests on.
+    /// Without this cache, strongly-connected declaration graphs
+    /// recompute shared pairs exponentially within a single proof.
+    /// Everything proven while a frame is on the stack lies past the log
+    /// length it was pushed at, so a frame settles exactly its own tail:
+    /// promoted to `proved` when its assumptions are discharged,
+    /// re-tagged when the frame is itself conditional, and discarded
+    /// when it fails.
+    cond_log: Vec<((MtypeId, MtypeId, Rel), usize)>,
+    /// Where each pair of `cond_log` sits. Settling a tail leaves stale
+    /// positions behind; a position counts only while it holds its key.
+    cond_pos: HashMap<(MtypeId, MtypeId, Rel), usize>,
     /// Set when the search budget ran out; suppresses negative caching
     /// from that point (those failures are resource artifacts).
     budget_exhausted: bool,
@@ -471,7 +478,12 @@ impl Ctx<'_> {
             }
             return Err(());
         }
-        if let Some(&d) = self.cond_proved.get(&key) {
+        if let Some(&(_, d)) = self
+            .cond_pos
+            .get(&key)
+            .and_then(|&at| self.cond_log.get(at))
+            .filter(|(k, _)| *k == key)
+        {
             // Proven earlier in this run, conditional on a still-active
             // ancestor assumption: reuse, propagating the dependence.
             return Ok(d);
@@ -491,50 +503,52 @@ impl Ctx<'_> {
             );
         }
         let my_index = self.stack.len();
+        let mark = self.cond_log.len();
         self.stack.push(key);
         self.stack_index.insert(key, my_index);
         let result = self.check_structural(a, b, rel, depth);
         self.stack.pop();
         self.stack_index.remove(&key);
         match result {
-            Ok(min_dep) => {
-                if min_dep >= my_index {
-                    // Self-contained (possibly via its own cycle): a valid
-                    // greatest-fixed-point proof. Cache unconditionally,
-                    // and discharge every proof that was conditional on
-                    // this assumption.
-                    self.cache.proved.insert(key);
-                    let mut promote = Vec::new();
-                    self.cond_proved.retain(|k, d| {
-                        if *d == my_index {
-                            promote.push(*k);
-                            false
-                        } else {
-                            true
-                        }
-                    });
-                    for k in promote {
+            Ok(min_dep) if min_dep >= my_index => {
+                // Self-contained (possibly via its own cycle): a valid
+                // greatest-fixed-point proof. Cache unconditionally, and
+                // discharge every proof made under this frame that rests
+                // on nothing further out. Proofs from abandoned branches
+                // that leaned on an outer assumption stay conditional.
+                self.cache.proved.insert(key);
+                let mut kept = mark;
+                for i in mark..self.cond_log.len() {
+                    let (k, d) = self.cond_log[i];
+                    if d >= my_index {
                         self.cache.proved.insert(k);
+                    } else {
+                        self.cond_log[kept] = (k, d);
+                        self.cond_pos.insert(k, kept);
+                        kept += 1;
                     }
-                    Ok(NO_DEP)
-                } else {
-                    // This proof (and everything conditional on it) is
-                    // now conditional on the outer assumption.
-                    for d in self.cond_proved.values_mut() {
-                        if *d == my_index {
-                            *d = min_dep;
-                        }
-                    }
-                    self.cond_proved.insert(key, min_dep);
-                    Ok(min_dep)
                 }
+                self.cond_log.truncate(kept);
+                Ok(NO_DEP)
+            }
+            Ok(min_dep) => {
+                // This proof, and everything proven under it, is now
+                // conditional on the outer assumption too.
+                for (_, d) in &mut self.cond_log[mark..] {
+                    *d = (*d).min(min_dep);
+                }
+                self.cond_pos.insert(key, self.cond_log.len());
+                self.cond_log.push((key, min_dep));
+                Ok(min_dep)
             }
             Err(()) => {
-                // The assumption failed: everything that relied on it is
-                // unproven. The failure itself is absolute (failures are
-                // monotone in the assumption set), so cache it — unless
-                // the budget ran out, which is a resource artifact.
-                self.cond_proved.retain(|_, d| *d != my_index);
+                // The assumption failed: everything proven under it may
+                // have relied on it, whatever outer index it is recorded
+                // under, so all of it is unproven. The failure itself is
+                // absolute (failures are monotone in the assumption set),
+                // so cache it — unless the budget ran out, which is a
+                // resource artifact.
+                self.cond_log.truncate(mark);
                 if !self.budget_exhausted {
                     self.cache.disproved.insert(key);
                 }
@@ -1203,6 +1217,112 @@ mod tests {
             Comparer::new(&g, &g).equivalent(t1, t2),
             "a recursive type equals its unrolling (Amadio–Cardelli)"
         );
+    }
+
+    #[test]
+    fn a_failed_assumption_takes_down_proofs_recorded_under_outer_ones() {
+        // A = μa. Choice(Unit, S), S = μs. Record(Record(a, Choice(Unit, s)), Int[0,100]).
+        let mut g = graph();
+        let unit = g.unit();
+        let to_100 = g.integer(IntRange::new(0, 100));
+        let a = g.recursive(|g, a| {
+            let s = g.recursive(|g, s| {
+                let tail = g.choice(vec![unit, s]);
+                let inner = g.record(vec![a, tail]);
+                g.record(vec![inner, to_100])
+            });
+            g.choice(vec![unit, s])
+        });
+        // B = μb. Choice(Unit, T1, T2), T1 = μt. Record(Q, Int[0,10]),
+        // Q = Record(b, Choice(Unit, t)) and T2 = Record(Q, Int[0,1000]).
+        let mut h = graph();
+        let unit = h.unit();
+        let to_10 = h.integer(IntRange::new(0, 10));
+        let to_1000 = h.integer(IntRange::new(0, 1000));
+        let b = h.recursive(|h, b| {
+            let mut q = None;
+            let t1 = h.recursive(|h, t| {
+                let tail = h.choice(vec![unit, t]);
+                let inner = h.record(vec![b, tail]);
+                q = Some(inner);
+                h.record(vec![inner, to_10])
+            });
+            let t2 = h.record(vec![q.expect("the binder body ran"), to_1000]);
+            h.choice(vec![unit, t1, t2])
+        });
+        // S fits neither T1 (100 > 10) nor T2 (the S nested in it would
+        // have to fit T1). While S <: T1 is tried, Record(a, Choice(Unit,
+        // s)) <: Q is proven assuming both A <: B and S <: T1, and only
+        // the outer A <: B records it; S <: T1 then fails, and S <: T2
+        // must not reuse that proof.
+        for rules in [RuleSet::strict(), RuleSet::full()] {
+            let verdict = Comparer::with_rules(&g, &h, rules.clone()).compare(a, b, Mode::Subtype);
+            assert!(verdict.is_err(), "{rules:?}: A is not a subtype of B");
+        }
+    }
+
+    #[test]
+    fn a_self_contained_frame_leaves_outer_assumptions_conditional() {
+        // Under commutative records, a frame may prove a child pair that
+        // leans on an outer assumption, abandon that branch, and succeed
+        // on its own through another permutation. The abandoned proof
+        // must stay conditional on the outer assumption, which fails.
+        let rules = RuleSet {
+            comm: true,
+            ..RuleSet::strict()
+        };
+        // Left: A = μa. Record(X, Int[0,100]), X = Record(P1, P2),
+        // P1 = Record(a, Int[0,5]), P2 = Record(C, Int[0,50]), where C is
+        // a left copy of B (so C <: B holds on its own).
+        let mut g = graph();
+        let (i5, i10, i50, i100) = (
+            g.integer(IntRange::new(0, 5)),
+            g.integer(IntRange::new(0, 10)),
+            g.integer(IntRange::new(0, 50)),
+            g.integer(IntRange::new(0, 100)),
+        );
+        let dyn_l = g.dynamic();
+        let copy = g.recursive(|g, c| {
+            let q1 = g.record(vec![c, i100]);
+            let q2 = g.record(vec![dyn_l, i5]);
+            let y = g.record(vec![q1, q2]);
+            g.record(vec![y, i10])
+        });
+        let mut p1 = None;
+        let a = g.recursive(|g, a| {
+            let first = g.record(vec![a, i5]);
+            p1 = Some(first);
+            let second = g.record(vec![copy, i50]);
+            let x = g.record(vec![first, second]);
+            g.record(vec![x, i100])
+        });
+        // Right: B = μb. Record(Y, Int[0,10]), Y = Record(Q1, Q2),
+        // Q1 = Record(b, Int[0,100]), Q2 = Record(Dynamic, Int[0,5]).
+        let mut h = graph();
+        let (i5, i10, i100) = (
+            h.integer(IntRange::new(0, 5)),
+            h.integer(IntRange::new(0, 10)),
+            h.integer(IntRange::new(0, 100)),
+        );
+        let dyn_r = h.dynamic();
+        let mut q1 = None;
+        let b = h.recursive(|h, b| {
+            let first = h.record(vec![b, i100]);
+            q1 = Some(first);
+            let second = h.record(vec![dyn_r, i5]);
+            let y = h.record(vec![first, second]);
+            h.record(vec![y, i10])
+        });
+        let (p1, q1) = (
+            p1.expect("the binder body ran"),
+            q1.expect("the binder body ran"),
+        );
+        // X <: Y first tries P1 <: Q1, proven assuming A <: B, then fails
+        // P2 <: Q2 and succeeds as P2 <: Q1, P1 <: Q2. A <: B then fails
+        // (100 > 10), so P1 <: Q1 is false, and the cache must say so.
+        let cmp = Comparer::with_rules(&g, &h, rules);
+        assert!(cmp.compare(a, b, Mode::Subtype).is_err());
+        assert!(cmp.compare(p1, q1, Mode::Subtype).is_err());
     }
 
     #[test]

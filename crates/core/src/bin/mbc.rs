@@ -22,7 +22,7 @@
 //!
 //! `emit-stubs` writes the module of the second Futamura projection
 //! that the bench crate's build script compiles: the canonical fixture
-//! corpus (the same pairs `report x6`/`x11` and the differential
+//! corpus (the same pairs `report x11` and the differential
 //! property suite reconstruct) as wire programs, each specialised into
 //! straight-line native Rust. The output is deterministic — running it
 //! twice yields byte-identical source.

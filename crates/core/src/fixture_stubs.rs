@@ -2,7 +2,7 @@
 //! build-time half of the second Futamura projection.
 //!
 //! [`emit_fixture_stubs`] compiles the canonical fixtures (the same
-//! pairs `report x6`/`x11` and the differential property suite
+//! pairs `report x11` and the differential property suite
 //! reconstruct) into wire programs and specialises each into
 //! straight-line native Rust. The bench crate's build script writes its
 //! output into `OUT_DIR`, and `mbc emit-stubs` writes the same text to
@@ -58,7 +58,7 @@ pub struct FixtureStubs {
 pub fn emit_fixture_stubs() -> Result<FixtureStubs, String> {
     let mut entries: Vec<(NativeKey, Arc<WireProgram>)> = Vec::new();
 
-    // The X6/X11 marshal corpus: batch-compile the 200 classes and take
+    // The X11 marshal corpus: batch-compile the 200 classes and take
     // every program the shared cache holds — its keys are exactly what
     // the benches derive at run time.
     let corpus = marshal_corpus(200, 42);

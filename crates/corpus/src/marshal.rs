@@ -1,6 +1,6 @@
 //! Canonical fixtures for the fused/native data plane.
 //!
-//! The X6/X11 marshal experiments, `mbc emit-stubs`, and the three-way
+//! The X11 marshal experiment, `mbc emit-stubs`, and the three-way
 //! differential property suite must all agree on the *same* type pairs:
 //! native stubs are compiled into binaries ahead of time and resolved by
 //! layout fingerprint, so every consumer has to reconstruct the exact
@@ -14,11 +14,11 @@ use mockingbird_rng::StdRng;
 
 use crate::random::{isomorphic_variant, random_mtype};
 
-/// The X6 marshal corpus: `classes` random message Mtypes and their
+/// The X11 marshal corpus: `classes` random message Mtypes and their
 /// comm/assoc-permuted isomorphic variants, imported into one shared
 /// graph. The returned RNG continues the deterministic stream, so value
 /// sampling that follows corpus construction replays identically
-/// everywhere (`report x6`, `report x11`, `mbc emit-stubs`).
+/// everywhere (`report x11`, `mbc emit-stubs`).
 pub struct MarshalCorpus {
     /// Frozen shared graph holding both sides of every pair.
     pub graph: Arc<MtypeGraph>,
@@ -29,7 +29,7 @@ pub struct MarshalCorpus {
 }
 
 /// Builds the marshal corpus for `classes` classes under `seed`
-/// (X6/X11 pin `classes = 200`, `seed = 42`).
+/// (X11 pins `classes = 200`, `seed = 42`).
 #[must_use]
 pub fn marshal_corpus(classes: usize, seed: u64) -> MarshalCorpus {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -16,10 +16,10 @@ pub struct ObjectAd {
     /// caller's — same name under a different fingerprint is a
     /// *different* object.
     pub interface_fp: u128,
-    /// Marshal-rules fingerprint. A mismatch is survivable (the dial-
-    /// time handshake demotes the connection to the interpretive path),
-    /// so it does not gate resolution — it is advertised so callers can
-    /// prefer fused-capable replicas.
+    /// Marshal-rules fingerprint. Rules never change the wire bytes, so
+    /// a mismatch does not gate resolution or the dial-time handshake;
+    /// it is advertised because compiled artifacts only transfer between
+    /// nodes that share rules.
     pub rules_fp: u64,
     /// Where to dial the replica.
     pub endpoint: SocketAddr,

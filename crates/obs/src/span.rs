@@ -33,7 +33,8 @@ pub struct SpanRecord {
     pub endpoint: String,
     /// Circuit-breaker state at attempt time; empty when no breaker.
     pub breaker: String,
-    /// Whether the fused wire-program path served this call.
+    /// Whether the fused wire-program path served this call. Set on
+    /// server spans only; client spans leave it `false`.
     pub fused: bool,
     /// Microseconds since the owning [`SpanLog`] was created.
     pub start_us: u64,

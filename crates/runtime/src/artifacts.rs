@@ -66,11 +66,11 @@ pub struct FetchOutcome {
 /// Fetches artifacts from one peer into `store`.
 ///
 /// The exchange runs on a fresh blocking socket: `Hello` proposal first —
-/// the fetch proceeds only on [`HandshakeVerdict::Accept`], i.e. only
-/// from a peer whose interface *and* rules fingerprints already proved
-/// agreement (an `InterpretiveOnly` peer compiled under different rules,
-/// so its programs are useless here) — then one `Artifact` request for
-/// every key under our rules fingerprint that we are missing.
+/// the fetch proceeds only on [`HandshakeVerdict::Accept`] from a peer
+/// whose reply also carries our rules fingerprint (a peer compiled under
+/// other rules holds programs that are useless here) — then one
+/// `Artifact` request for every key under our rules fingerprint that we
+/// are missing.
 ///
 /// Every record is re-hashed on receipt; mismatches are dropped and
 /// counted in [`FetchOutcome::rejected`] and the registry's
@@ -97,15 +97,21 @@ pub fn fetch_artifacts(
     write_frame(&mut stream, &hello, metrics)?;
     let reply = read_frame(&mut stream, deadline, metrics)?
         .ok_or_else(|| RuntimeError::Transport("peer closed during the handshake".into()))?;
-    let MessageKind::Hello { verdict, .. } = reply.kind else {
+    let MessageKind::Hello {
+        info: peer,
+        verdict,
+    } = reply.kind
+    else {
         return Err(RuntimeError::Protocol(
             "expected a Hello reply to the handshake".into(),
         ));
     };
-    if verdict != HandshakeVerdict::Accept {
+    if verdict != HandshakeVerdict::Accept || peer.rules_fp != info.rules_fp {
         metrics.add_handshake_reject();
         return Err(RuntimeError::VersionSkew(format!(
-            "peer verdict {verdict:?}: artifacts only transfer between fully agreeing nodes"
+            "peer verdict {verdict:?} under rules {:016x} (ours {:016x}): \
+             artifacts only transfer between fully agreeing nodes",
+            peer.rules_fp, info.rules_fp
         )));
     }
 

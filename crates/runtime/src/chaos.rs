@@ -327,10 +327,6 @@ impl Connection for ChaosConnection {
         !self.dead.load(Ordering::SeqCst) && self.inner.healthy()
     }
 
-    fn fused_allowed(&self) -> bool {
-        self.inner.fused_allowed()
-    }
-
     fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
         Some(Arc::clone(&self.metrics))
     }

@@ -165,8 +165,6 @@ metric_table! {
     counter handshakes: add_handshake();
     /// Handshakes rejected for protocol/interface skew (both sides).
     counter handshake_rejects: add_handshake_reject();
-    /// Handshakes that degraded to the interpretive marshal path.
-    counter handshake_fallbacks: add_handshake_fallback();
     /// Circuit-breaker transitions into the open state.
     counter breaker_opens: add_breaker_open();
     /// Circuit-breaker transitions into the half-open state.
@@ -520,7 +518,6 @@ mod tests {
         m.add_pool_miss();
         m.add_handshake();
         m.add_handshake_reject();
-        m.add_handshake_fallback();
         m.add_breaker_open();
         m.add_breaker_half_open();
         m.add_breaker_close();
@@ -558,7 +555,6 @@ mod tests {
         assert_eq!(s.pool_misses, 1);
         assert_eq!(s.handshakes, 1);
         assert_eq!(s.handshake_rejects, 1);
-        assert_eq!(s.handshake_fallbacks, 1);
         assert_eq!(s.breaker_opens, 1);
         assert_eq!(s.breaker_half_opens, 1);
         assert_eq!(s.breaker_closes, 1);

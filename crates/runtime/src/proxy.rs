@@ -138,14 +138,6 @@ impl RemoteRef {
         self.ops.get(operation).is_some_and(|op| op.idempotent)
     }
 
-    /// Whether fused wire programs may be used over this reference's
-    /// connection (cleared by the handshake when the peers' program
-    /// caches disagree; generated stubs consult this before taking the
-    /// fused marshal path).
-    pub fn fused_allowed(&self) -> bool {
-        self.connection.fused_allowed()
-    }
-
     /// The handshake this reference's declarations imply: the interface
     /// fingerprint of its operation table plus the caller's marshal-rules
     /// fingerprint.
@@ -356,7 +348,6 @@ impl RemoteRef {
                 let mut span = SpanRecord::new(t, SpanKind::Client, operation);
                 span.start_us = self.metrics.spans().now_us().saturating_sub(duration_us);
                 span.duration_us = duration_us;
-                span.fused = self.fused_allowed();
                 span.bytes_out = bytes_out;
                 match &outcome {
                     Ok((reply, _)) => span.bytes_in = reply.len() as u64,
@@ -782,7 +773,6 @@ mod tests {
             interface_fingerprint(&r.ops),
             "info carries the table's fingerprint"
         );
-        assert!(r.fused_allowed(), "plain transports allow fused programs");
     }
 
     #[test]

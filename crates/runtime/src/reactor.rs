@@ -1599,17 +1599,10 @@ fn hello_reply(
         // Permissive mode: echo the client's info back with an Accept.
         None => (*client, HandshakeVerdict::Accept),
     };
-    let keep = match verdict {
-        HandshakeVerdict::Reject => {
-            metrics.add_handshake_reject();
-            false
-        }
-        HandshakeVerdict::InterpretiveOnly => {
-            metrics.add_handshake_fallback();
-            true
-        }
-        _ => true,
-    };
+    let keep = verdict != HandshakeVerdict::Reject;
+    if !keep {
+        metrics.add_handshake_reject();
+    }
     (Message::hello(mine, verdict, endian), keep)
 }
 

@@ -72,9 +72,9 @@ pub struct ResolvedEndpoint {
     /// Coarse latency tier within the zone (lower is closer).
     pub latency_tier: u8,
     /// The marshal-rules fingerprint the replica advertised. A mismatch
-    /// with the caller's rules is survivable (the handshake demotes the
-    /// connection to the interpretive path); it is surfaced here so
-    /// callers can prefer fused-capable replicas.
+    /// with the caller's rules changes no wire byte, so the handshake
+    /// accepts it; it is surfaced here because compiled artifacts only
+    /// transfer between nodes that share rules.
     pub rules_fp: u64,
 }
 

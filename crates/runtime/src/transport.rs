@@ -62,10 +62,7 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// The client's half of the connect-time handshake: sends our
 /// [`HandshakeInfo`] as a `Hello` proposal and interprets the peer's
-/// verdict. Returns whether fused wire programs are allowed on this
-/// connection (`false`: the peers' marshal rules disagree, so both
-/// sides fall back to the interpretive path while the layouts still
-/// line up).
+/// verdict, failing unless the peer accepts.
 ///
 /// Runs serially on the raw (still-blocking) stream *before* the
 /// reactor adopts it, so no request can cross a connection whose
@@ -74,7 +71,7 @@ fn client_handshake(
     stream: &mut TcpStream,
     info: &HandshakeInfo,
     metrics: &MetricsRegistry,
-) -> Result<bool, RuntimeError> {
+) -> Result<(), RuntimeError> {
     metrics.add_handshake();
     let hello = Message::hello(*info, HandshakeVerdict::Propose, Endian::Little);
     write_frame(stream, &hello, metrics)?;
@@ -90,11 +87,7 @@ fn client_handshake(
         ));
     };
     match verdict {
-        HandshakeVerdict::Accept => Ok(true),
-        HandshakeVerdict::InterpretiveOnly => {
-            metrics.add_handshake_fallback();
-            Ok(false)
-        }
+        HandshakeVerdict::Accept => Ok(()),
         HandshakeVerdict::Reject => {
             metrics.add_handshake_reject();
             Err(RuntimeError::VersionSkew(format!(
@@ -142,10 +135,9 @@ pub trait Connection: Send + Sync {
         true
     }
 
-    /// Whether fused wire programs may be used over this connection.
-    /// The connect-time handshake clears this when the peers' program
-    /// caches disagree (rules fingerprint mismatch), forcing the
-    /// interpretive marshal path while the layouts still agree.
+    /// Nothing reads this: a stub always runs the marshal tier it was
+    /// built with, because a handshake either accepts or rejects. Kept
+    /// only so that existing implementations still compile.
     fn fused_allowed(&self) -> bool {
         true
     }
@@ -317,7 +309,6 @@ fn deadline_at_write(msg: &Message) -> Result<Option<WireDeadline>, RuntimeError
 /// correlates replies).
 pub struct TcpConnection {
     stream: Mutex<TcpStream>,
-    fused: bool,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -361,13 +352,11 @@ impl TcpConnection {
         let mut stream =
             TcpStream::connect(addr).map_err(|e| RuntimeError::Transport(e.to_string()))?;
         stream.set_nodelay(true).ok();
-        let fused = match handshake {
-            Some(info) => client_handshake(&mut stream, info, &metrics)?,
-            None => true,
-        };
+        if let Some(info) = handshake {
+            client_handshake(&mut stream, info, &metrics)?;
+        }
         Ok(TcpConnection {
             stream: Mutex::new(stream),
-            fused,
             metrics,
         })
     }
@@ -447,10 +436,6 @@ impl Connection for TcpConnection {
         }
     }
 
-    fn fused_allowed(&self) -> bool {
-        self.fused
-    }
-
     fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
         Some(Arc::clone(&self.metrics))
     }
@@ -493,7 +478,6 @@ pub struct MultiplexedConnection {
     core: Arc<MuxCore>,
     ids: RequestIds,
     closed: AtomicBool,
-    fused: bool,
     metrics: Arc<MetricsRegistry>,
 }
 
@@ -538,10 +522,9 @@ impl MultiplexedConnection {
         let mut stream =
             TcpStream::connect(addr).map_err(|e| RuntimeError::Transport(e.to_string()))?;
         stream.set_nodelay(true).ok();
-        let fused = match handshake {
-            Some(info) => client_handshake(&mut stream, info, &metrics)?,
-            None => true,
-        };
+        if let Some(info) = handshake {
+            client_handshake(&mut stream, info, &metrics)?;
+        }
         let reactor = client_reactor().clone();
         let out = Arc::new(Outbound::new(
             reactor.alloc_id(),
@@ -560,7 +543,6 @@ impl MultiplexedConnection {
             core,
             ids: RequestIds::new(),
             closed: AtomicBool::new(false),
-            fused,
             metrics,
         })
     }
@@ -688,10 +670,6 @@ impl Connection for MultiplexedConnection {
 
     fn healthy(&self) -> bool {
         self.is_alive()
-    }
-
-    fn fused_allowed(&self) -> bool {
-        self.fused
     }
 
     fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
@@ -1605,10 +1583,8 @@ mod tests {
         )
         .unwrap();
         let conn = TcpConnection::connect_with(server.addr(), Some(&info)).unwrap();
-        assert!(conn.fused_allowed());
         assert_eq!(call_add(&conn, &graph, args, result, 1, 2), 3);
         let mux = MultiplexedConnection::connect_with(server.addr(), Some(&info)).unwrap();
-        assert!(mux.fused_allowed());
         assert_eq!(call_add(&mux, &graph, args, result, 2, 2), 4);
         server.shutdown();
     }
@@ -1640,7 +1616,7 @@ mod tests {
     }
 
     #[test]
-    fn handshake_rules_mismatch_forces_the_interpretive_path() {
+    fn handshake_accepts_a_rules_only_mismatch() {
         let (d, graph, args, result) = adder_dispatcher();
         let mine = HandshakeInfo::new(d.interface_fingerprint(), 7);
         let mut server = TcpServer::bind_with(
@@ -1649,12 +1625,15 @@ mod tests {
             ServerConfig::default().with_handshake(mine),
         )
         .unwrap();
-        // Same declarations, different marshal-rule caches: connect
-        // succeeds but fused programs are off.
+        // Same declarations, different comparer rules: the wire types
+        // agree, so both transports connect and call as usual.
         let other_rules = HandshakeInfo::new(mine.interface_fp, 8);
         let conn = TcpConnection::connect_with(server.addr(), Some(&other_rules)).unwrap();
-        assert!(!conn.fused_allowed(), "rules skew disables fused programs");
         assert_eq!(call_add(&conn, &graph, args, result, 5, 6), 11);
+        let mux = MultiplexedConnection::connect_with(server.addr(), Some(&other_rules)).unwrap();
+        assert_eq!(call_add(&mux, &graph, args, result, 6, 6), 12);
+        let m = server.metrics().snapshot();
+        assert_eq!((m.handshakes, m.handshake_rejects), (2, 0));
         server.shutdown();
     }
 

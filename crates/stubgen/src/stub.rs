@@ -345,9 +345,9 @@ impl RemoteStub {
         self.args_program.is_some() && self.result_program.is_some()
     }
 
-    /// The marshal tier calls will use, barring a handshake demotion:
-    /// `"native"` (emitted stubs both ways), `"opcode"` (at least one
-    /// direction on the wire-program VM), or `"interpretive"`.
+    /// The marshal tier every call uses: `"native"` (emitted stubs both
+    /// ways), `"opcode"` (at least one direction on the wire-program
+    /// VM), or `"interpretive"`.
     pub fn dispatch_tier(&self) -> &'static str {
         if !self.is_fused() {
             "interpretive"
@@ -380,13 +380,8 @@ impl RemoteStub {
         inputs: &[MValue],
         options: &mockingbird_runtime::CallOptions,
     ) -> Result<MValue, StubError> {
-        // A handshake that agreed on shapes but not on coercion rules
-        // demotes the connection to the interpretive path: the fused
-        // programs were compiled under *our* rules, so they stay unused.
         if let (Some(args_p), Some(result_p)) = (&self.args_program, &self.result_program) {
-            if self.remote.fused_allowed() {
-                return self.call_fused(args_p, result_p, inputs, options);
-            }
+            return self.call_fused(args_p, result_p, inputs, options);
         }
         let args_r = self.inner.convert_args(inputs)?;
         let out_r = self
@@ -505,8 +500,17 @@ impl MessagingStubs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
     use mockingbird_comparer::{Comparer, RuleSet};
     use mockingbird_mtype::{IntRange, MtypeGraph, RealPrecision};
+    use mockingbird_runtime::{
+        CallOptions, Connection, Dispatcher, InMemoryConnection, MetricsRegistry,
+        MultiplexedConnection, RetryBudget, ServerConfig, TcpConnection, TcpServer, WireOp,
+        WireServant,
+    };
+    use mockingbird_values::Endian;
+    use mockingbird_wire::{HandshakeInfo, Message};
 
     /// The fitter pair at the Mtype level: Java-style (list)->(line) vs
     /// C-style (list)->(point, point).
@@ -640,14 +644,11 @@ mod tests {
         assert_eq!(out, MValue::Record(vec![MValue::Int(7)]));
     }
 
-    #[test]
-    fn remote_stub_runs_the_fused_data_plane() {
-        use mockingbird_runtime::{Dispatcher, InMemoryConnection, WireOp, WireServant};
-        use mockingbird_values::Endian;
-
-        let (plan, g) = fitter_plan();
-        // Wire types the server speaks: the C-side invocation minus its
-        // reply port, and the C-side output record.
+    /// A server for the fitter pair's C side: its wire types are the C
+    /// invocation minus the reply port and the C output record, and its
+    /// servant returns the first and last points. Returns the client's
+    /// operation table and the server's dispatcher.
+    fn fitter_service(g: MtypeGraph) -> (HashMap<String, WireOp>, Arc<Dispatcher>) {
         let mut g = g;
         let r = g.real(RealPrecision::SINGLE);
         let pt = g.record(vec![r, r]);
@@ -669,12 +670,24 @@ mod tests {
             Ok(MValue::Record(vec![first, last]))
         });
         let op = WireOp::new(graph, c_args, c_out);
-        let mut ops = HashMap::new();
-        ops.insert("fit".to_string(), op.clone());
+        let ops = HashMap::from([("fit".to_string(), op)]);
         let d = Arc::new(Dispatcher::new());
-        let mut server_ops = HashMap::new();
-        server_ops.insert("fit".to_string(), op);
-        d.register(b"fitter".to_vec(), WireServant::new(servant, server_ops));
+        d.register(b"fitter".to_vec(), WireServant::new(servant, ops.clone()));
+        (ops, d)
+    }
+
+    /// Three Java-side points and the line the fitter returns for them.
+    fn fitter_call(k: u32) -> (MValue, MValue) {
+        let x = f64::from(k);
+        let pts = MValue::List(vec![point(0.0, x), point(1.0, 1.0), point(x, 2.0)]);
+        let line = MValue::Record(vec![MValue::Record(vec![point(0.0, x), point(x, 2.0)])]);
+        (pts, line)
+    }
+
+    #[test]
+    fn remote_stub_runs_the_fused_data_plane() {
+        let (plan, g) = fitter_plan();
+        let (ops, d) = fitter_service(g);
         let remote = Arc::new(RemoteRef::new(
             Arc::new(InMemoryConnection::new(d)),
             b"fitter".to_vec(),
@@ -691,6 +704,132 @@ mod tests {
         );
         // The pooled request buffer came back after the call.
         assert_eq!(remote.buffers().idle(), 1);
+    }
+
+    #[test]
+    fn remote_stub_keeps_its_compiled_tier_under_a_rules_skew() {
+        let (plan, g) = fitter_plan();
+        let (ops, d) = fitter_service(g);
+        let mine = HandshakeInfo::new(d.interface_fingerprint(), plan.rules().fingerprint());
+        let mut server = TcpServer::bind_with(
+            "127.0.0.1:0",
+            d,
+            ServerConfig::default().with_handshake(mine),
+        )
+        .unwrap();
+        // A client whose stubs were compiled under other rules.
+        let skewed = HandshakeInfo::new(mine.interface_fp, mine.rules_fp ^ 1);
+        let conns: [Arc<dyn Connection>; 2] = [
+            Arc::new(TcpConnection::connect_with(server.addr(), Some(&skewed)).unwrap()),
+            Arc::new(MultiplexedConnection::connect_with(server.addr(), Some(&skewed)).unwrap()),
+        ];
+        for conn in conns {
+            let remote = Arc::new(RemoteRef::new(
+                conn,
+                b"fitter".to_vec(),
+                ops.clone(),
+                Endian::Little,
+            ));
+            let stub = RemoteStub::new(
+                FunctionStub::new(plan.clone()).unwrap(),
+                remote.clone(),
+                "fit",
+            );
+            assert!(stub.is_fused());
+            let calls = 5;
+            for k in 0..calls {
+                let (pts, line) = fitter_call(k);
+                assert_eq!(stub.call(&[pts]).unwrap(), line);
+            }
+            // Every call ran a compiled tier: native both ways counts a
+            // native call, no native stub counts a fallback to the VM.
+            let m = remote.metrics().snapshot();
+            assert_eq!(m.native_calls + m.native_fallbacks, u64::from(calls));
+        }
+        assert_eq!(server.metrics().snapshot().handshake_rejects, 0);
+        server.shutdown();
+    }
+
+    /// A connection that records the body of every request it sends and
+    /// forwards every [`Connection`] method, so a stub over it behaves
+    /// exactly as over the connection it wraps.
+    struct Recording {
+        inner: Arc<dyn Connection>,
+        bodies: Mutex<Vec<Vec<u8>>>,
+    }
+
+    impl Connection for Recording {
+        fn call(&self, msg: &Message) -> Result<Option<Message>, RuntimeError> {
+            self.bodies.lock().unwrap().push(msg.body.clone());
+            self.inner.call(msg)
+        }
+
+        fn call_with(
+            &self,
+            msg: &Message,
+            options: &CallOptions,
+        ) -> Result<Option<Message>, RuntimeError> {
+            self.bodies.lock().unwrap().push(msg.body.clone());
+            self.inner.call_with(msg, options)
+        }
+
+        fn healthy(&self) -> bool {
+            self.inner.healthy()
+        }
+
+        fn fused_allowed(&self) -> bool {
+            self.inner.fused_allowed()
+        }
+
+        fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
+            self.inner.metrics()
+        }
+
+        fn supports_failover(&self) -> bool {
+            self.inner.supports_failover()
+        }
+
+        fn retry_budget(&self) -> Option<Arc<RetryBudget>> {
+            self.inner.retry_budget()
+        }
+    }
+
+    #[test]
+    fn a_rules_skew_changes_no_request_byte() {
+        let (plan, g) = fitter_plan();
+        let (ops, d) = fitter_service(g);
+        let mine = HandshakeInfo::new(d.interface_fingerprint(), plan.rules().fingerprint());
+        let mut server = TcpServer::bind_with(
+            "127.0.0.1:0",
+            d,
+            ServerConfig::default().with_handshake(mine),
+        )
+        .unwrap();
+        let bodies_under = |rules_fp: u64| {
+            let info = HandshakeInfo::new(mine.interface_fp, rules_fp);
+            let recording = Arc::new(Recording {
+                inner: Arc::new(TcpConnection::connect_with(server.addr(), Some(&info)).unwrap()),
+                bodies: Mutex::default(),
+            });
+            let remote = Arc::new(RemoteRef::new(
+                recording.clone(),
+                b"fitter".to_vec(),
+                ops.clone(),
+                Endian::Little,
+            ));
+            let stub = RemoteStub::new(FunctionStub::new(plan.clone()).unwrap(), remote, "fit");
+            for k in 0..4 {
+                let (pts, line) = fitter_call(k);
+                assert_eq!(stub.call(&[pts]).unwrap(), line);
+            }
+            let bodies = recording.bodies.lock().unwrap().clone();
+            bodies
+        };
+        let matching = bodies_under(mine.rules_fp);
+        let skewed = bodies_under(mine.rules_fp ^ 1);
+        assert_eq!(matching.len(), 4);
+        assert_eq!(matching, skewed);
+        server.shutdown();
     }
 
     #[test]

@@ -158,8 +158,8 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// so before any request flows each side states which contract it was
 /// compiled against. The interface fingerprint is the layout fingerprint
 /// of the operation table (see [`Layouts`](crate::Layouts)); the rules fingerprint
-/// identifies the comparer rule set the fused wire programs were
-/// compiled under.
+/// identifies the comparer rule set the peer compiled its own stubs
+/// under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HandshakeInfo {
     /// Supervision protocol revision ([`PROTOCOL_VERSION`]).
@@ -169,9 +169,9 @@ pub struct HandshakeInfo {
     /// declarations: requests would decode as garbage, so the connection
     /// is rejected.
     pub interface_fp: u128,
-    /// Fingerprint of the rule set / program cache the fused data plane
-    /// was compiled under. Mismatch alone is survivable: both sides fall
-    /// back to the interpretive marshal path.
+    /// Fingerprint of the rule set the peer's stubs were compiled under.
+    /// Rules never change the wire bytes, so the handshake ignores it;
+    /// artifact fetches and mesh ads read it.
     pub rules_fp: u64,
 }
 
@@ -187,14 +187,11 @@ impl HandshakeInfo {
     }
 
     /// The server's verdict on a client proposal: reject on protocol or
-    /// interface skew, degrade to the interpretive path when only the
-    /// rule set (program cache) disagrees, accept otherwise.
+    /// interface skew, accept otherwise.
     #[must_use]
     pub fn evaluate(&self, client: &HandshakeInfo) -> HandshakeVerdict {
         if self.protocol != client.protocol || self.interface_fp != client.interface_fp {
             HandshakeVerdict::Reject
-        } else if self.rules_fp != client.rules_fp {
-            HandshakeVerdict::InterpretiveOnly
         } else {
             HandshakeVerdict::Accept
         }
@@ -206,11 +203,8 @@ impl HandshakeInfo {
 pub enum HandshakeVerdict {
     /// A client proposal (no verdict yet).
     Propose,
-    /// Fingerprints match: the fused data plane may run.
+    /// Protocol and interface fingerprints match: requests may flow.
     Accept,
-    /// Interface matches but the rule set differs: both sides must use
-    /// the interpretive marshal path.
-    InterpretiveOnly,
     /// Protocol or interface skew: the server closes the connection
     /// after this ack; the client surfaces a version-skew error.
     Reject,
@@ -221,7 +215,6 @@ impl HandshakeVerdict {
         match self {
             HandshakeVerdict::Propose => 0,
             HandshakeVerdict::Accept => 1,
-            HandshakeVerdict::InterpretiveOnly => 2,
             HandshakeVerdict::Reject => 3,
         }
     }
@@ -229,8 +222,9 @@ impl HandshakeVerdict {
     fn from_u32(v: u32) -> Result<Self, GiopError> {
         Ok(match v {
             0 => HandshakeVerdict::Propose,
-            1 => HandshakeVerdict::Accept,
-            2 => HandshakeVerdict::InterpretiveOnly,
+            // 2 told older clients to marshal interpretively on a
+            // rules-only skew, which changes no byte: it is an Accept.
+            1 | 2 => HandshakeVerdict::Accept,
             3 => HandshakeVerdict::Reject,
             other => return Err(GiopError(format!("unknown handshake verdict {other}"))),
         })
@@ -304,7 +298,7 @@ pub enum MessageKind {
     /// A connect-time handshake frame: the sender's compilation
     /// fingerprints plus a verdict (clients send
     /// [`HandshakeVerdict::Propose`], servers answer with their own info
-    /// and an accept/degrade/reject verdict).
+    /// and an accept/reject verdict).
     Hello {
         /// The sender's fingerprints.
         info: HandshakeInfo,
@@ -1055,7 +1049,6 @@ mod tests {
             for verdict in [
                 HandshakeVerdict::Propose,
                 HandshakeVerdict::Accept,
-                HandshakeVerdict::InterpretiveOnly,
                 HandshakeVerdict::Reject,
             ] {
                 let info = HandshakeInfo::new(
@@ -1067,6 +1060,28 @@ mod tests {
                 assert_eq!(Message::frame_len(&bytes).unwrap(), bytes.len());
                 assert_eq!(Message::from_bytes(&bytes).unwrap(), m);
             }
+        }
+    }
+
+    #[test]
+    fn retired_verdict_two_decodes_as_accept() {
+        for endian in [Endian::Little, Endian::Big] {
+            let info = HandshakeInfo::new(0xF17AA, 7);
+            let m = Message::hello(info, HandshakeVerdict::Accept, endian);
+            let with_verdict = |v: u32| {
+                let mut bytes = m.to_bytes();
+                // The verdict follows the 12-byte header and the
+                // protocol revision.
+                bytes[16..20].copy_from_slice(&match endian {
+                    Endian::Little => v.to_le_bytes(),
+                    Endian::Big => v.to_be_bytes(),
+                });
+                bytes
+            };
+            assert_eq!(Message::from_bytes(&with_verdict(1)).unwrap(), m);
+            assert_eq!(Message::from_bytes(&with_verdict(2)).unwrap(), m);
+            let err = Message::from_bytes(&with_verdict(4)).unwrap_err();
+            assert!(err.0.contains("unknown handshake verdict 4"), "{err}");
         }
     }
 
@@ -1176,10 +1191,10 @@ mod tests {
     fn handshake_verdict_matrix() {
         let mine = HandshakeInfo::new(10, 20);
         assert_eq!(mine.evaluate(&mine), HandshakeVerdict::Accept);
-        // Only the rule set differs: degrade, don't reject.
+        // Only the rule set differs: the wire types agree, so accept.
         assert_eq!(
             mine.evaluate(&HandshakeInfo::new(10, 99)),
-            HandshakeVerdict::InterpretiveOnly
+            HandshakeVerdict::Accept
         );
         // Interface skew: reject.
         assert_eq!(

@@ -826,64 +826,74 @@ mod tests {
     }
 
     /// A forest: `L` the list of `A` and `A = Record(Int, L)`, with
-    /// μ-binders on both (`binder_on_a`) or on `L` only; returns `L`.
-    fn mutual_pair(g: &mut MtypeGraph, binder_on_a: bool) -> MtypeId {
+    /// μ-binders on both (`binder_on_a`) or on `L` only; returns `L` and
+    /// `A`.
+    fn mutual_pair(g: &mut MtypeGraph, binder_on_a: bool) -> (MtypeId, MtypeId) {
         use mockingbird_mtype::IntRange;
         let i = g.integer(IntRange::signed_bits(32));
         if binder_on_a {
             let mut forest = None;
-            g.recursive(|g, a| {
+            let tree = g.recursive(|g, a| {
                 let l = g.list_of(a);
                 forest = Some(l);
                 g.record(vec![i, l])
             });
-            return forest.expect("the binder body ran");
+            return (forest.expect("the binder body ran"), tree);
         }
         let u = g.unit();
-        g.recursive(|g, l| {
-            let tree = g.record(vec![i, l]);
-            let cell = g.record(vec![tree, l]);
+        let mut tree = None;
+        let forest = g.recursive(|g, l| {
+            let a = g.record(vec![i, l]);
+            tree = Some(a);
+            let cell = g.record(vec![a, l]);
             g.choice(vec![u, cell])
-        })
+        });
+        (forest, tree.expect("the binder body ran"))
     }
 
     #[test]
     fn binder_placement_shares_one_key_and_one_encoding() {
         let mut g = MtypeGraph::new();
         let mut h = MtypeGraph::new();
-        let on_a = mutual_pair(&mut g, true);
-        let on_l = mutual_pair(&mut h, false);
-        assert_ne!(g.display(on_a).to_string(), h.display(on_l).to_string());
-        assert_eq!(value_key_of(&g, on_a), value_key_of(&h, on_l));
-        assert_eq!(
-            ProgramSource::Identity(&g, on_a).key(),
-            ProgramSource::Identity(&h, on_l).key()
-        );
-
-        // The program compiled from one placement encodes the other's
-        // values exactly as the interpreter does, and decodes them back.
-        let program = WireProgram::identity(&g, on_a).expect("identity program");
+        let (forest_on_a, tree_on_a) = mutual_pair(&mut g, true);
+        let (forest_on_l, tree_on_l) = mutual_pair(&mut h, false);
         let tree =
             |n: i128, kids: Vec<MValue>| MValue::Record(vec![MValue::Int(n), MValue::List(kids)]);
         let leaf = tree(-1, Vec::new());
-        let value = MValue::List(vec![
+        let forest = vec![
             tree(2, vec![leaf.clone(), tree(3, vec![leaf.clone()])]),
             leaf,
-        ]);
-        for endian in [Endian::Little, Endian::Big] {
-            let mut interp = CdrWriter::new(endian);
-            interp
-                .put_value(&h, on_l, &value)
-                .expect("interpreter encodes");
-            let mut fused = CdrWriter::new(endian);
-            program
-                .encode_value(&mut fused, &value)
-                .expect("program encodes");
-            let bytes = interp.into_bytes();
-            assert_eq!(fused.into_bytes(), bytes);
-            let mut r = CdrReader::new(&bytes, endian);
-            assert_eq!(program.decode_value(&mut r).expect("decodes"), value);
-            assert_eq!(r.remaining(), 0);
+        ];
+        for (on_a, on_l, value) in [
+            (forest_on_a, forest_on_l, MValue::List(forest.clone())),
+            (tree_on_a, tree_on_l, tree(1, forest)),
+        ] {
+            assert_ne!(g.display(on_a).to_string(), h.display(on_l).to_string());
+            assert_eq!(value_key_of(&g, on_a), value_key_of(&h, on_l));
+            assert_eq!(
+                ProgramSource::Identity(&g, on_a).key(),
+                ProgramSource::Identity(&h, on_l).key()
+            );
+
+            // The program compiled from one placement encodes the other's
+            // values exactly as the interpreter does, and decodes them
+            // back.
+            let program = WireProgram::identity(&g, on_a).expect("identity program");
+            for endian in [Endian::Little, Endian::Big] {
+                let mut interp = CdrWriter::new(endian);
+                interp
+                    .put_value(&h, on_l, &value)
+                    .expect("interpreter encodes");
+                let mut fused = CdrWriter::new(endian);
+                program
+                    .encode_value(&mut fused, &value)
+                    .expect("program encodes");
+                let bytes = interp.into_bytes();
+                assert_eq!(fused.into_bytes(), bytes);
+                let mut r = CdrReader::new(&bytes, endian);
+                assert_eq!(program.decode_value(&mut r).expect("decodes"), value);
+                assert_eq!(r.remaining(), 0);
+            }
         }
     }
 

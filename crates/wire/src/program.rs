@@ -1010,7 +1010,8 @@ impl<'p> Compiler<'p> {
     }
 
     /// Compiles `(l, r)` as a fresh scope, memoized so recursive types
-    /// tie back into the node table.
+    /// tie back into the node table. The scope starts with an empty inline
+    /// stack: a cycle back to a record its callers inline is tied here.
     fn compile_node(&mut self, l: MtypeId, r: MtypeId) -> Result<u32, Unsupported> {
         let key = (self.left_graph().resolve(l), self.right_graph().resolve(r));
         if let Some(&id) = self.memo.get(&key) {
@@ -1025,8 +1026,9 @@ impl<'p> Compiler<'p> {
         }
         self.nodes.push(Node::default());
         self.memo.insert(key, id);
-        let build = self.emit_pair(l, r, &mut Vec::new(), id, None)?;
-        self.nodes[id as usize].build = build;
+        let outer = std::mem::take(&mut self.inline_stack);
+        self.nodes[id as usize].build = self.emit_pair(l, r, &mut Vec::new(), id, None)?;
+        self.inline_stack = outer;
         Ok(id)
     }
 
@@ -3247,6 +3249,62 @@ mod tests {
             assert_eq!(fw.into_bytes(), oracle);
             let mut fr = CdrReader::new(&oracle, endian);
             assert_eq!(prog.decode_value(&mut fr).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn recursive_records_through_a_list_or_a_choice_compile() {
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(32));
+        let f = g.real(RealPrecision::DOUBLE);
+        let u = g.unit();
+        // μa. Record(Int, List(a)): a tree with a list of children.
+        let tree = g.recursive(|g, a| {
+            let kids = g.list_of(a);
+            g.record(vec![i, kids])
+        });
+        // μa. Record(Int, Choice(Unit, Record(Real, a))): a chain.
+        let chain = g.recursive(|g, a| {
+            let link = g.record(vec![f, a]);
+            let next = g.choice(vec![u, link]);
+            g.record(vec![i, next])
+        });
+        let node =
+            |n: i128, kids: Vec<MValue>| MValue::Record(vec![MValue::Int(n), MValue::List(kids)]);
+        let tree_value = node(1, vec![node(2, vec![node(4, vec![])]), node(3, vec![])]);
+        let end = MValue::Choice {
+            index: 0,
+            value: Box::new(MValue::Unit),
+        };
+        let link = |n: i128, x: f64, next: MValue| {
+            MValue::Record(vec![
+                MValue::Int(n),
+                MValue::Choice {
+                    index: 1,
+                    value: Box::new(MValue::Record(vec![MValue::Real(x), next])),
+                },
+            ])
+        };
+        let chain_value = link(
+            1,
+            0.5,
+            link(2, -1.25, MValue::Record(vec![MValue::Int(3), end])),
+        );
+        for (ty, v) in [(tree, tree_value), (chain, chain_value)] {
+            let prog = WireProgram::identity(&g, ty).expect("compiles");
+            for endian in [Endian::Little, Endian::Big] {
+                let mut ow = CdrWriter::new(endian);
+                ow.put_value(&g, ty, &v).unwrap();
+                let oracle = ow.into_bytes();
+                let mut fw = CdrWriter::new(endian);
+                prog.encode_value(&mut fw, &v).unwrap();
+                assert_eq!(fw.into_bytes(), oracle);
+                let mut fr = CdrReader::new(&oracle, endian);
+                assert_eq!(prog.decode_value(&mut fr).unwrap(), v);
+                assert_eq!(fr.remaining(), 0);
+                let mut or = CdrReader::new(&oracle, endian);
+                assert_eq!(or.get_value(&g, ty).unwrap(), v);
+            }
         }
     }
 

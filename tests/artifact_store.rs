@@ -240,8 +240,8 @@ fn rules_disagreement_blocks_artifact_transfer() {
     let mut server = TcpServer::bind_with(
         "127.0.0.1:0",
         Arc::new(Dispatcher::new()),
-        // Same interface, different rules: the handshake verdict is
-        // InterpretiveOnly, and artifacts never move.
+        // Same interface, different rules: the handshake accepts, but
+        // the fetcher sees other rules in the reply and moves nothing.
         ServerConfig::default()
             .with_handshake(HandshakeInfo::new(0xF17AA, rules_fp ^ 1))
             .with_artifact_store(peer_store),
@@ -252,7 +252,8 @@ fn rules_disagreement_blocks_artifact_transfer() {
     let info = HandshakeInfo::new(0xF17AA, rules_fp);
     let err = fetch_artifacts(server.addr(), &info, &local, &metrics).unwrap_err();
     assert!(
-        err.to_string().contains("InterpretiveOnly"),
+        err.to_string()
+            .contains(&format!("under rules {:016x}", rules_fp ^ 1)),
         "unexpected error: {err}"
     );
     assert!(local.is_empty());

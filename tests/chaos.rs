@@ -183,14 +183,13 @@ fn version_skew_is_rejected_at_connect_time() {
     // The matching client is unaffected and calls fine.
     let good = HandshakeInfo::new(interface_fingerprint(&ops), 7);
     let conn = TcpConnection::connect_with(server.addr(), Some(&good)).unwrap();
-    assert!(conn.fused_allowed());
     let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little);
     assert_eq!(remote.invoke("echo", &payload(4)).unwrap(), payload(4));
     server.shutdown();
 }
 
 #[test]
-fn rules_skew_demotes_to_the_interpretive_path_but_still_serves() {
+fn rules_skew_is_accepted_and_still_serves() {
     let (d, ops) = echo_service(Duration::ZERO);
     let fp = d.interface_fingerprint();
     let mut server = TcpServer::bind_with(
@@ -200,13 +199,13 @@ fn rules_skew_demotes_to_the_interpretive_path_but_still_serves() {
     )
     .unwrap();
 
-    // Same interface, different coercion-rules fingerprint: the peer is
-    // compatible on shapes, so the handshake demotes rather than
-    // rejects — fused programs stay off, calls interpret.
+    // Same interface, different coercion-rules fingerprint: rules only
+    // shape each side's own stub, never the wire types, so the
+    // handshake accepts.
     let conn =
         TcpConnection::connect_with(server.addr(), Some(&HandshakeInfo::new(fp, 2))).unwrap();
-    assert!(!conn.fused_allowed(), "rules skew disables the fused plane");
-    assert!(server.metrics().snapshot().handshake_fallbacks > 0);
+    let m = server.metrics().snapshot();
+    assert_eq!((m.handshakes, m.handshake_rejects), (1, 0));
     let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little);
     for k in 0..5 {
         assert_eq!(remote.invoke("echo", &payload(k)).unwrap(), payload(k));
