@@ -3,7 +3,7 @@
 //! noise) for representative message types.
 
 use mockingbird_bench::harness::{BenchmarkId, Criterion, Throughput};
-use mockingbird_bench::{criterion_group, criterion_main};
+use mockingbird_bench::{criterion_group, criterion_main, OneCallAtATime};
 use mockingbird_rng::StdRng;
 use std::collections::HashMap;
 use std::hint::black_box;
@@ -13,7 +13,6 @@ use std::sync::Arc;
 use mockingbird::corpus::collab::{collaboration, MESSAGE_TYPES};
 use mockingbird::corpus::sample_value;
 use mockingbird::mtype::{IntRange, MtypeGraph};
-use mockingbird::runtime::transport::TcpConnection;
 use mockingbird::runtime::{
     Connection, ConnectionPool, Dispatcher, InMemoryConnection, MultiplexedConnection, RemoteRef,
     RuntimeError, Servant, TcpServer, WireOp, WireServant,
@@ -99,13 +98,14 @@ fn bench_burst(c: &mut Criterion) {
 }
 
 /// E3b: concurrent echo throughput over real TCP — 8 client threads
-/// sharing (a) one serial connection (the stream lock held across each
-/// exchange), (b) one multiplexed connection (pipelined requests, one
-/// demultiplexing reader), (c) a pool of 4 multiplexed connections.
+/// sharing (a) one connection taken one call at a time (a lock held
+/// across each exchange), (b) one multiplexed connection (pipelined
+/// requests, one demultiplexing reader), (c) a pool of 4 multiplexed
+/// connections.
 ///
 /// The servant models a service with per-call latency (database hit,
 /// downstream RPC): each echo sleeps `SERVICE_DELAY` before replying.
-/// The serial connection holds its stream lock across the full
+/// The one-call-at-a-time client holds its lock across the full
 /// exchange, so the 8 threads serialise on that latency; the
 /// multiplexed paths keep several requests in flight and overlap it.
 fn bench_concurrent_echo(c: &mut Criterion) {
@@ -162,9 +162,11 @@ fn bench_concurrent_echo(c: &mut Criterion) {
 
     {
         let (mut server, op) = echo_server();
-        let conn = Arc::new(TcpConnection::connect(server.addr()).unwrap());
+        let conn = Arc::new(OneCallAtATime::connect(server.addr()).unwrap());
         let remote = remote_over(conn, &op);
-        group.bench_function("serial", |b| b.iter(|| run_threads(black_box(&remote))));
+        group.bench_function("one_call_at_a_time", |b| {
+            b.iter(|| run_threads(black_box(&remote)))
+        });
         drop(remote);
         server.shutdown();
     }

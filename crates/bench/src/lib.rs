@@ -14,15 +14,18 @@ pub mod generated_stubs {
 }
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::net::SocketAddr;
 use std::sync::OnceLock;
+use std::sync::{Arc, Mutex};
 
 use mockingbird::comparer::Mode;
 use mockingbird::plan::CoercionPlan;
+use mockingbird::runtime::{CallOptions, Connection, LockExt, MetricsRegistry};
 use mockingbird::runtime::{Dispatcher, RemoteRef, Servant, WireOp, WireServant};
-use mockingbird::runtime::{InMemoryConnection, RuntimeError};
+use mockingbird::runtime::{InMemoryConnection, MultiplexedConnection, RuntimeError};
 use mockingbird::stubgen::{FunctionStub, RemoteStub};
 use mockingbird::values::{Endian, MValue};
+use mockingbird::wire::Message;
 use mockingbird::{Session, SessionError};
 
 /// The fitter declarations (Figs. 1, 2, 5) and §3.4 annotations.
@@ -138,6 +141,44 @@ pub fn fitter_remote_loopback() -> Result<RemoteStub, SessionError> {
 pub fn data_wire_op(session: &mut Session, decl: &str) -> Result<WireOp, SessionError> {
     let ty = session.mtype(decl)?;
     Ok(WireOp::new(Arc::new(session.graph().clone()), ty, ty))
+}
+
+/// A serial client: callers of one [`MultiplexedConnection`] take turns
+/// under a lock, so they queue with their budgets running (the X4
+/// baseline, X12 and the overload suite).
+pub struct OneCallAtATime(MultiplexedConnection, Mutex<()>);
+
+impl OneCallAtATime {
+    /// Dials `addr` without a handshake.
+    pub fn connect(addr: SocketAddr) -> Result<Self, RuntimeError> {
+        Ok(OneCallAtATime(
+            MultiplexedConnection::connect(addr)?,
+            Mutex::default(),
+        ))
+    }
+}
+
+impl Connection for OneCallAtATime {
+    fn call(&self, msg: &Message) -> Result<Option<Message>, RuntimeError> {
+        self.call_with(msg, &CallOptions::default())
+    }
+
+    fn call_with(
+        &self,
+        msg: &Message,
+        opts: &CallOptions,
+    ) -> Result<Option<Message>, RuntimeError> {
+        let _turn = self.1.plock();
+        self.0.call_with(msg, opts)
+    }
+
+    fn healthy(&self) -> bool {
+        self.0.healthy()
+    }
+
+    fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
+        self.0.metrics()
+    }
 }
 
 #[cfg(test)]

@@ -89,7 +89,7 @@ pub fn fetch_artifacts(
     let mut stream =
         TcpStream::connect(addr).map_err(|e| RuntimeError::Transport(e.to_string()))?;
     stream.set_nodelay(true).ok();
-    let deadline = Some(Instant::now() + FETCH_TIMEOUT);
+    let deadline = Instant::now() + FETCH_TIMEOUT;
 
     // Prove agreement first: same Hello the call path uses.
     metrics.add_handshake();

@@ -69,7 +69,7 @@ pub use reactor::{DeadlineWheel, FrameReader, FrameWriter};
 pub use resolver::{ObjectName, ResolvedEndpoint, Resolver, StaticResolver};
 pub use sync::{LockExt, RwLockExt};
 pub use transport::{
-    Connection, InMemoryConnection, MultiplexedConnection, ServerConfig, TcpConnection, TcpServer,
+    Connection, InMemoryConnection, MultiplexedConnection, ServerConfig, TcpServer,
 };
 
 pub use mockingbird_obs::{

@@ -1,12 +1,10 @@
 //! Connections carrying framed messages.
 //!
-//! Three client transports implement [`Connection`]:
+//! Two client transports implement [`Connection`]:
 //!
 //! - [`InMemoryConnection`] — frames and marshals like a network
 //!   transport but dispatches synchronously (marshalling cost without
 //!   socket noise);
-//! - [`TcpConnection`] — a serial socket: one in-flight request at a
-//!   time, the stream lock held across the write/read exchange;
 //! - [`MultiplexedConnection`] — a shared socket watched by the
 //!   process-wide [`reactor`](crate::reactor): each caller writes its
 //!   own request frame to the nonblocking socket when nothing is
@@ -16,11 +14,10 @@
 //!   id and unparks exactly the waiting thread, so N threads pipeline
 //!   calls over one connection without a reader thread per socket.
 //!
-//! Per-call deadlines arrive via [`CallOptions`]: the serial transport
-//! bounds all of the call's reads by one absolute deadline, the
-//! multiplexed transport turns them into reactor deadline-wheel
-//! entries — per-call state, never a mutation of the shared socket, so
-//! concurrent calls cannot observe each other's timeouts.
+//! Per-call deadlines arrive via [`CallOptions`] and become reactor
+//! deadline-wheel entries — per-call state, never a mutation of the
+//! shared socket, so concurrent calls cannot observe each other's
+//! timeouts.
 //!
 //! [`TcpServer`] uses the same reactor architecture: an acceptor
 //! thread registers sockets with a per-server reactor, frames pass
@@ -75,7 +72,7 @@ fn client_handshake(
     metrics.add_handshake();
     let hello = Message::hello(*info, HandshakeVerdict::Propose, Endian::Little);
     write_frame(stream, &hello, metrics)?;
-    let reply = read_frame(stream, Some(Instant::now() + HANDSHAKE_TIMEOUT), metrics)?
+    let reply = read_frame(stream, Instant::now() + HANDSHAKE_TIMEOUT, metrics)?
         .ok_or_else(|| RuntimeError::Transport("connection closed during the handshake".into()))?;
     let MessageKind::Hello {
         info: peer,
@@ -211,9 +208,9 @@ impl Connection for InMemoryConnection {
     }
 }
 
-/// Reads one frame from a blocking stream before `deadline` (serial
-/// transport, client handshake and artifact fetches; the reactor paths
-/// pump their own [`FrameReader`]s).
+/// Reads one frame from a blocking stream before `deadline` (the client
+/// handshake and artifact fetches; the reactor paths pump their own
+/// [`FrameReader`]s).
 ///
 /// Each pump makes one `read` that stops at the frame's end (a budget
 /// of one byte), so no byte of the next frame leaves the socket — the
@@ -223,26 +220,23 @@ impl Connection for InMemoryConnection {
 /// the stream is no longer at a frame boundary.
 pub(crate) fn read_frame(
     stream: &mut TcpStream,
-    deadline: Option<Instant>,
+    deadline: Instant,
     metrics: &MetricsRegistry,
 ) -> Result<Option<Message>, RuntimeError> {
     let mut reader = FrameReader::new();
     let mut frames = Vec::with_capacity(1);
     let mut received = 0u64;
     loop {
-        let wait = match deadline.map(|d| d.saturating_duration_since(Instant::now())) {
-            Some(left) if left.is_zero() && reader.mid_frame() => {
-                return Err(RuntimeError::Transport("read stalled mid-frame".into()))
-            }
-            Some(left) if left.is_zero() => {
-                return Err(RuntimeError::Timeout(
-                    "no frame within the read timeout".into(),
-                ))
-            }
-            wait => wait,
-        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(if reader.mid_frame() {
+                RuntimeError::Transport("read stalled mid-frame".into())
+            } else {
+                RuntimeError::Timeout("no frame within the read timeout".into())
+            });
+        }
         stream
-            .set_read_timeout(wait)
+            .set_read_timeout(Some(left))
             .map_err(|e| RuntimeError::Transport(e.to_string()))?;
         let pump = reader.pump(stream, &mut frames, 1)?;
         received += pump.bytes as u64;
@@ -256,40 +250,24 @@ pub(crate) fn read_frame(
     }
 }
 
+/// Writes one frame to a blocking stream (the client handshake and
+/// artifact fetches; each sends one small frame).
 pub(crate) fn write_frame(
     stream: &mut TcpStream,
     msg: &Message,
     metrics: &MetricsRegistry,
 ) -> Result<(), RuntimeError> {
-    write_frame_restamped(stream, msg, None, metrics)
-}
-
-/// [`write_frame`] with the deadline slot re-stamped at encode time
-/// (see [`Message::write_to_restamped`]).
-fn write_frame_restamped(
-    stream: &mut TcpStream,
-    msg: &Message,
-    restamp: Option<WireDeadline>,
-    metrics: &MetricsRegistry,
-) -> Result<(), RuntimeError> {
-    // The preamble+header go into a per-thread scratch buffer and the
-    // body is written from its own storage (vectored), so no thread
-    // allocates frame memory after its first send.
-    thread_local! {
-        static SCRATCH: std::cell::RefCell<Vec<u8>> = const { std::cell::RefCell::new(Vec::new()) };
-    }
-    SCRATCH.with(|s| {
-        let mut scratch = s.borrow_mut();
-        msg.write_to_restamped(stream, &mut scratch, restamp)
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        metrics.add_bytes_sent((scratch.len() + msg.body.len()) as u64);
-        Ok(())
-    })
+    let frame = msg.to_bytes();
+    stream
+        .write_all(&frame)
+        .map_err(|e| RuntimeError::Transport(e.to_string()))?;
+    metrics.add_bytes_sent(frame.len() as u64);
+    Ok(())
 }
 
 /// The deadline slot to frame now: the caller's budget less everything
 /// since the caller measured it (a wait for a pool slot, a dial, a
-/// delay injected upstream, a wait for the stream). A budget that is
+/// delay injected upstream, a wait for a lock). A budget that is
 /// already spent is refused here without wasting the server's time.
 fn deadline_at_write(msg: &Message) -> Result<Option<WireDeadline>, RuntimeError> {
     let Some(deadline) = msg.deadline else {
@@ -301,143 +279,6 @@ fn deadline_at_write(msg: &Message) -> Result<Option<WireDeadline>, RuntimeError
         )),
         Some(left) => Ok(Some(WireDeadline::new(left, deadline.sheddable))),
         None => Ok(None),
-    }
-}
-
-/// A serial TCP client connection: one in-flight request at a time, the
-/// stream lock held across the whole exchange (the GIOP request id
-/// correlates replies).
-pub struct TcpConnection {
-    stream: Mutex<TcpStream>,
-    metrics: Arc<MetricsRegistry>,
-}
-
-impl TcpConnection {
-    /// Connects to a [`TcpServer`] without a handshake (the peers trust
-    /// each other's declarations — in-process tests, mostly).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Transport`] if the connect fails.
-    pub fn connect(addr: SocketAddr) -> Result<Self, RuntimeError> {
-        Self::connect_with(addr, None)
-    }
-
-    /// Connects to a [`TcpServer`], performing the fingerprint handshake
-    /// when `handshake` is given. Records into a fresh registry; use
-    /// [`connect_with_metrics`](Self::connect_with_metrics) to share one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Transport`] if the connect fails and
-    /// [`RuntimeError::VersionSkew`] if the peer's declarations do not
-    /// match ours.
-    pub fn connect_with(
-        addr: SocketAddr,
-        handshake: Option<&HandshakeInfo>,
-    ) -> Result<Self, RuntimeError> {
-        Self::connect_with_metrics(addr, handshake, MetricsRegistry::shared())
-    }
-
-    /// Connects, recording transport counters into `metrics`.
-    ///
-    /// # Errors
-    ///
-    /// As [`connect_with`](Self::connect_with).
-    pub fn connect_with_metrics(
-        addr: SocketAddr,
-        handshake: Option<&HandshakeInfo>,
-        metrics: Arc<MetricsRegistry>,
-    ) -> Result<Self, RuntimeError> {
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        stream.set_nodelay(true).ok();
-        if let Some(info) = handshake {
-            client_handshake(&mut stream, info, &metrics)?;
-        }
-        Ok(TcpConnection {
-            stream: Mutex::new(stream),
-            metrics,
-        })
-    }
-}
-
-/// Stale replies (left over from calls a previous exchange abandoned on
-/// timeout) a serial connection will skip before giving up on finding
-/// its own.
-const STALE_REPLY_PATIENCE: u32 = 32;
-
-impl Connection for TcpConnection {
-    fn call(&self, msg: &Message) -> Result<Option<Message>, RuntimeError> {
-        self.call_with(msg, &CallOptions::default())
-    }
-
-    fn call_with(
-        &self,
-        msg: &Message,
-        options: &CallOptions,
-    ) -> Result<Option<Message>, RuntimeError> {
-        let mut stream = self.stream.plock();
-        let restamp = deadline_at_write(msg)?;
-        write_frame_restamped(&mut stream, msg, restamp, &self.metrics)?;
-        let MessageKind::Request {
-            request_id: caller_id,
-            response_expected,
-            ..
-        } = msg.kind
-        else {
-            return Ok(None);
-        };
-        if !response_expected {
-            return Ok(None);
-        }
-        // One deadline bounds every read of this exchange, stale
-        // replies included; each call passes its own (or none), so no
-        // call can inherit the previous caller's.
-        let deadline = options
-            .deadline
-            .map(|d| Instant::now() + d.max(Duration::from_millis(1)));
-        let mut stale = 0u32;
-        let outcome = loop {
-            match read_frame(&mut stream, deadline, &self.metrics) {
-                Ok(Some(reply)) => {
-                    // A reply whose id does not match this exchange is
-                    // a leftover from a call that timed out earlier on
-                    // this socket: drop it and keep reading, instead of
-                    // handing the wrong payload to this caller.
-                    match reply.kind {
-                        MessageKind::Reply { request_id, .. } if request_id != caller_id => {
-                            stale += 1;
-                            if stale > STALE_REPLY_PATIENCE {
-                                break Err(RuntimeError::Protocol(
-                                    "flooded with unmatched replies".into(),
-                                ));
-                            }
-                        }
-                        _ => break Ok(Some(reply)),
-                    }
-                }
-                other => break other,
-            }
-        };
-        match outcome {
-            Ok(Some(reply)) => Ok(Some(reply)),
-            Ok(None) => Err(RuntimeError::Transport(
-                "server closed the connection".into(),
-            )),
-            Err(RuntimeError::Timeout(_)) => {
-                self.metrics.add_timeout();
-                Err(RuntimeError::Timeout(format!(
-                    "no reply within {:?}",
-                    options.deadline.unwrap_or_default()
-                )))
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        Some(Arc::clone(&self.metrics))
     }
 }
 
@@ -609,13 +450,24 @@ impl Connection for MultiplexedConnection {
             }
         }
 
+        // The caller's wait ends with its budget: the earlier of the
+        // per-call deadline and the budget left at this write, so time
+        // spent upstream (a dial, an injected delay, a lock) is not
+        // granted a second time.
+        let wait = [options.deadline, restamp.and_then(|d| d.budget())]
+            .into_iter()
+            .flatten()
+            .min();
+        let deadline = wait
+            .filter(|_| response_expected)
+            .map(|d| Instant::now() + d);
+
         // This thread writes the frame; the reactor is woken only for a
         // tail the socket refused, a deadline, or a failed write.
-        let deadline = options
-            .deadline
-            .filter(|_| response_expected)
-            .map(|d| (wire_id, Instant::now() + d));
-        if let Err(e) = self.reactor.write(&self.out, frame, deadline) {
+        if let Err(e) = self
+            .reactor
+            .write(&self.out, frame, deadline.map(|at| (wire_id, at)))
+        {
             if response_expected {
                 self.abandon(wire_id);
             }
@@ -628,7 +480,7 @@ impl Connection for MultiplexedConnection {
         // Park until the reactor resolves the slot: reply, connection
         // failure, or deadline-wheel expiry. The grace check below is
         // a local backstop in case the reactor itself is wedged.
-        let grace = options.deadline.map(|d| Instant::now() + d + TIMEOUT_GRACE);
+        let grace = deadline.map(|at| at + TIMEOUT_GRACE);
         loop {
             {
                 let mut st = self.core.state.plock();
@@ -643,7 +495,7 @@ impl Connection for MultiplexedConnection {
                                 Ok(Some(reply))
                             }
                             Some(Slot::Failed(RuntimeError::Timeout(_))) => {
-                                Err(self.local_timeout(options.deadline))
+                                Err(self.local_timeout(wait))
                             }
                             Some(Slot::Failed(e)) => Err(e),
                             _ => Err(RuntimeError::Protocol("waiter slot vanished".into())),
@@ -661,7 +513,7 @@ impl Connection for MultiplexedConnection {
                     if matches!(st.pending.get(&wire_id), Some(Slot::Waiting(_))) {
                         st.pending.remove(&wire_id);
                         drop(st);
-                        return Err(self.local_timeout(options.deadline));
+                        return Err(self.local_timeout(wait));
                     }
                 }
             }
@@ -1278,19 +1130,6 @@ mod tests {
     }
 
     #[test]
-    fn tcp_connection_round_trip() {
-        let (d, graph, args, result) = adder_dispatcher();
-        let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
-        assert_eq!(call_add(&conn, &graph, args, result, 40, 2), 42);
-        // Several sequential calls on one connection.
-        for k in 0..32 {
-            assert_eq!(call_add(&conn, &graph, args, result, k, k), (2 * k) as i128);
-        }
-        server.shutdown();
-    }
-
-    #[test]
     fn tcp_multiple_clients() {
         let (d, graph, args, result) = adder_dispatcher();
         let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
@@ -1300,7 +1139,7 @@ mod tests {
             .map(|t| {
                 let g = graph2.clone();
                 std::thread::spawn(move || {
-                    let conn = TcpConnection::connect(addr).unwrap();
+                    let conn = MultiplexedConnection::connect(addr).unwrap();
                     for k in 0..16i64 {
                         assert_eq!(call_add(&conn, &g, args, result, t, k), (t + k) as i128);
                     }
@@ -1446,7 +1285,7 @@ mod tests {
     fn oneway_over_tcp_returns_immediately() {
         let (d, graph, args, _result) = adder_dispatcher();
         let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         let mut w = CdrWriter::new(Endian::Little);
         w.put_value(
             &graph,
@@ -1470,7 +1309,7 @@ mod tests {
     fn shutdown_joins_connection_threads() {
         let (d, graph, args, result) = adder_dispatcher();
         let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         assert_eq!(call_add(&conn, &graph, args, result, 1, 1), 2);
         // The connection is still open; shutdown must not hang on it.
         let start = Instant::now();
@@ -1500,14 +1339,13 @@ mod tests {
             assert_eq!(rogue.read(&mut buf).unwrap_or(0), 0, "server hung up");
         }
         // Well-behaved clients are unaffected.
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         assert_eq!(call_add(&conn, &graph, args, result, 2, 3), 5);
         server.shutdown();
     }
 
     #[test]
     fn connect_to_dead_server_fails() {
-        assert!(TcpConnection::connect("127.0.0.1:1".parse().unwrap()).is_err());
         assert!(MultiplexedConnection::connect("127.0.0.1:1".parse().unwrap()).is_err());
     }
 
@@ -1525,27 +1363,30 @@ mod tests {
     }
 
     #[test]
-    fn serial_call_deadline_bounds_a_peer_stalled_mid_frame() {
+    fn multiplexed_calls_against_a_peer_stalled_mid_frame_each_cost_one_deadline() {
         let (addr, peer) = stalled_peer();
-        let conn = TcpConnection::connect(addr).unwrap();
+        let conn = MultiplexedConnection::connect(addr).unwrap();
         let mut g = MtypeGraph::new();
         let i = g.integer(IntRange::signed_bits(64));
         let rec = g.record(vec![i]);
-        let req = echo_request(&g, rec, b"void", 1, 1);
         let opts = CallOptions::new().with_deadline(Duration::from_millis(50));
-        let start = Instant::now();
-        let out = conn.call_with(&req, &opts);
-        let elapsed = start.elapsed();
-        // Transport, not Timeout: the pool must drop a socket left
-        // mid-frame.
-        assert!(
-            matches!(out, Err(RuntimeError::Transport(_))),
-            "got {out:?}"
-        );
-        assert!(
-            elapsed < Duration::from_millis(500),
-            "the 50 ms deadline bounded the call: {elapsed:?}"
-        );
+        for id in 1..=2 {
+            let req = echo_request(&g, rec, b"void", id, 1);
+            let start = Instant::now();
+            let out = conn.call_with(&req, &opts);
+            let elapsed = start.elapsed();
+            assert!(
+                matches!(out, Err(RuntimeError::Timeout(_))),
+                "call {id}: got {out:?}"
+            );
+            assert!(
+                elapsed < Duration::from_millis(500),
+                "call {id}: the 50 ms deadline bounded the call: {elapsed:?}"
+            );
+        }
+        // The reactor owns the half-read frame, so the socket is kept:
+        // a pool's next call over it costs one more deadline.
+        assert!(conn.healthy());
         drop(conn);
         peer.join().unwrap();
     }
@@ -1582,10 +1423,8 @@ mod tests {
             ServerConfig::default().with_handshake(info),
         )
         .unwrap();
-        let conn = TcpConnection::connect_with(server.addr(), Some(&info)).unwrap();
-        assert_eq!(call_add(&conn, &graph, args, result, 1, 2), 3);
-        let mux = MultiplexedConnection::connect_with(server.addr(), Some(&info)).unwrap();
-        assert_eq!(call_add(&mux, &graph, args, result, 2, 2), 4);
+        let conn = MultiplexedConnection::connect_with(server.addr(), Some(&info)).unwrap();
+        assert_eq!(call_add(&conn, &graph, args, result, 2, 2), 4);
         server.shutdown();
     }
 
@@ -1601,16 +1440,12 @@ mod tests {
         .unwrap();
         // A peer compiled against different declarations.
         let skewed = HandshakeInfo::new(mine.interface_fp ^ 0xDEAD_BEEF, 7);
-        let Err(err) = TcpConnection::connect_with(server.addr(), Some(&skewed)) else {
-            panic!("skewed serial connect was accepted")
-        };
-        assert!(matches!(err, RuntimeError::VersionSkew(_)), "got {err}");
         let Err(err) = MultiplexedConnection::connect_with(server.addr(), Some(&skewed)) else {
-            panic!("skewed multiplexed connect was accepted")
+            panic!("skewed connect was accepted")
         };
         assert!(matches!(err, RuntimeError::VersionSkew(_)), "got {err}");
-        // Matching peers still connect after the rejections.
-        let conn = TcpConnection::connect_with(server.addr(), Some(&mine)).unwrap();
+        // Matching peers still connect after the rejection.
+        let conn = MultiplexedConnection::connect_with(server.addr(), Some(&mine)).unwrap();
         assert_eq!(call_add(&conn, &graph, args, result, 3, 4), 7);
         server.shutdown();
     }
@@ -1626,14 +1461,12 @@ mod tests {
         )
         .unwrap();
         // Same declarations, different comparer rules: the wire types
-        // agree, so both transports connect and call as usual.
+        // agree, so the client connects and calls as usual.
         let other_rules = HandshakeInfo::new(mine.interface_fp, 8);
-        let conn = TcpConnection::connect_with(server.addr(), Some(&other_rules)).unwrap();
-        assert_eq!(call_add(&conn, &graph, args, result, 5, 6), 11);
-        let mux = MultiplexedConnection::connect_with(server.addr(), Some(&other_rules)).unwrap();
-        assert_eq!(call_add(&mux, &graph, args, result, 6, 6), 12);
+        let conn = MultiplexedConnection::connect_with(server.addr(), Some(&other_rules)).unwrap();
+        assert_eq!(call_add(&conn, &graph, args, result, 6, 6), 12);
         let m = server.metrics().snapshot();
-        assert_eq!((m.handshakes, m.handshake_rejects), (2, 0));
+        assert_eq!((m.handshakes, m.handshake_rejects), (1, 0));
         server.shutdown();
     }
 
@@ -1650,7 +1483,7 @@ mod tests {
             },
         )
         .unwrap();
-        let conn = TcpConnection::connect(server.addr()).unwrap();
+        let conn = MultiplexedConnection::connect(server.addr()).unwrap();
         let mut w = CdrWriter::new(Endian::Little);
         w.put_value(
             &graph,
@@ -1709,7 +1542,7 @@ mod tests {
         let mut raw = TcpStream::connect(server.addr()).unwrap();
         raw.write_all(&req.to_bytes()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        let reply = read_frame(&mut raw, Some(deadline), &MetricsRegistry::new())
+        let reply = read_frame(&mut raw, deadline, &MetricsRegistry::new())
             .unwrap()
             .expect("a reply frame");
         let MessageKind::Reply {
@@ -1732,7 +1565,7 @@ mod tests {
         let addr = server.addr();
         let g2 = graph.clone();
         let client = std::thread::spawn(move || {
-            let conn = TcpConnection::connect(addr).unwrap();
+            let conn = MultiplexedConnection::connect(addr).unwrap();
             let req = echo_request(&g2, rec, b"slow", 1, 9);
             conn.call(&req)
         });

@@ -506,8 +506,7 @@ mod tests {
     use mockingbird_mtype::{IntRange, MtypeGraph, RealPrecision};
     use mockingbird_runtime::{
         CallOptions, Connection, Dispatcher, InMemoryConnection, MetricsRegistry,
-        MultiplexedConnection, RetryBudget, ServerConfig, TcpConnection, TcpServer, WireOp,
-        WireServant,
+        MultiplexedConnection, RetryBudget, ServerConfig, TcpServer, WireOp, WireServant,
     };
     use mockingbird_values::Endian;
     use mockingbird_wire::{HandshakeInfo, Message};
@@ -719,33 +718,24 @@ mod tests {
         .unwrap();
         // A client whose stubs were compiled under other rules.
         let skewed = HandshakeInfo::new(mine.interface_fp, mine.rules_fp ^ 1);
-        let conns: [Arc<dyn Connection>; 2] = [
-            Arc::new(TcpConnection::connect_with(server.addr(), Some(&skewed)).unwrap()),
-            Arc::new(MultiplexedConnection::connect_with(server.addr(), Some(&skewed)).unwrap()),
-        ];
-        for conn in conns {
-            let remote = Arc::new(RemoteRef::new(
-                conn,
-                b"fitter".to_vec(),
-                ops.clone(),
-                Endian::Little,
-            ));
-            let stub = RemoteStub::new(
-                FunctionStub::new(plan.clone()).unwrap(),
-                remote.clone(),
-                "fit",
-            );
-            assert!(stub.is_fused());
-            let calls = 5;
-            for k in 0..calls {
-                let (pts, line) = fitter_call(k);
-                assert_eq!(stub.call(&[pts]).unwrap(), line);
-            }
-            // Every call ran a compiled tier: native both ways counts a
-            // native call, no native stub counts a fallback to the VM.
-            let m = remote.metrics().snapshot();
-            assert_eq!(m.native_calls + m.native_fallbacks, u64::from(calls));
+        let conn = MultiplexedConnection::connect_with(server.addr(), Some(&skewed)).unwrap();
+        let remote = Arc::new(RemoteRef::new(
+            Arc::new(conn),
+            b"fitter".to_vec(),
+            ops,
+            Endian::Little,
+        ));
+        let stub = RemoteStub::new(FunctionStub::new(plan).unwrap(), remote.clone(), "fit");
+        assert!(stub.is_fused());
+        let calls = 5;
+        for k in 0..calls {
+            let (pts, line) = fitter_call(k);
+            assert_eq!(stub.call(&[pts]).unwrap(), line);
         }
+        // Every call ran a compiled tier: native both ways counts a
+        // native call, no native stub counts a fallback to the VM.
+        let m = remote.metrics().snapshot();
+        assert_eq!(m.native_calls + m.native_fallbacks, u64::from(calls));
         assert_eq!(server.metrics().snapshot().handshake_rejects, 0);
         server.shutdown();
     }
@@ -808,7 +798,9 @@ mod tests {
         let bodies_under = |rules_fp: u64| {
             let info = HandshakeInfo::new(mine.interface_fp, rules_fp);
             let recording = Arc::new(Recording {
-                inner: Arc::new(TcpConnection::connect_with(server.addr(), Some(&info)).unwrap()),
+                inner: Arc::new(
+                    MultiplexedConnection::connect_with(server.addr(), Some(&info)).unwrap(),
+                ),
                 bodies: Mutex::default(),
             });
             let remote = Arc::new(RemoteRef::new(

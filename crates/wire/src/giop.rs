@@ -6,7 +6,6 @@
 //! Request or Reply header and the CDR-encoded body.
 
 use std::fmt;
-use std::io::{self, IoSlice, Write};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
@@ -571,11 +570,13 @@ impl Message {
     }
 
     /// Serialises the message as if its request id were `id` and, when
-    /// `restamp` is given, its deadline slot held `restamp` (see
-    /// [`write_to_restamped`](Self::write_to_restamped)), in one pass
+    /// `restamp` is given, its deadline slot held `restamp`, in one pass
     /// and without copying the message: the frame a multiplexing
-    /// transport sends after renumbering a caller's request. Kinds
-    /// without a request id (`Hello`) keep their own.
+    /// transport sends after renumbering a caller's request. Framing the
+    /// budget left at the actual send instant (see
+    /// [`WireDeadline::remaining`]) keeps the server's view of the
+    /// remaining time from drifting past the caller's. Kinds without a
+    /// request id (`Hello`) keep their own.
     #[must_use]
     pub fn to_bytes_with_id(&self, id: u32, restamp: Option<WireDeadline>) -> Vec<u8> {
         let mut out = Vec::new();
@@ -599,58 +600,6 @@ impl Message {
             | MessageKind::Artifact { request_id, .. } => *request_id = id,
             MessageKind::Hello { .. } => {}
         }
-    }
-
-    /// Writes the framed message to `w` without copying the body: the
-    /// head is serialised into `scratch` (a reusable buffer) and head +
-    /// body go out as one vectored write where the sink supports it.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from the sink; a sink that accepts zero
-    /// bytes yields `WriteZero`.
-    pub fn write_to<W: Write + ?Sized>(&self, w: &mut W, scratch: &mut Vec<u8>) -> io::Result<()> {
-        self.write_to_restamped(w, scratch, None)
-    }
-
-    /// Like [`write_to`](Self::write_to), but replaces the deadline
-    /// slot's value with `restamp` as it encodes (ignored when the
-    /// message frames no deadline slot). Transports use this to frame
-    /// the budget left at the *actual* send instant (see
-    /// [`WireDeadline::remaining`]), so the server's view of the
-    /// remaining time never drifts past the caller's.
-    ///
-    /// # Errors
-    ///
-    /// As [`write_to`](Self::write_to).
-    pub fn write_to_restamped<W: Write + ?Sized>(
-        &self,
-        w: &mut W,
-        scratch: &mut Vec<u8>,
-        restamp: Option<WireDeadline>,
-    ) -> io::Result<()> {
-        self.head_into(
-            scratch,
-            12 + self.header_len().div_ceil(8) * 8,
-            restamp,
-            None,
-        );
-        let head = scratch.len();
-        let total = head + self.body.len();
-        let mut written = 0usize;
-        while written < total {
-            let n = if written < head {
-                let slices = [IoSlice::new(&scratch[written..]), IoSlice::new(&self.body)];
-                w.write_vectored(&slices)?
-            } else {
-                w.write(&self.body[written - head..])?
-            };
-            if n == 0 {
-                return Err(io::ErrorKind::WriteZero.into());
-            }
-            written += n;
-        }
-        Ok(())
     }
 
     /// Parses a framed message.
@@ -977,25 +926,6 @@ mod tests {
             assert_eq!(pooled.capacity(), cap, "warmed buffer does not grow");
             assert_eq!(pooled.as_ptr(), ptr, "warmed buffer does not move");
         }
-    }
-
-    #[test]
-    fn write_to_emits_identical_frames_without_body_copy() {
-        let m = Message::request(3, true, b"k".to_vec(), "echo", Endian::Little, vec![5; 64]);
-        let mut sink = Vec::new();
-        let mut scratch = Vec::new();
-        m.write_to(&mut sink, &mut scratch).unwrap();
-        assert_eq!(sink, m.to_bytes());
-        assert!(
-            scratch.len() < sink.len(),
-            "body was not copied into scratch"
-        );
-        // A second write reuses the scratch buffer without growth.
-        let cap = scratch.capacity();
-        sink.clear();
-        m.write_to(&mut sink, &mut scratch).unwrap();
-        assert_eq!(sink, m.to_bytes());
-        assert_eq!(scratch.capacity(), cap);
     }
 
     #[test]

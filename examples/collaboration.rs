@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("site B listening on {}", server.addr());
 
     // Site A: sends a burst of updates.
-    let conn = Arc::new(mockingbird::runtime::transport::TcpConnection::connect(
+    let conn = Arc::new(mockingbird::runtime::MultiplexedConnection::connect(
         server.addr(),
     )?);
     let remote = RemoteRef::new(conn, b"collab".to_vec(), msg_ops, Endian::Little);

@@ -123,7 +123,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Client: JavaIdeal-declared, adapted by the coercion plan.
     let plan = s.compare("JavaIdeal", "fitter", Mode::Equivalence)?;
     let stub = mockingbird::stubgen::FunctionStub::new(Arc::new(plan))?;
-    let conn = Arc::new(mockingbird::runtime::transport::TcpConnection::connect(
+    let conn = Arc::new(mockingbird::runtime::MultiplexedConnection::connect(
         server.addr(),
     )?);
     let mut client_ops = HashMap::new();

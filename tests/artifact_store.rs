@@ -236,7 +236,13 @@ fn forged_peer_record_is_rejected_by_content_hash() {
 #[test]
 fn rules_disagreement_blocks_artifact_transfer() {
     let rules_fp = RuleSet::full().fingerprint();
+    // The peer holds records under the joiner's rules, which is what it
+    // would ship if the fetcher let the transfer go ahead.
+    let (_, bc) = compiled_corpus(10);
     let peer_store = Arc::new(MemoryStore::new());
+    bc.cache().store_into(peer_store.as_ref());
+    bc.programs().store_into(peer_store.as_ref());
+    assert!(!peer_store.is_empty());
     let mut server = TcpServer::bind_with(
         "127.0.0.1:0",
         Arc::new(Dispatcher::new()),

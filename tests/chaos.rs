@@ -12,11 +12,10 @@ use std::time::{Duration, Instant};
 
 use mockingbird::mtype::{IntRange, MtypeGraph};
 use mockingbird::runtime::dispatch::interface_fingerprint;
-use mockingbird::runtime::transport::TcpConnection;
 use mockingbird::runtime::{
     BreakerConfig, BreakerState, CallOptions, ChaosConnection, Connection, ConnectionPool,
-    Connector, Dispatcher, HedgePolicy, InMemoryConnection, RemoteRef, RetryBudget, RetryPolicy,
-    RuntimeError, Servant, ServerConfig, TcpServer, WireOp, WireServant,
+    Connector, Dispatcher, HedgePolicy, InMemoryConnection, MultiplexedConnection, RemoteRef,
+    RetryBudget, RetryPolicy, RuntimeError, Servant, ServerConfig, TcpServer, WireOp, WireServant,
 };
 use mockingbird::values::{Endian, MValue};
 use mockingbird::wire::HandshakeInfo;
@@ -174,7 +173,7 @@ fn version_skew_is_rejected_at_connect_time() {
     let mut skewed = ops.clone();
     skewed.insert("evict".to_string(), ops["echo"].clone());
     let skewed_info = HandshakeInfo::new(interface_fingerprint(&skewed), 7);
-    let Err(err) = TcpConnection::connect_with(server.addr(), Some(&skewed_info)) else {
+    let Err(err) = MultiplexedConnection::connect_with(server.addr(), Some(&skewed_info)) else {
         panic!("a skewed peer must not connect");
     };
     assert!(matches!(err, RuntimeError::VersionSkew(_)), "{err}");
@@ -182,7 +181,7 @@ fn version_skew_is_rejected_at_connect_time() {
 
     // The matching client is unaffected and calls fine.
     let good = HandshakeInfo::new(interface_fingerprint(&ops), 7);
-    let conn = TcpConnection::connect_with(server.addr(), Some(&good)).unwrap();
+    let conn = MultiplexedConnection::connect_with(server.addr(), Some(&good)).unwrap();
     let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little);
     assert_eq!(remote.invoke("echo", &payload(4)).unwrap(), payload(4));
     server.shutdown();
@@ -202,8 +201,8 @@ fn rules_skew_is_accepted_and_still_serves() {
     // Same interface, different coercion-rules fingerprint: rules only
     // shape each side's own stub, never the wire types, so the
     // handshake accepts.
-    let conn =
-        TcpConnection::connect_with(server.addr(), Some(&HandshakeInfo::new(fp, 2))).unwrap();
+    let conn = MultiplexedConnection::connect_with(server.addr(), Some(&HandshakeInfo::new(fp, 2)))
+        .unwrap();
     let m = server.metrics().snapshot();
     assert_eq!((m.handshakes, m.handshake_rejects), (1, 0));
     let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little);

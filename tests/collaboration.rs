@@ -11,8 +11,7 @@ use mockingbird_rng::StdRng;
 
 use mockingbird::corpus::collab::{collaboration, APP_CLASSES, MESSAGE_TYPES};
 use mockingbird::corpus::sample_value;
-use mockingbird::runtime::transport::TcpConnection;
-use mockingbird::runtime::{Node, RemoteRef, TcpServer, WireOp};
+use mockingbird::runtime::{MultiplexedConnection, Node, RemoteRef, TcpServer, WireOp};
 use mockingbird::stubgen::MessagingStubs;
 use mockingbird::values::mvalue::typecheck;
 use mockingbird::values::{Endian, MValue};
@@ -97,7 +96,7 @@ fn two_sites_exchange_updates_over_tcp() {
     let mut server = TcpServer::bind("127.0.0.1:0", site_b.dispatcher()).unwrap();
 
     // Sending site: one sampled value per message type.
-    let conn = Arc::new(TcpConnection::connect(server.addr()).unwrap());
+    let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());
     let remote = RemoteRef::new(conn, b"collab".to_vec(), ops, Endian::Little);
     let mut rng = StdRng::seed_from_u64(7);
     let mut sent = Vec::new();

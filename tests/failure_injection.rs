@@ -9,7 +9,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mockingbird::mtype::{IntRange, MtypeGraph};
-use mockingbird::runtime::transport::TcpConnection;
 use mockingbird::runtime::{
     CallOptions, Connection, ConnectionPool, Dispatcher, MultiplexedConnection, RemoteRef,
     RetryPolicy, RuntimeError, Servant, TcpServer, WireOp, WireServant,
@@ -43,7 +42,7 @@ fn garbage_bytes_do_not_kill_the_server() {
         rogue.write_all(b"NOT-A-GIOP-FRAME-AT-ALL").unwrap();
     }
 
-    let conn = TcpConnection::connect(server.addr()).unwrap();
+    let conn = MultiplexedConnection::connect(server.addr()).unwrap();
     let mut ops = HashMap::new();
     ops.insert("echo".to_string(), op);
     let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little);
@@ -58,7 +57,7 @@ fn garbage_bytes_do_not_kill_the_server() {
 fn truncated_frames_are_transport_errors_not_hangs() {
     let (d, op) = adder();
     let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-    let conn = TcpConnection::connect(server.addr()).unwrap();
+    let conn = MultiplexedConnection::connect(server.addr()).unwrap();
     // A frame that lies about its size: the server's read_exact fails and
     // the connection closes; the client's next call errors cleanly.
     let mut fake =
@@ -85,7 +84,7 @@ fn truncated_frames_are_transport_errors_not_hangs() {
 fn calls_after_shutdown_fail_with_transport_errors() {
     let (d, op) = adder();
     let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-    let conn = Arc::new(TcpConnection::connect(server.addr()).unwrap());
+    let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());
     let mut ops = HashMap::new();
     ops.insert("echo".to_string(), op);
     let remote = RemoteRef::new(conn, b"obj".to_vec(), ops, Endian::Little);
@@ -269,48 +268,72 @@ impl<C: Connection> Connection for Delayed<C> {
 
 #[test]
 fn a_budget_spent_before_the_transport_never_reaches_the_server() {
-    for multiplexed in [false, true] {
-        let ran = Arc::new(AtomicUsize::new(0));
-        let (d, op) = {
-            let ran = ran.clone();
-            let (_, op) = adder();
-            let servant: Arc<dyn Servant> = Arc::new(move |_: &str, v: MValue| {
-                ran.fetch_add(1, Ordering::SeqCst);
-                Ok(v)
-            });
-            let mut ops = HashMap::new();
-            ops.insert("echo".to_string(), op.clone());
-            let d = Arc::new(Dispatcher::new());
-            d.register(b"obj".to_vec(), WireServant::new(servant, ops));
-            (d, op)
-        };
-        let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
-        let delay = Duration::from_millis(40);
-        let conn: Arc<dyn Connection> = if multiplexed {
-            let inner = MultiplexedConnection::connect(server.addr()).unwrap();
-            Arc::new(Delayed { inner, delay })
-        } else {
-            let inner = TcpConnection::connect(server.addr()).unwrap();
-            Arc::new(Delayed { inner, delay })
-        };
+    let ran = Arc::new(AtomicUsize::new(0));
+    let (d, op) = {
+        let ran = ran.clone();
+        let (_, op) = adder();
+        let servant: Arc<dyn Servant> = Arc::new(move |_: &str, v: MValue| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            Ok(v)
+        });
         let mut ops = HashMap::new();
-        ops.insert("echo".to_string(), op);
-        let remote = RemoteRef::new(conn, b"obj".to_vec(), ops, Endian::Little)
-            .with_options(CallOptions::new().with_deadline(Duration::from_millis(30)));
-        let err = remote
-            .invoke("echo", &MValue::Record(vec![MValue::Int(1)]))
-            .unwrap_err();
-        assert!(
-            matches!(err, RuntimeError::DeadlineExpired(_)),
-            "multiplexed={multiplexed}: {err}"
-        );
-        server.shutdown();
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            0,
-            "multiplexed={multiplexed}: the servant ran after its caller's deadline"
-        );
-    }
+        ops.insert("echo".to_string(), op.clone());
+        let d = Arc::new(Dispatcher::new());
+        d.register(b"obj".to_vec(), WireServant::new(servant, ops));
+        (d, op)
+    };
+    let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
+    let conn = Delayed {
+        inner: MultiplexedConnection::connect(server.addr()).unwrap(),
+        delay: Duration::from_millis(40),
+    };
+    let mut ops = HashMap::new();
+    ops.insert("echo".to_string(), op);
+    let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little)
+        .with_options(CallOptions::new().with_deadline(Duration::from_millis(30)));
+    let err = remote
+        .invoke("echo", &MValue::Record(vec![MValue::Int(1)]))
+        .unwrap_err();
+    assert!(matches!(err, RuntimeError::DeadlineExpired(_)), "{err}");
+    server.shutdown();
+    assert_eq!(
+        ran.load(Ordering::SeqCst),
+        0,
+        "the servant ran after its caller's deadline"
+    );
+}
+
+#[test]
+fn time_spent_before_the_transport_comes_out_of_the_callers_wait() {
+    let (_, op) = adder();
+    let servant: Arc<dyn Servant> = Arc::new(|_: &str, v: MValue| {
+        std::thread::sleep(Duration::from_secs(1));
+        Ok(v)
+    });
+    let mut ops = HashMap::new();
+    ops.insert("echo".to_string(), op);
+    let d = Arc::new(Dispatcher::new());
+    d.register(b"obj".to_vec(), WireServant::new(servant, ops.clone()));
+    let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
+    let conn = Delayed {
+        inner: MultiplexedConnection::connect(server.addr()).unwrap(),
+        delay: Duration::from_millis(100),
+    };
+    let remote = RemoteRef::new(Arc::new(conn), b"obj".to_vec(), ops, Endian::Little)
+        .with_options(CallOptions::new().with_deadline(Duration::from_millis(150)));
+    let start = Instant::now();
+    let err = remote
+        .invoke("echo", &MValue::Record(vec![MValue::Int(1)]))
+        .unwrap_err();
+    let elapsed = start.elapsed();
+    assert!(matches!(err, RuntimeError::Timeout(_)), "{err}");
+    // The 100 ms upstream delay is part of the 150 ms budget: waiting
+    // a full deadline from the write would return after ~250 ms.
+    assert!(
+        elapsed < Duration::from_millis(200),
+        "the wait ended with the budget: {elapsed:?}"
+    );
+    server.shutdown();
 }
 
 #[test]

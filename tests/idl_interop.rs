@@ -10,8 +10,9 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mockingbird::baselines::{c_to_java, generate_java};
-use mockingbird::runtime::transport::TcpConnection;
-use mockingbird::runtime::{Node, RemoteRef, RuntimeError, Servant, TcpServer};
+use mockingbird::runtime::{
+    MultiplexedConnection, Node, RemoteRef, RuntimeError, Servant, TcpServer,
+};
 use mockingbird::stubgen::{FunctionStub, RemoteStub};
 use mockingbird::values::{Endian, MValue};
 use mockingbird::{Mode, Session};
@@ -141,7 +142,7 @@ fn remote_invocation_with_idl_defined_wire() {
         .compare("JavaIdeal", "CFriendly", Mode::Equivalence)
         .unwrap();
     let client_stub = FunctionStub::new(Arc::new(client_plan)).unwrap();
-    let conn = Arc::new(TcpConnection::connect(server.addr()).unwrap());
+    let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());
     let mut cops = HashMap::new();
     cops.insert("fitter".to_string(), wire_op);
     let remote = Arc::new(RemoteRef::new(conn, b"svc".to_vec(), cops, Endian::Big));

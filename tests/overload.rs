@@ -20,13 +20,13 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mockingbird::mtype::{IntRange, MtypeGraph};
-use mockingbird::runtime::transport::TcpConnection;
 use mockingbird::runtime::{
     CallOptions, ChaosConnection, Connection, ConnectionPool, Connector, Dispatcher,
     InMemoryConnection, RemoteRef, RetryBudget, RetryPolicy, RuntimeError, Servant, ServerConfig,
     TcpServer, WireOp, WireServant,
 };
 use mockingbird::values::{Endian, MValue};
+use mockingbird_bench::OneCallAtATime;
 
 /// Per-request servant work: with [`WORKERS`] dispatch workers the
 /// server's capacity is `WORKERS / SERVICE_TIME` ≈ 500 calls/s.
@@ -107,7 +107,9 @@ fn retry_policy() -> RetryPolicy {
 }
 
 /// Drives `threads` closed-loop callers against `addr` through one
-/// shared pool (chaos-wrapped dials at [`FAULT_RATE`]) and returns the
+/// shared pool (chaos-wrapped [`OneCallAtATime`] dials at
+/// [`FAULT_RATE`]; callers sharing a slot queue on it with their
+/// budgets running) and returns the
 /// goodput count: calls that succeeded within [`DEADLINE`] during the
 /// measured window. When `deadlines` is given, each call registers its
 /// absolute deadline before being sent so the servant can detect
@@ -125,7 +127,7 @@ fn drive(
     let connector: Connector = Arc::new(move |a| {
         let n = dials.fetch_add(1, Ordering::SeqCst);
         Ok(Arc::new(ChaosConnection::with_fault_rate(
-            Arc::new(TcpConnection::connect(a)?),
+            Arc::new(OneCallAtATime::connect(a)?),
             seed + n,
             FAULT_RATE,
         )) as Arc<dyn Connection>)
