@@ -4,7 +4,7 @@
 
 fn main() {
     // Cargo reruns this script when it, or the emitter it links
-    // against, changes; bench sources do not affect the output.
+    // against, changes; the crate's own sources do not affect the output.
     println!("cargo:rerun-if-changed=build.rs");
     let stubs = mockingbird::emit_fixture_stubs().expect("the fixture corpus emits");
     let out = std::env::var_os("OUT_DIR").expect("Cargo sets OUT_DIR for build scripts");

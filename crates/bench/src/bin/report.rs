@@ -49,7 +49,7 @@ use mockingbird::stype::ast::Stype;
 use mockingbird::stype::lower::Lowerer;
 use mockingbird::stype::script::apply_script;
 use mockingbird::values::{Endian, MValue};
-use mockingbird::wire::{CdrReader, CdrWriter};
+use mockingbird::wire::{mbp, CdrReader, CdrWriter};
 use mockingbird::Session;
 
 use mockingbird_bench::{
@@ -262,22 +262,28 @@ fn e3() {
 
 fn x1() {
     println!("== X1: does two-declarations add overhead? (paper §6) ==");
+    // The remote row runs the tier a served call resolves, as perfbench
+    // does for the same fitter pair.
+    mockingbird_bench::register_native_stubs();
     let (stub, _) = fitter_stub().unwrap();
     let remote = fitter_remote_loopback().unwrap();
     println!(
-        "{:<28} {:>12} {:>12} {:>12}",
-        "path (µs/call)", "4 pts", "64 pts", "1024 pts"
+        "{:<28} {:<13} {:>12} {:>12} {:>12}",
+        "path (µs/call)", "tier", "4 pts", "64 pts", "1024 pts"
     );
-    let mut rows: Vec<(&str, Vec<f64>)> = Vec::new();
-    for (label, f) in [
+    let mut rows: Vec<(&str, &str, Vec<f64>)> = Vec::new();
+    for (label, tier, f) in [
         (
             "native_call",
+            "-",
             Box::new(|pts: &MValue| {
                 c_fitter_impl(MValue::Record(vec![pts.clone()])).unwrap();
             }) as Box<dyn Fn(&MValue)>,
         ),
         (
+            // A local stub has no compiled tier: it runs the plan.
             "mockingbird_local_stub",
+            "interpretive",
             Box::new(|pts: &MValue| {
                 stub.call(std::slice::from_ref(pts), &c_fitter_impl)
                     .unwrap();
@@ -285,6 +291,7 @@ fn x1() {
         ),
         (
             "mockingbird_remote_loopback",
+            remote.dispatch_tier(),
             Box::new(|pts: &MValue| {
                 remote.call(std::slice::from_ref(pts)).unwrap();
             }),
@@ -296,7 +303,7 @@ fn x1() {
             let iters = if n >= 1024 { 2_000 } else { 10_000 };
             cells.push(per_call_us(iters, || f(&pts)));
         }
-        rows.push((label, cells));
+        rows.push((label, tier, cells));
     }
 
     // The marshalling comparison against the IDL-compiler baseline.
@@ -320,9 +327,9 @@ fn x1() {
         std::hint::black_box(path.marshal(&v, Endian::Little).unwrap());
     });
 
-    for (label, cells) in rows {
+    for (label, tier, cells) in rows {
         println!(
-            "{label:<28} {:>12.2} {:>12.2} {:>12.2}",
+            "{label:<28} {tier:<13} {:>12.2} {:>12.2} {:>12.2}",
             cells[0], cells[1], cells[2]
         );
     }
@@ -398,6 +405,11 @@ fn x3() {
     let mut w = CdrWriter::new(Endian::Little);
     w.put_value(&g, list, &v).unwrap();
     let bytes = w.into_bytes();
+    println!(
+        "1024-point list: {} CDR bytes, {} MBP bytes (self-describing)",
+        bytes.len(),
+        mbp::encode(&v).len()
+    );
     for endian in [Endian::Little, Endian::Big] {
         let enc = per_call_us(2_000, || {
             let mut w = CdrWriter::new(endian);

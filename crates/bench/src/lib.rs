@@ -1,11 +1,9 @@
-//! Shared fixtures for the benchmark harness and the experiment report.
+//! Shared fixtures for the experiment report, the integration tests and
+//! `perfbench`.
 //!
 //! Each fixture corresponds to one experiment of DESIGN.md §4; the
-//! Criterion benches and the `report` binary both build on these so the
-//! numbers in EXPERIMENTS.md and the bench output describe the same
-//! workloads.
-
-pub mod harness;
+//! `report` binary and the tests both build on these, so the numbers in
+//! EXPERIMENTS.md and the tests' assertions describe the same workloads.
 
 /// The native marshal stubs of the seed-pinned fixture corpus, emitted
 /// by this crate's build script (the same text `mbc emit-stubs` writes).
@@ -21,7 +19,7 @@ use std::sync::{Arc, Mutex};
 use mockingbird::comparer::Mode;
 use mockingbird::plan::CoercionPlan;
 use mockingbird::runtime::{CallOptions, Connection, LockExt, MetricsRegistry};
-use mockingbird::runtime::{Dispatcher, RemoteRef, Servant, WireOp, WireServant};
+use mockingbird::runtime::{Dispatcher, RemoteRef, Servant, WireServant};
 use mockingbird::runtime::{InMemoryConnection, MultiplexedConnection, RuntimeError};
 use mockingbird::stubgen::{FunctionStub, RemoteStub};
 use mockingbird::values::{Endian, MValue};
@@ -52,9 +50,9 @@ annotate JavaIdeal.method(fitter).ret non-null";
 
 /// Installs the emitted native marshal stubs into the process-global
 /// registry (idempotent), returning how many programs are registered.
-/// Benches and tests that want the native tier call this before
-/// building stubs; binaries that never call it measure the opcode VM
-/// unchanged.
+/// Tests and `report` sections that want the native tier call this
+/// before building stubs; a stub built without it resolves the opcode
+/// VM.
 pub fn register_native_stubs() -> usize {
     static COUNT: OnceLock<usize> = OnceLock::new();
     *COUNT.get_or_init(|| {
@@ -135,12 +133,6 @@ pub fn fitter_remote_loopback() -> Result<RemoteStub, SessionError> {
     let remote = Arc::new(RemoteRef::new(conn, b"svc".to_vec(), cops, Endian::Little));
     let plan = Arc::new(s.compare("JavaIdeal", "fitter", Mode::Equivalence)?);
     Ok(RemoteStub::new(FunctionStub::new(plan)?, remote, "fitter"))
-}
-
-/// One `WireOp` for an arbitrary data Mtype (messaging benches).
-pub fn data_wire_op(session: &mut Session, decl: &str) -> Result<WireOp, SessionError> {
-    let ty = session.mtype(decl)?;
-    Ok(WireOp::new(Arc::new(session.graph().clone()), ty, ty))
 }
 
 /// A serial client: callers of one [`MultiplexedConnection`] take turns

@@ -1141,6 +1141,25 @@ mod tests {
         assert!(!Comparer::with_rules(&g, &g, RuleSet::strict()).equivalent(ab, ba));
         // Strict rules still accept identical structure.
         assert!(Comparer::with_rules(&g, &g, RuleSet::strict()).equivalent(ab, ab));
+
+        // Wide records match their reversal under the rules only. Leaf
+        // ranges repeat every 62 fields, so at 128 fields equal leaves
+        // must pair up too.
+        for width in [8u32, 32, 128] {
+            let leaves: Vec<_> = (0..width)
+                .map(|k| g.integer(IntRange::signed_bits(k % 62 + 1)))
+                .collect();
+            let wide = g.record(leaves.clone());
+            let reversed = g.record(leaves.into_iter().rev().collect());
+            assert!(
+                Comparer::new(&g, &g).equivalent(wide, reversed),
+                "{width} fields"
+            );
+            assert!(
+                !Comparer::with_rules(&g, &g, RuleSet::strict()).equivalent(wide, reversed),
+                "{width} fields"
+            );
+        }
     }
 
     #[test]
@@ -1217,6 +1236,20 @@ mod tests {
             Comparer::new(&g, &g).equivalent(t1, t2),
             "a recursive type equals its unrolling (Amadio–Cardelli)"
         );
+
+        // A cycle through n records, built alike in two graphs.
+        for n in [4usize, 16, 64] {
+            let chain = |g: &mut MtypeGraph| {
+                let i = g.integer(IntRange::signed_bits(32));
+                g.recursive(|g, me| (0..n).fold(me, |cur, _| g.record(vec![i, cur])))
+            };
+            let (mut g1, mut g2) = (graph(), graph());
+            let (c1, c2) = (chain(&mut g1), chain(&mut g2));
+            assert!(
+                Comparer::new(&g1, &g2).equivalent(c1, c2),
+                "{n}-record cycle"
+            );
+        }
     }
 
     #[test]

@@ -15,10 +15,6 @@
 //!   by request id, and a hashed deadline wheel for per-call timeouts;
 //! - [`sync`] — poison-recovering lock accessors, so one panicking
 //!   worker cannot cascade `PoisonError` panics across connections;
-//! - [`node`] — a `Node` owns a dispatcher, a port table for the Port
-//!   Mtype ("addresses to which values may be sent", §3.3), and
-//!   messaging endpoints for send/receive stubs (the §5 collaboration
-//!   study's model);
 //! - [`proxy::RemoteRef`] — the client side of a remote object: encodes
 //!   arguments by Mtype, frames a Request, awaits the Reply;
 //! - [`pool::ConnectionPool`] — a dynamic set of multiplexed
@@ -44,7 +40,6 @@ pub mod dispatch;
 pub mod error;
 pub mod limiter;
 pub mod metrics;
-pub mod node;
 pub mod options;
 pub mod pool;
 pub mod proxy;
@@ -61,7 +56,6 @@ pub use dispatch::{Dispatcher, Servant, WireOp, WireServant};
 pub use error::RuntimeError;
 pub use limiter::{Admission, AimdLimiter};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
-pub use node::{Node, PortHandler};
 pub use options::{CallOptions, Criticality, HedgePolicy, RetryPolicy};
 pub use pool::{BufferPool, ConnectionPool, Connector, PoolBuilder, RequestEncoder};
 pub use proxy::RemoteRef;

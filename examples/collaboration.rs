@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use mockingbird::corpus::collab::{collaboration, MESSAGE_TYPES};
-use mockingbird::runtime::{Node, RemoteRef, TcpServer, WireOp};
+use mockingbird::runtime::{Dispatcher, RemoteRef, TcpServer, WireOp, WireServant};
 use mockingbird::stubgen::MessagingStubs;
 use mockingbird::values::{Endian, MValue};
 use mockingbird::Session;
@@ -57,13 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Arc::new(move |v: MValue| sink.lock().unwrap().push((name.clone(), v))),
         );
     }
-    let site_b = Node::new("site-b");
-    site_b.register_object(
+    let site_b = Arc::new(Dispatcher::new());
+    site_b.register(
         b"collab".to_vec(),
-        MessagingStubs::receive_servant(handlers),
-        msg_ops.clone(),
+        WireServant::new(MessagingStubs::receive_servant(handlers), msg_ops.clone()),
     );
-    let mut server = TcpServer::bind("127.0.0.1:0", site_b.dispatcher())?;
+    let mut server = TcpServer::bind("127.0.0.1:0", site_b)?;
     println!("site B listening on {}", server.addr());
 
     // Site A: sends a burst of updates.

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mockingbird::baselines::{c_to_java, generate_java};
-use mockingbird::runtime::{RemoteRef, Servant, TcpServer};
+use mockingbird::runtime::{Dispatcher, RemoteRef, Servant, TcpServer, WireServant};
 use mockingbird::stubgen::RemoteStub;
 use mockingbird::values::{Endian, MValue};
 use mockingbird::{Mode, Session};
@@ -113,11 +113,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let last = pts.last().cloned().unwrap_or_else(|| first.clone());
         Ok(MValue::Record(vec![first, last]))
     });
-    let node = mockingbird::runtime::Node::new("c-server");
+    let dispatcher = Arc::new(Dispatcher::new());
     let mut ops = HashMap::new();
     ops.insert("fitter".to_string(), wire_op.clone());
-    node.register_object(b"fitter-service".to_vec(), servant, ops);
-    let mut server = TcpServer::bind("127.0.0.1:0", node.dispatcher())?;
+    dispatcher.register(b"fitter-service".to_vec(), WireServant::new(servant, ops));
+    let mut server = TcpServer::bind("127.0.0.1:0", dispatcher)?;
     println!("server listening on {}", server.addr());
 
     // Client: JavaIdeal-declared, adapted by the coercion plan.

@@ -11,7 +11,9 @@ use mockingbird_rng::StdRng;
 
 use mockingbird::corpus::collab::{collaboration, APP_CLASSES, MESSAGE_TYPES};
 use mockingbird::corpus::sample_value;
-use mockingbird::runtime::{MultiplexedConnection, Node, RemoteRef, TcpServer, WireOp};
+use mockingbird::runtime::{
+    Dispatcher, MultiplexedConnection, RemoteRef, TcpServer, WireOp, WireServant,
+};
 use mockingbird::stubgen::MessagingStubs;
 use mockingbird::values::mvalue::typecheck;
 use mockingbird::values::{Endian, MValue};
@@ -87,13 +89,12 @@ fn two_sites_exchange_updates_over_tcp() {
             Arc::new(move |v| sink.lock().unwrap().push((name.clone(), v))),
         );
     }
-    let site_b = Node::new("b");
-    site_b.register_object(
+    let site_b = Arc::new(Dispatcher::new());
+    site_b.register(
         b"collab".to_vec(),
-        MessagingStubs::receive_servant(handlers),
-        ops.clone(),
+        WireServant::new(MessagingStubs::receive_servant(handlers), ops.clone()),
     );
-    let mut server = TcpServer::bind("127.0.0.1:0", site_b.dispatcher()).unwrap();
+    let mut server = TcpServer::bind("127.0.0.1:0", site_b).unwrap();
 
     // Sending site: one sampled value per message type.
     let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());

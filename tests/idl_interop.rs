@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use mockingbird::baselines::{c_to_java, generate_java};
 use mockingbird::runtime::{
-    MultiplexedConnection, Node, RemoteRef, RuntimeError, Servant, TcpServer,
+    Dispatcher, MultiplexedConnection, RemoteRef, RuntimeError, Servant, TcpServer, WireServant,
 };
 use mockingbird::stubgen::{FunctionStub, RemoteStub};
 use mockingbird::values::{Endian, MValue};
@@ -131,11 +131,11 @@ fn remote_invocation_with_idl_defined_wire() {
             })
             .map_err(|e| RuntimeError::Application(e.to_string()))
     });
-    let node = Node::new("server");
+    let dispatcher = Arc::new(Dispatcher::new());
     let mut ops = HashMap::new();
     ops.insert("fitter".to_string(), wire_op.clone());
-    node.register_object(b"svc".to_vec(), servant, ops);
-    let mut server = TcpServer::bind("127.0.0.1:0", node.dispatcher()).unwrap();
+    dispatcher.register(b"svc".to_vec(), WireServant::new(servant, ops));
+    let mut server = TcpServer::bind("127.0.0.1:0", dispatcher).unwrap();
 
     // Client: JavaIdeal-declared, adapted onto the CFriendly wire.
     let client_plan = s

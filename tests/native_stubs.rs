@@ -6,8 +6,8 @@
 //! both byte orders. Also covers the depth bound (hostile nesting must
 //! fail identically on every tier), the sequence-count bound (a count
 //! the body cannot back must fail on every tier without allocating for
-//! it), a zero-allocation check for native encode over a pooled
-//! buffer, the allocation count of a request decode, the server's
+//! it), a zero-allocation check for native and opcode encode over a
+//! pooled buffer, the allocation count of a request decode, the server's
 //! `WireOp` on the native tier (three-way agreement, hostile request
 //! bodies, and the fallbacks when no stub applies), and the
 //! `RemoteStub` end-to-end path (native tier resolved by fingerprint,
@@ -26,7 +26,7 @@ use mockingbird::comparer::{Comparer, Mode, RuleSet};
 use mockingbird::corpus::{
     choice_heavy_pair, deep_list_pair, fitter_pair, property_pair, sample_value,
 };
-use mockingbird::mtype::{MtypeGraph, MtypeId};
+use mockingbird::mtype::{IntRange, MtypeGraph, MtypeId, RealPrecision};
 use mockingbird::plan::CoercionPlan;
 use mockingbird::runtime::{
     Dispatcher, InMemoryConnection, RemoteRef, RuntimeError, Servant, WireOp, WireServant,
@@ -39,8 +39,8 @@ use mockingbird::wire::{
 };
 use mockingbird_bench::{fitter_session, point_list, register_native_stubs};
 
-/// Counts allocations so the zero-allocation property of native encode
-/// over a pooled buffer is checkable (not just claimed).
+/// Counts allocations so the zero-allocation property of compiled
+/// encode over a pooled buffer is checkable (not just claimed).
 struct CountingAlloc;
 
 thread_local! {
@@ -237,34 +237,62 @@ fn native_stubs_enforce_the_depth_bound_identically() {
     );
 }
 
-/// Native encode into a pooled, pre-sized buffer performs no heap
-/// allocation: the emitted code reserves bulk runs up front and writes
-/// fixed-width copies — there is nothing left to allocate.
+/// Encode into a pooled, pre-sized buffer performs no heap allocation
+/// on either compiled tier: the emitted code reserves bulk runs up
+/// front and writes fixed-width copies, and the opcode VM streams the
+/// borrowed value through its program. The choice-heavy pair has no
+/// sequence, so the VM also encodes 1,024 points whose fields swap on
+/// the way to the wire.
 #[test]
 fn native_encode_is_allocation_free_over_a_pooled_buffer() {
     register_native_stubs();
     let (g, h, ty, var) = choice_heavy_pair();
     let native = native_for(&g, &h, ty, var).expect("choice-heavy stub is emitted");
-    let encode = native.encode.unwrap();
+    let program =
+        WireProgram::compile(&plan_for(&g, &h, ty, var)).expect("choice-heavy pair compiles");
     let mut rng = mockingbird_rng::StdRng::seed_from_u64(11);
     let v = sample_value(&g, ty, &mut rng, 4);
+    assert_pooled_encode_allocates_nothing("native choice-heavy", &v, native.encode.unwrap());
+    assert_pooled_encode_allocates_nothing("opcode choice-heavy", &v, |w, v| {
+        program.encode_value(w, v)
+    });
 
-    // Warm the pooled buffer to its high-water capacity.
+    let mut g = MtypeGraph::new();
+    let i = g.integer(IntRange::signed_bits(32));
+    let f = g.real(RealPrecision::SINGLE);
+    let (left, right) = (g.record(vec![f, i]), g.record(vec![i, f]));
+    let (left, right) = (g.list_of(left), g.list_of(right));
+    let program =
+        WireProgram::compile(&plan_for(&g, &g, left, right)).expect("permuted point list compiles");
+    let points = MValue::List(
+        (0..1024)
+            .map(|k| MValue::Record(vec![MValue::Real(k as f64), MValue::Int(k)]))
+            .collect(),
+    );
+    assert_pooled_encode_allocates_nothing("opcode permuted points", &points, |w, v| {
+        program.encode_value(w, v)
+    });
+}
+
+/// Warms a buffer to `encode`'s high-water capacity, then encodes `v`
+/// into it 32 more times: no encode may allocate or grow the buffer.
+fn assert_pooled_encode_allocates_nothing(
+    what: &str,
+    v: &MValue,
+    encode: impl Fn(&mut CdrWriter, &MValue) -> Result<(), CdrError>,
+) {
     let mut w = CdrWriter::new(Endian::Little);
-    encode(&mut w, &v).unwrap();
-    let pooled = w.into_bytes();
+    encode(&mut w, v).unwrap();
+    let mut pooled = w.into_bytes();
     let capacity = pooled.capacity();
-
-    let mut pooled = pooled;
     for _ in 0..32 {
         pooled.clear();
         let mut w = CdrWriter::from_vec(pooled, Endian::Little);
-        let before = allocations();
-        encode(&mut w, &v).unwrap();
-        let after = allocations();
-        assert_eq!(after - before, 0, "native encode must not allocate");
+        let (allocated, out) = allocations_in(|| encode(&mut w, v));
+        out.unwrap();
+        assert_eq!(allocated, 0, "{what}: encode must not allocate");
         pooled = w.into_bytes();
-        assert_eq!(pooled.capacity(), capacity, "pooled buffer must not grow");
+        assert_eq!(pooled.capacity(), capacity, "{what}: buffer must not grow");
     }
 }
 
