@@ -53,7 +53,8 @@ use mockingbird::wire::{mbp, CdrReader, CdrWriter};
 use mockingbird::Session;
 
 use mockingbird_bench::{
-    c_fitter_impl, fitter_remote_loopback, fitter_session, fitter_stub, point_list, OneCallAtATime,
+    c_fitter_impl, fit_points, fitter_remote_loopback, fitter_session, fitter_stub, point_list,
+    OneCallAtATime,
 };
 
 fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
@@ -271,13 +272,19 @@ fn x1() {
         "{:<28} {:<13} {:>12} {:>12} {:>12}",
         "path (µs/call)", "tier", "4 pts", "64 pts", "1024 pts"
     );
+    const SIZES: [usize; 3] = [4, 64, 1024];
     let mut rows: Vec<(&str, &str, Vec<f64>)> = Vec::new();
     for (label, tier, f) in [
         (
+            // A C call passes the array by pointer: the floor borrows
+            // the list the other rows marshal.
             "native_call",
             "-",
             Box::new(|pts: &MValue| {
-                c_fitter_impl(MValue::Record(vec![pts.clone()])).unwrap();
+                let MValue::List(pts) = std::hint::black_box(pts) else {
+                    unreachable!("point_list builds a list")
+                };
+                std::hint::black_box(fit_points(pts).unwrap());
             }) as Box<dyn Fn(&MValue)>,
         ),
         (
@@ -298,7 +305,7 @@ fn x1() {
         ),
     ] {
         let mut cells = Vec::new();
-        for n in [4usize, 64, 1024] {
+        for n in SIZES {
             let pts = point_list(n);
             let iters = if n >= 1024 { 2_000 } else { 10_000 };
             cells.push(per_call_us(iters, || f(&pts)));
@@ -327,7 +334,7 @@ fn x1() {
         std::hint::black_box(path.marshal(&v, Endian::Little).unwrap());
     });
 
-    for (label, tier, cells) in rows {
+    for (label, tier, cells) in &rows {
         println!(
             "{label:<28} {tier:<13} {:>12.2} {:>12.2} {:>12.2}",
             cells[0], cells[1], cells[2]
@@ -342,31 +349,60 @@ fn x1() {
         (direct / imposed * 100.0).round() / 100.0
     );
     println!();
+    // The native call is the floor: a stub row under it means the rows
+    // do not measure the same work.
+    let floor = &rows[0].2;
+    let undercut: Vec<String> = SIZES
+        .iter()
+        .enumerate()
+        .filter(|&(i, _)| rows[1..].iter().any(|(_, _, cells)| cells[i] < floor[i]))
+        .map(|(_, n)| format!("{n} pts"))
+        .collect();
+    if !undercut.is_empty() {
+        eprintln!(
+            "report x1: the native-call floor is not the fastest row at {}",
+            undercut.join(", ")
+        );
+        std::process::exit(1);
+    }
 }
 
 fn x2() {
     println!("== X2: comparer scaling and the isomorphism-rule ablation (paper §4) ==");
     println!(
         "{:<10} {:>10} {:>16} {:>16}",
-        "depth", "nodes", "full rules (µs)", "strict (µs)"
+        "depth", "mean nodes", "full rules (µs)", "strict (µs)"
     );
+    // Every depth draws from the same seeds, so a row's mean size and
+    // cost follow its depth rather than the luck of one draw.
+    const SEEDS: u64 = 16;
+    const ITERS: usize = 50;
+    let mut mean_nodes = Vec::new();
     for depth in [2usize, 3, 4, 5] {
-        let mut rng = StdRng::seed_from_u64(depth as u64);
-        let mut g = MtypeGraph::new();
-        let ty = random_mtype(&mut g, &mut rng, depth);
-        let mut h = MtypeGraph::new();
-        let var = isomorphic_variant(&g, ty, &mut h);
-        let full = per_call_us(500, || {
-            assert!(Comparer::new(&g, &h).equivalent(ty, var));
-        });
-        let strict = per_call_us(500, || {
-            // Strict rejects the variant (that is the ablation finding).
-            let _ = Comparer::with_rules(&g, &h, RuleSet::strict()).equivalent(ty, var);
-        });
+        let (mut nodes, mut full, mut strict) = (0usize, 0.0, 0.0);
+        for seed in 0..SEEDS {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut g = MtypeGraph::new();
+            let ty = random_mtype(&mut g, &mut rng, depth);
+            let mut h = MtypeGraph::new();
+            let var = isomorphic_variant(&g, ty, &mut h);
+            nodes += g.len() + h.len();
+            full += per_call_us(ITERS, || {
+                assert!(Comparer::new(&g, &h).equivalent(ty, var));
+            });
+            strict += per_call_us(ITERS, || {
+                // Strict rejects the variant (that is the ablation finding).
+                let _ = Comparer::with_rules(&g, &h, RuleSet::strict()).equivalent(ty, var);
+            });
+        }
+        let n = SEEDS as f64;
+        let mean = nodes as f64 / n;
         println!(
-            "{depth:<10} {:>10} {full:>16.2} {strict:>16.2}",
-            g.len() + h.len()
+            "{depth:<10} {mean:>10.1} {:>16.2} {:>16.2}",
+            full / n,
+            strict / n
         );
+        mean_nodes.push((depth, mean));
     }
     // Match-rate ablation over 100 random variants.
     let mut full_ok = 0;
@@ -389,6 +425,15 @@ fn x2() {
          pure Amadio–Cardelli {strict_ok}%"
     );
     println!();
+    // The series is a depth series only if size grows with depth; the
+    // seeds are fixed, so this check is deterministic.
+    if let Some(w) = mean_nodes.windows(2).find(|w| w[1].1 <= w[0].1) {
+        eprintln!(
+            "report x2: mean node count does not rise with depth: {:.1} at depth {}, {:.1} at depth {}",
+            w[0].1, w[0].0, w[1].1, w[1].0
+        );
+        std::process::exit(1);
+    }
 }
 
 fn x3() {

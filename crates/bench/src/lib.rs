@@ -95,6 +95,12 @@ pub fn c_fitter_impl(args: MValue) -> Result<MValue, String> {
     let MValue::List(pts) = &items[0] else {
         return Err("bad pts".into());
     };
+    fit_points(pts)
+}
+
+/// The fitter's body over a borrowed point array, as a C caller passes
+/// it: the line from the first point to the last.
+pub fn fit_points(pts: &[MValue]) -> Result<MValue, String> {
     Ok(MValue::Record(vec![
         pts.first().cloned().ok_or("empty")?,
         pts.last().cloned().ok_or("empty")?,

@@ -271,14 +271,6 @@ impl CompareCache {
         }
     }
 
-    /// Zeroes the counters (stored entries are kept).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
-        self.corr_hits.store(0, Ordering::Relaxed);
-    }
-
     /// Writes every verdict into `store` as [`ArtifactKind::Verdict`]
     /// records (correspondences are *not* persisted: their graph-local ids
     /// are meaningless elsewhere). Returns how many records were put.

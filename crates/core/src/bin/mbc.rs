@@ -10,15 +10,17 @@
 //! mbc compare <files...> --left A --right B [--script F] [--subtype]
 //! mbc emit  <files...> --left A --right B --script F [--name N]
 //! mbc save  <files...> --script F --out P.mbproj.json
-//! mbc batch <files...> --pairs F [--jobs N] [--subtype] [--profile] [--out P.mbproj.json]
+//! mbc batch <files...> --pairs F [--jobs N] [--subtype] [--profile] [--out P.mbproj.json] [--store DIR]
 //! mbc emit-stubs --out stubs.rs
 //! ```
 //!
 //! `batch` compiles many pairs through one shared, content-addressed
 //! verdict cache (see [`BatchCompiler`]); `--pairs` names a file of
-//! whitespace-separated `LEFT RIGHT` lines (`#` comments). Loading a
-//! project file restores any cache it carries, and `--out` saves the
-//! warmed cache back for the next run.
+//! whitespace-separated `LEFT RIGHT` lines (`#` comments), and `--out`
+//! saves the declarations, as `save` does. A project file holds
+//! declarations and annotations only; compiled artifacts persist through
+//! `--store DIR`, a segment store that warms the session before any
+//! command runs and records what the command compiled.
 //!
 //! `emit-stubs` writes the module of the second Futamura projection
 //! that the bench crate's build script compiles: the canonical fixture
@@ -31,7 +33,8 @@
 //!
 //! File kinds are chosen by extension: `.c`/`.h` C, `.cpp`/`.cc`/`.cxx`
 //! C++, `.java` Java source, `.class` Java class files, `.idl` CORBA
-//! IDL, `.mbproj.json` project files.
+//! IDL, `.mbproj.json` project files. A project file restores
+//! declarations, never compiled artifacts.
 
 use std::process::ExitCode;
 
@@ -114,23 +117,16 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     Ok(args)
 }
 
-fn load_into(session: &mut Session, path: &str) -> Result<ArtifactImport, String> {
+fn load_into(session: &mut Session, path: &str) -> Result<(), String> {
     let fail = |e: SessionError| format!("{path}: {e}");
     if path.ends_with(".class") {
         let blob = std::fs::read(path).map_err(|e| format!("{path}: {e}"))?;
         session.load_java_classes(&[blob]).map_err(fail)?;
-        return Ok(ArtifactImport::default());
+        return Ok(());
     }
     if path.ends_with(".mbproj.json") {
         let p = Project::load(path).map_err(|e| format!("{path}: {e}"))?;
-        // Absorbing (rather than re-inserting declarations) also restores
-        // any compile/program caches the project carries, so batch runs
-        // start warm on both the control and the data plane.
-        let absorbed = session.absorb_project(p).map_err(fail)?;
-        if absorbed.restored() > 0 || absorbed.stale > 0 {
-            eprintln!("restored {absorbed} from {path}");
-        }
-        return Ok(absorbed);
+        return session.absorb_project(p).map_err(fail);
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     if path.ends_with(".c") || path.ends_with(".h") {
@@ -146,7 +142,7 @@ fn load_into(session: &mut Session, path: &str) -> Result<ArtifactImport, String
             "{path}: unknown file kind (expected .c/.h/.cpp/.java/.class/.idl/.mbproj.json)"
         ));
     }
-    Ok(ArtifactImport::default())
+    Ok(())
 }
 
 fn run(args: Args) -> Result<(), String> {
@@ -160,22 +156,16 @@ fn run(args: Args) -> Result<(), String> {
     if args.files.is_empty() {
         return Err(format!("no input files\n{}", usage()));
     }
-    let mut restored = ArtifactImport::default();
     for f in &args.files {
-        let r = load_into(&mut session, f)?;
-        restored.verdicts += r.verdicts;
-        restored.programs += r.programs;
-        restored.stale += r.stale;
+        load_into(&mut session, f)?;
     }
     // A persistent artifact store warms the session before any command
     // runs and captures whatever the command compiled afterwards.
+    let mut restored = ArtifactImport::default();
     let store = match &args.store {
         Some(dir) => {
             let s = SegmentStore::open(dir).map_err(|e| format!("{dir}: {e}"))?;
-            let r = session.import_artifacts(&s);
-            restored.verdicts += r.verdicts;
-            restored.programs += r.programs;
-            restored.stale += r.stale;
+            restored = session.import_artifacts(&s);
             Some(s)
         }
         None => None,
@@ -279,7 +269,7 @@ fn run(args: Args) -> Result<(), String> {
                 },
                 jobs: args.jobs,
                 // Plans feed the data plane: matched pairs get fused
-                // wire programs compiled (and persisted with --out).
+                // wire programs compiled (and persisted with --store).
                 build_plans: true,
                 build_programs: true,
             };
@@ -351,7 +341,7 @@ fn run(args: Args) -> Result<(), String> {
                 session
                     .save_project(&args.name, out)
                     .map_err(|e| e.to_string())?;
-                println!("saved warm cache ({} verdicts) to {out}", s.cache.verdicts);
+                println!("saved {} declarations to {out}", session.universe().len());
             }
             Ok(())
         }

@@ -11,8 +11,8 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-use mockingbird_artifact::{ArtifactId, ArtifactKind, ArtifactStore, MemoryStore, StoreKey};
-use mockingbird_comparer::{CacheStats, CompareCache, Comparer, Mismatch, Mode, RuleSet, Verdict};
+use mockingbird_artifact::{ArtifactId, ArtifactStore, StoreKey};
+use mockingbird_comparer::{CacheStats, CompareCache, Comparer, Mismatch, Mode, RuleSet};
 use mockingbird_lang_c::{parse_c, parse_cxx, CParseError};
 use mockingbird_lang_idl::{parse_idl, IdlParseError};
 use mockingbird_lang_java::convert::{load_class_files, JavaLoadError};
@@ -23,19 +23,12 @@ use mockingbird_runtime::WireOp;
 use mockingbird_stubgen::shape::FnShape;
 use mockingbird_stubgen::{FunctionStub, InterfaceStub, StubError};
 use mockingbird_stype::ast::Universe;
-use mockingbird_stype::json::Json;
 use mockingbird_stype::lower::{LowerError, Lowerer};
 use mockingbird_stype::project::{Project, ProjectError};
 use mockingbird_stype::script::{apply_script, ScriptError};
-use mockingbird_wire::{ProgramCache, ProgramStats, WireProgram};
+use mockingbird_wire::{ProgramCache, ProgramStats};
 
 use crate::batch::{BatchCompiler, BatchOptions, NamedBatchReport};
-
-/// The project-file section the compile cache persists under.
-const CACHE_SECTION: &str = "compile_cache";
-
-/// The project-file section compiled wire programs persist under.
-const PROGRAM_SECTION: &str = "wire_programs";
 
 /// What warming a session from artifacts restored — and what it refused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -153,7 +146,8 @@ pub struct Session {
     memo: HashMap<String, MtypeId>,
     rules: RuleSet,
     /// Content-addressed verdict/correspondence memo shared by every
-    /// comparison this session runs (and persisted into project files).
+    /// comparison this session runs (persisted through an
+    /// [`ArtifactStore`]).
     cache: Arc<CompareCache>,
     /// Plans already derived this generation, shared by `Arc` so stubs
     /// over the same pair reuse one plan instead of re-deriving it.
@@ -164,7 +158,7 @@ pub struct Session {
     /// Fused wire programs compiled from plans, keyed by *layout*
     /// fingerprints (the strict canonical identity: order- and
     /// wrapper-faithful, unlike the full-rule canonical fingerprints the
-    /// verdict cache uses) and persisted into project files.
+    /// verdict cache uses) and persisted through an [`ArtifactStore`].
     programs: Arc<ProgramCache>,
 }
 
@@ -505,32 +499,24 @@ impl Session {
         Ok(self.wire_op(function)?.idempotent())
     }
 
-    /// Saves the session (declarations with annotations) to a project
-    /// file.
+    /// Saves the session's declarations, with their annotations, to a
+    /// project file. Compiled artifacts are not saved: they persist only
+    /// through an [`ArtifactStore`] (see
+    /// [`export_artifacts`](Session::export_artifacts)).
     ///
     /// # Errors
     ///
     /// Propagates I/O and serialisation failures.
     pub fn save_project(&self, name: &str, path: impl AsRef<Path>) -> Result<(), SessionError> {
-        let mut p = Project::new(name, self.uni.clone());
-        let store = MemoryStore::new();
-        self.export_artifacts(&store);
-        let cache_section = encode_cache(&store);
-        if let Some(section) = cache_section {
-            p.extra.insert(CACHE_SECTION.to_string(), section);
-        }
-        if let Some(section) = encode_programs(&store) {
-            p.extra.insert(PROGRAM_SECTION.to_string(), section);
-        }
-        p.save(path)?;
+        Project::new(name, self.uni.clone()).save(path)?;
         Ok(())
     }
 
     /// Writes everything this session compiled — compare verdicts and
     /// fused wire programs — into `store` as content-addressed records.
-    /// This is the one persistence seam: project files, on-disk segment
-    /// stores, and peer transfers all go through an [`ArtifactStore`].
-    /// Returns how many records were written.
+    /// This is the one persistence seam: on-disk segment stores and peer
+    /// transfers both go through an [`ArtifactStore`]. Returns how many
+    /// records were written.
     pub fn export_artifacts(&self, store: &dyn ArtifactStore) -> usize {
         self.cache.store_into(store) + self.programs.store_into(store)
     }
@@ -553,8 +539,8 @@ impl Session {
         }
     }
 
-    /// Restores a session from a project file, including any persisted
-    /// compile cache so the restored session starts warm.
+    /// Restores a session from a project file: its declarations and
+    /// their annotations. The restored session starts cold.
     ///
     /// # Errors
     ///
@@ -566,32 +552,15 @@ impl Session {
         Ok(s)
     }
 
-    /// Merges a parsed project into this session: the declarations are
-    /// absorbed into the universe, then any persisted `compile_cache`
-    /// and `wire_programs` sections are decoded into an in-memory
-    /// [`ArtifactStore`] and imported through
-    /// [`import_artifacts`](Session::import_artifacts) — the same seam
-    /// segment stores and peer transfers use. Malformed entries are
-    /// skipped rather than failing the load (the caches are memos, not
-    /// data); entries compiled under *different rules* are skipped and
-    /// reported in [`ArtifactImport::stale`].
+    /// Merges a parsed project's declarations into this session's
+    /// universe. A project carries no compiled artifacts, so nothing in
+    /// it can decide a verdict or serve a program.
     ///
     /// # Errors
     ///
     /// Returns duplicate-name collisions from the universe merge.
-    pub fn absorb_project(&mut self, p: Project) -> Result<ArtifactImport, SessionError> {
-        let Project {
-            universe, extra, ..
-        } = p;
-        self.absorb(universe)?;
-        let store = MemoryStore::new();
-        if let Some(section) = extra.get(CACHE_SECTION) {
-            decode_cache(section, &store);
-        }
-        if let Some(section) = extra.get(PROGRAM_SECTION) {
-            decode_programs(section, &store);
-        }
-        Ok(self.import_artifacts(&store))
+    pub fn absorb_project(&mut self, p: Project) -> Result<(), SessionError> {
+        self.absorb(p.universe)
     }
 
     /// Compiles many named pairs as one batch: each pair is lowered,
@@ -669,163 +638,10 @@ impl ArtifactStore for CurrentRules<'_> {
     }
 }
 
-/// Encodes a store's [`ArtifactKind::Verdict`] records as the
-/// project-file `compile_cache` section — `None` if there are none.
-/// Fingerprints are hex strings (`u128`/`u64` exceed what every JSON
-/// consumer round-trips as numbers). The section's shape predates the
-/// artifact store and is unchanged: old readers still understand these
-/// files, and old files still load (see `decode_cache`).
-fn encode_cache(store: &dyn ArtifactStore) -> Option<Json> {
-    let mut verdicts: Vec<Json> = Vec::new();
-    for (key, id) in store.keys() {
-        if key.kind != ArtifactKind::Verdict {
-            continue;
-        }
-        let Some(body) = store.body(&id) else {
-            continue;
-        };
-        let Some(verdict) = Verdict::from_artifact_body(&body) else {
-            continue;
-        };
-        let (matched, reason, depth) = match verdict {
-            Verdict::Match => (true, String::new(), 0),
-            Verdict::Mismatch { reason, depth } => (false, reason, depth),
-        };
-        verdicts.push(Json::obj([
-            ("l", Json::str(format!("{:032x}", key.left_fp))),
-            ("r", Json::str(format!("{:032x}", key.right_fp))),
-            ("rules", Json::str(format!("{:016x}", key.rules_fp))),
-            ("sub", Json::Bool(key.subtype)),
-            ("ok", Json::Bool(matched)),
-            ("reason", Json::str(reason)),
-            ("depth", Json::Int(depth as i128)),
-        ]));
-    }
-    if verdicts.is_empty() {
-        return None;
-    }
-    Some(Json::obj([("verdicts", Json::Array(verdicts))]))
-}
-
-/// Decodes a `compile_cache` section into `store`, skipping entries
-/// that do not parse (forward compatibility: a newer writer may add
-/// fields or sections).
-fn decode_cache(section: &Json, store: &dyn ArtifactStore) {
-    let Some(Json::Array(items)) = section.get("verdicts") else {
-        return;
-    };
-    for item in items {
-        let fp128 = |key: &str| {
-            item.get(key)
-                .and_then(|j| j.as_str().ok())
-                .and_then(|s| u128::from_str_radix(s, 16).ok())
-        };
-        let parsed = (|| {
-            let key = StoreKey {
-                kind: ArtifactKind::Verdict,
-                left_fp: fp128("l")?,
-                right_fp: fp128("r")?,
-                subtype: item.get("sub")?.as_bool().ok()?,
-                rules_fp: item
-                    .get("rules")
-                    .and_then(|j| j.as_str().ok())
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())?,
-            };
-            let verdict = if item.get("ok")?.as_bool().ok()? {
-                Verdict::Match
-            } else {
-                Verdict::Mismatch {
-                    reason: item.get("reason")?.as_str().ok()?.to_string(),
-                    depth: item.get("depth")?.as_int().ok()?.try_into().ok()?,
-                }
-            };
-            Some((key, verdict))
-        })();
-        if let Some((key, verdict)) = parsed {
-            store.put(key, &verdict.to_artifact_body());
-        }
-    }
-}
-
-/// Encodes a store's [`ArtifactKind::WireProgram`] records as the
-/// project-file `wire_programs` section — `None` if there are none.
-/// Keys follow the `compile_cache` hex convention; program bodies are
-/// the portable [`WireProgram::to_bytes`] image, hex-encoded so the
-/// section stays valid JSON.
-fn encode_programs(store: &dyn ArtifactStore) -> Option<Json> {
-    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect::<String>();
-    let mut programs: Vec<Json> = Vec::new();
-    for (key, id) in store.keys() {
-        if key.kind != ArtifactKind::WireProgram {
-            continue;
-        }
-        let Some(body) = store.body(&id) else {
-            continue;
-        };
-        programs.push(Json::obj([
-            ("l", Json::str(format!("{:032x}", key.left_fp))),
-            ("r", Json::str(format!("{:032x}", key.right_fp))),
-            ("rules", Json::str(format!("{:016x}", key.rules_fp))),
-            ("sub", Json::Bool(key.subtype)),
-            ("bytes", Json::str(hex(&body))),
-        ]));
-    }
-    if programs.is_empty() {
-        return None;
-    }
-    Some(Json::obj([("programs", Json::Array(programs))]))
-}
-
-/// Decodes a `wire_programs` section into `store`. Entries whose key
-/// fields do not parse or whose program image fails
-/// [`WireProgram::from_bytes`] validation are skipped, like malformed
-/// verdicts: a stale or corrupted program must never reach the data
-/// plane.
-fn decode_programs(section: &Json, store: &dyn ArtifactStore) {
-    let unhex = |s: &str| -> Option<Vec<u8>> {
-        if !s.len().is_multiple_of(2) {
-            return None;
-        }
-        (0..s.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&s[i..i + 2], 16).ok())
-            .collect()
-    };
-    let Some(Json::Array(items)) = section.get("programs") else {
-        return;
-    };
-    for item in items {
-        let fp128 = |key: &str| {
-            item.get(key)
-                .and_then(|j| j.as_str().ok())
-                .and_then(|s| u128::from_str_radix(s, 16).ok())
-        };
-        let parsed = (|| {
-            let key = StoreKey {
-                kind: ArtifactKind::WireProgram,
-                left_fp: fp128("l")?,
-                right_fp: fp128("r")?,
-                subtype: item.get("sub")?.as_bool().ok()?,
-                rules_fp: item
-                    .get("rules")
-                    .and_then(|j| j.as_str().ok())
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())?,
-            };
-            let bytes = unhex(item.get("bytes")?.as_str().ok()?)?;
-            // Validate before storing: the codec is the integrity
-            // boundary for program bodies.
-            WireProgram::from_bytes(&bytes).ok()?;
-            Some((key, bytes))
-        })();
-        if let Some((key, bytes)) = parsed {
-            store.put(key, &bytes);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mockingbird_artifact::MemoryStore;
     use mockingbird_values::MValue;
 
     const FIG2_C: &str = "typedef float point[2];\n\
@@ -980,150 +796,6 @@ annotate JavaIdeal.method(fitter).ret non-null";
     }
 
     #[test]
-    fn project_round_trip_restores_warm_cache() {
-        let mut s = fitter_session();
-        s.compare("JavaIdeal", "fitter", Mode::Equivalence).unwrap();
-        assert!(!s.compile_cache().is_empty());
-
-        let dir = std::env::temp_dir().join("mockingbird-session-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fitter-warm.mbproj.json");
-        s.save_project("fitter", &path).unwrap();
-
-        let mut restored = Session::load_project(&path).unwrap();
-        assert_eq!(
-            restored.compile_cache().len(),
-            s.compile_cache().len(),
-            "verdicts survive the round trip"
-        );
-        restored
-            .compare("JavaIdeal", "fitter", Mode::Equivalence)
-            .unwrap();
-        let stats = restored.cache_stats();
-        assert!(stats.hits >= 1, "restored cache is warm: {stats:?}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn project_round_trip_restores_wire_programs() {
-        let mut s = fitter_session();
-        s.batch_compile(&[("JavaIdeal", "fitter")], &BatchOptions::default())
-            .unwrap();
-        assert_eq!(s.wire_programs().len(), 1, "batch compiled one program");
-        assert_eq!(s.program_stats().compiles, 1);
-
-        let dir = std::env::temp_dir().join("mockingbird-session-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fitter-programs.mbproj.json");
-        s.save_project("fitter", &path).unwrap();
-
-        let mut restored = Session::load_project(&path).unwrap();
-        assert_eq!(
-            restored.wire_programs().len(),
-            1,
-            "programs survive the round trip"
-        );
-        restored
-            .batch_compile(&[("JavaIdeal", "fitter")], &BatchOptions::default())
-            .unwrap();
-        let stats = restored.program_stats();
-        assert_eq!(stats.compiles, 0, "restored program cache is warm");
-        assert!(stats.hits >= 1, "{stats:?}");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn old_format_project_sections_still_load() {
-        // A project file whose cache sections were written by the
-        // pre-artifact-store codec: the section shapes are pinned, so
-        // this literal must keep absorbing identically forever.
-        let mut warm = fitter_session();
-        warm.batch_compile(&[("JavaIdeal", "fitter")], &BatchOptions::default())
-            .unwrap();
-        let program_bytes = {
-            let exported = warm.wire_programs().export();
-            let (key, prog) = &exported[0];
-            assert_eq!(key.rules_fp, RuleSet::full().fingerprint());
-            (
-                format!("{:032x}", key.left_fp),
-                format!("{:032x}", key.right_fp),
-                format!("{:016x}", key.rules_fp),
-                prog.to_bytes()
-                    .iter()
-                    .map(|b| format!("{b:02x}"))
-                    .collect::<String>(),
-            )
-        };
-        let rules_hex = format!("{:016x}", RuleSet::full().fingerprint());
-        let old_cache = Json::obj([(
-            "verdicts",
-            Json::Array(vec![Json::obj([
-                ("l", Json::str("000000000000000000000000000000aa")),
-                ("r", Json::str("000000000000000000000000000000bb")),
-                ("rules", Json::str(rules_hex)),
-                ("sub", Json::Bool(false)),
-                ("ok", Json::Bool(true)),
-                ("reason", Json::str("")),
-                ("depth", Json::Int(0)),
-            ])]),
-        )]);
-        let old_programs = Json::obj([(
-            "programs",
-            Json::Array(vec![Json::obj([
-                ("l", Json::str(program_bytes.0)),
-                ("r", Json::str(program_bytes.1)),
-                ("rules", Json::str(program_bytes.2)),
-                ("sub", Json::Bool(false)),
-                ("bytes", Json::str(program_bytes.3)),
-            ])]),
-        )]);
-        let mut p = Project::new("old", Universe::new());
-        p.extra.insert(CACHE_SECTION.to_string(), old_cache);
-        p.extra.insert(PROGRAM_SECTION.to_string(), old_programs);
-
-        let mut s = Session::new();
-        let stats = s.absorb_project(p).unwrap();
-        assert_eq!(stats.verdicts, 1, "old verdict entry restored");
-        assert_eq!(stats.programs, 1, "old program entry restored");
-        assert_eq!(stats.stale, 0);
-        assert_eq!(s.compile_cache().len(), 1);
-        assert_eq!(s.wire_programs().len(), 1);
-    }
-
-    #[test]
-    fn absorb_project_reports_stale_entries() {
-        // Compile under a *reduced* rule set, persist, then restore into
-        // a default-rules session: every entry is stale and must be
-        // skipped-and-counted, not silently dropped or silently loaded.
-        let mut reduced = Session::with_rules(RuleSet::strict());
-        reduced.load_c(FIG2_C).unwrap();
-        reduced.load_java(FIG1_5_JAVA).unwrap();
-        reduced.annotate(FITTER_SCRIPT).unwrap();
-        let _ = reduced.compare("Point", "Point", Mode::Equivalence);
-        assert!(!reduced.compile_cache().is_empty());
-
-        let dir = std::env::temp_dir().join("mockingbird-session-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fitter-stale.mbproj.json");
-        reduced.save_project("stale", &path).unwrap();
-
-        let p = Project::load(&path).unwrap();
-        let mut s = Session::new();
-        let stats = s.absorb_project(p).unwrap();
-        assert_eq!(stats.restored(), 0, "no entry matches the full rules");
-        assert!(stats.stale >= 1, "{stats:?}");
-        assert!(s.compile_cache().is_empty(), "stale verdicts not loaded");
-
-        // The same file restores cleanly into a matching-rules session.
-        let p = Project::load(&path).unwrap();
-        let mut again = Session::with_rules(RuleSet::strict());
-        let stats = again.absorb_project(p).unwrap();
-        assert!(stats.verdicts >= 1);
-        assert_eq!(stats.stale, 0);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
     fn export_import_artifacts_round_trip_through_a_store() {
         let mut s = fitter_session();
         s.batch_compile(&[("JavaIdeal", "fitter")], &BatchOptions::default())
@@ -1132,10 +804,50 @@ annotate JavaIdeal.method(fitter).ret non-null";
         let exported = s.export_artifacts(&store);
         assert!(exported >= 2, "verdicts and a program: {exported}");
 
-        let restored = Session::with_rules(RuleSet::full());
+        let mut restored = fitter_session();
         let stats = restored.import_artifacts(&store);
         assert_eq!(stats.verdicts, s.compile_cache().len());
         assert_eq!(stats.programs, s.wire_programs().len());
+        assert_eq!(stats.stale, 0);
+
+        // The imported records start the session warm on both planes.
+        restored
+            .compare("JavaIdeal", "fitter", Mode::Equivalence)
+            .unwrap();
+        let cache = restored.cache_stats();
+        assert!(cache.hits >= 1, "restored verdict cache is warm: {cache:?}");
+        restored
+            .batch_compile(&[("JavaIdeal", "fitter")], &BatchOptions::default())
+            .unwrap();
+        let programs = restored.program_stats();
+        assert_eq!(programs.compiles, 0, "restored program cache is warm");
+        assert!(programs.hits >= 1, "{programs:?}");
+    }
+
+    #[test]
+    fn import_artifacts_reports_stale_entries() {
+        // Compile under a *reduced* rule set, export, then import into a
+        // default-rules session: every entry is stale and must be
+        // skipped-and-counted, not silently dropped or silently loaded.
+        let mut reduced = Session::with_rules(RuleSet::strict());
+        reduced.load_c(FIG2_C).unwrap();
+        reduced.load_java(FIG1_5_JAVA).unwrap();
+        reduced.annotate(FITTER_SCRIPT).unwrap();
+        let _ = reduced.compare("Point", "Point", Mode::Equivalence);
+        assert!(!reduced.compile_cache().is_empty());
+        let store = MemoryStore::new();
+        reduced.export_artifacts(&store);
+
+        let s = Session::new();
+        let stats = s.import_artifacts(&store);
+        assert_eq!(stats.restored(), 0, "no entry matches the full rules");
+        assert!(stats.stale >= 1, "{stats:?}");
+        assert!(s.compile_cache().is_empty(), "stale verdicts not loaded");
+
+        // The same records restore cleanly into a matching-rules session.
+        let again = Session::with_rules(RuleSet::strict());
+        let stats = again.import_artifacts(&store);
+        assert!(stats.verdicts >= 1);
         assert_eq!(stats.stale, 0);
     }
 

@@ -278,18 +278,6 @@ impl MtypeKind {
             MtypeKind::Dynamic => "Extension: dynamically typed values (similar to CORBA Any).",
         }
     }
-
-    /// Whether this is a leaf (primitive) kind.
-    pub fn is_primitive(&self) -> bool {
-        matches!(
-            self,
-            MtypeKind::Integer(_)
-                | MtypeKind::Character(_)
-                | MtypeKind::Real(_)
-                | MtypeKind::Unit
-                | MtypeKind::Dynamic
-        )
-    }
 }
 
 /// The eight Mtype kind tags of Table 1, in the paper's order, plus the

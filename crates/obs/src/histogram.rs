@@ -212,18 +212,6 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// Iterate non-empty buckets as `(lo, hi, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| {
-                let (lo, hi) = bucket_bounds(i);
-                (lo, hi, c)
-            })
-    }
-
     /// Raw bucket counts (length [`BUCKETS`]).
     pub fn counts(&self) -> &[u64] {
         &self.counts

@@ -13,8 +13,8 @@
 //!   one logical call keeps one trace id across retries, hedged
 //!   duplicates and the server's dispatch worker.
 //! * [`SpanLog`] — a bounded ring of [`SpanRecord`]s capturing sampled
-//!   slow calls (timing, endpoint, breaker state, fused-vs-interpretive
-//!   path, bytes moved) for after-the-fact inspection.
+//!   slow calls (timing, endpoint, breaker state, bytes moved) for
+//!   after-the-fact inspection.
 
 pub mod histogram;
 pub mod span;

@@ -33,9 +33,6 @@ pub struct SpanRecord {
     pub endpoint: String,
     /// Circuit-breaker state at attempt time; empty when no breaker.
     pub breaker: String,
-    /// Whether the fused wire-program path served this call. Set on
-    /// server spans only; client spans leave it `false`.
-    pub fused: bool,
     /// Microseconds since the owning [`SpanLog`] was created.
     pub start_us: u64,
     pub duration_us: u64,
@@ -57,7 +54,6 @@ impl SpanRecord {
             operation: operation.into(),
             endpoint: String::new(),
             breaker: String::new(),
-            fused: false,
             start_us: 0,
             duration_us: 0,
             bytes_out: 0,

@@ -11,7 +11,6 @@
 //! peer can waste bandwidth but can never plant a bad program.
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mockingbird_artifact::{ArtifactStore, FetchReply, FetchRequest};
@@ -194,12 +193,6 @@ pub fn record_store_stats(store: &dyn ArtifactStore, metrics: &MetricsRegistry) 
     for _ in 0..stats.integrity_failures {
         metrics.add_artifact_integrity_failure();
     }
-}
-
-/// Convenience: a shared reference to a store as the trait object the
-/// server config wants.
-pub fn as_store(store: Arc<impl ArtifactStore + 'static>) -> Arc<dyn ArtifactStore> {
-    store
 }
 
 #[cfg(test)]

@@ -418,9 +418,7 @@ impl Dispatcher {
         };
         let servant = self.servants.pread().get(object_key.as_slice()).cloned();
         let start = std::time::Instant::now();
-        let op = servant.as_ref().and_then(|s| s.op(operation));
-        let declared = op.is_some();
-        let fused = op.is_some_and(|op| op.is_fused(op.args_ty) && op.is_fused(op.result_ty));
+        let declared = servant.as_ref().is_some_and(|s| s.op(operation).is_some());
         let outcome = match servant {
             // Contain handler panics at the dispatch boundary: the
             // panicking call gets a SystemException reply and every
@@ -464,7 +462,6 @@ impl Dispatcher {
         {
             let mut span = SpanRecord::new(t.child(), SpanKind::Server, operation.as_str());
             span.parent_span_id = t.span_id;
-            span.fused = fused;
             span.start_us = self.metrics.spans().now_us().saturating_sub(duration_us);
             span.duration_us = duration_us;
             span.bytes_in = msg.body.len() as u64;

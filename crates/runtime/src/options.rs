@@ -95,9 +95,6 @@ impl CallOptions {
 pub enum HedgePolicy {
     /// Hedge after a fixed delay.
     After(Duration),
-    /// Hedge after the pool's observed p95 latency (a fresh pool with no
-    /// history uses a small default delay).
-    P95,
 }
 
 /// Bounded exponential backoff for re-sending idempotent calls.

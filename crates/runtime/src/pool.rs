@@ -34,11 +34,10 @@
 //! handle — a `CdrWriter` over a pooled buffer that returns the buffer
 //! to the pool if dropped unused.
 
-use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use mockingbird_obs::{SpanKind, SpanRecord};
 use mockingbird_values::Endian;
@@ -171,13 +170,6 @@ impl Drop for RequestEncoder<'_> {
 pub type Connector =
     Arc<dyn Fn(SocketAddr) -> Result<Arc<dyn Connection>, RuntimeError> + Send + Sync>;
 
-/// Successful call latencies remembered for the hedge p95 estimate.
-const LATENCY_WINDOW: usize = 128;
-
-/// Hedge delay used by [`HedgePolicy::P95`] before any latency history
-/// exists.
-const DEFAULT_HEDGE_DELAY: Duration = Duration::from_millis(10);
-
 /// One server address with its connection slots and circuit breaker.
 struct Endpoint {
     addr: SocketAddr,
@@ -241,7 +233,6 @@ struct PoolCore {
     breaker_cfg: BreakerConfig,
     next: AtomicUsize,
     connector: Connector,
-    latencies: Mutex<VecDeque<Duration>>,
     metrics: Arc<MetricsRegistry>,
     /// The pool-wide token bucket bounding aggregate retry
     /// amplification: successes deposit here (in [`attempt_at`]), and
@@ -405,12 +396,10 @@ impl PoolCore {
         options: &CallOptions,
     ) -> Result<Option<Message>, RuntimeError> {
         let conn = self.checkout(ep)?;
-        let start = Instant::now();
         let outcome = conn.call_with(msg, options);
         match &outcome {
             Ok(_) => {
                 ep.breaker.record_success();
-                self.record_latency(start.elapsed());
                 // Successful traffic refills the retry budget (~0.1
                 // token per success), so steady state keeps retries
                 // flowing while a fault storm drains the bucket fast.
@@ -443,57 +432,6 @@ impl PoolCore {
             let mut guard = slot.plock();
             if guard.as_ref().is_some_and(|c| Arc::ptr_eq(c, conn)) {
                 *guard = None;
-            }
-        }
-    }
-
-    fn record_latency(&self, d: Duration) {
-        let mut l = self.latencies.plock();
-        if l.len() == LATENCY_WINDOW {
-            l.pop_front();
-        }
-        l.push_back(d);
-    }
-
-    /// The 95th-percentile successful-call latency, if any history.
-    fn p95(&self) -> Option<Duration> {
-        let l = self.latencies.plock();
-        if l.is_empty() {
-            return None;
-        }
-        let mut v: Vec<Duration> = l.iter().copied().collect();
-        v.sort_unstable();
-        Some(v[(v.len() * 95 / 100).min(v.len() - 1)])
-    }
-
-    /// One health sweep over the *live* endpoint set: probe endpoints
-    /// whose breaker is not closed (open past cooldown, or half-open)
-    /// with a fresh dial, feeding the result back into the breaker.
-    /// Closed endpoints are left to regular traffic; retired and skewed
-    /// endpoints are never probed — their breakers are on the way out,
-    /// and sweeping them would keep dead replicas on life support.
-    fn health_sweep(&self) {
-        for ep in self.live() {
-            if !ep.routable() {
-                continue;
-            }
-            if ep.breaker.state() == BreakerState::Closed || !ep.breaker.allow() {
-                continue;
-            }
-            match (self.connector)(ep.addr) {
-                Ok(conn) => {
-                    ep.breaker.record_success();
-                    // Park the probe connection in an empty slot rather
-                    // than wasting the dial.
-                    for slot in &ep.slots {
-                        let mut guard = slot.plock();
-                        if guard.is_none() {
-                            *guard = Some(conn);
-                            break;
-                        }
-                    }
-                }
-                Err(e) => ep.note_failure(&e),
             }
         }
     }
@@ -620,7 +558,6 @@ impl PoolBuilder {
             breaker_cfg: self.breaker,
             next: AtomicUsize::new(0),
             connector,
-            latencies: Mutex::new(VecDeque::new()),
             metrics,
             retry_budget: self
                 .retry_budget
@@ -700,12 +637,6 @@ impl ConnectionPool {
         self.core.live()[index].breaker.state()
     }
 
-    /// The resolver version the current endpoint set reflects.
-    pub fn observed_version(&self) -> u64 {
-        self.core.sync_if_stale();
-        self.core.directory.synced.load(Ordering::Acquire)
-    }
-
     /// Applies any pending directory change now (routing also does this
     /// lazily before every call; this is for callers that want the
     /// membership observation point to be explicit).
@@ -716,35 +647,6 @@ impl ConnectionPool {
     /// Whether this pool's endpoint set can change after construction.
     pub fn is_dynamic(&self) -> bool {
         self.core.directory.resolver.is_dynamic()
-    }
-
-    /// Runs one health sweep now: endpoints whose breaker is open (past
-    /// cooldown) or half-open are probed with a fresh dial and the
-    /// breaker told the result.
-    pub fn health_check(&self) {
-        self.core.health_sweep();
-    }
-
-    /// Starts a background thread sweeping [`health_check`] every
-    /// `interval`. The thread holds only a weak reference: it exits on
-    /// the first tick after the pool is dropped.
-    ///
-    /// [`health_check`]: ConnectionPool::health_check
-    pub fn start_health_checker(&self, interval: Duration) {
-        let weak = Arc::downgrade(&self.core);
-        std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
-            let Some(core) = weak.upgrade() else { break };
-            core.health_sweep();
-        });
-    }
-
-    /// The hedge delay `policy` implies given current latency history.
-    fn hedge_delay(&self, policy: HedgePolicy) -> Duration {
-        match policy {
-            HedgePolicy::After(d) => d,
-            HedgePolicy::P95 => self.core.p95().unwrap_or(DEFAULT_HEDGE_DELAY),
-        }
     }
 }
 
@@ -775,11 +677,10 @@ impl Connection for ConnectionPool {
             }
             _ => None,
         };
-        let Some(policy) = hedge else {
+        let Some(HedgePolicy::After(delay)) = hedge else {
             return self.core.attempt(msg, options);
         };
 
-        let delay = self.hedge_delay(policy);
         // The duplicate keeps the logical call's trace id but gets its
         // own span id, so the span log shows two racing attempts of one
         // trace rather than two unrelated calls.
@@ -1132,17 +1033,20 @@ mod tests {
             assert!(echo_try(&pool, &graph, rec, k).is_none());
         }
         assert_eq!(pool.breaker_state(0), BreakerState::Open);
-        // A sweep while still down re-opens after the failed probe.
+        // After the cooldown the next call is the half-open probe; the
+        // endpoint is still down, so it re-opens the breaker.
         std::thread::sleep(std::time::Duration::from_millis(15));
-        pool.health_check();
+        assert!(echo_try(&pool, &graph, rec, 3).is_none());
         assert_eq!(pool.breaker_state(0), BreakerState::Open);
-        // The endpoint comes back: two successful probes close it.
+        // The endpoint comes back: after another cooldown, two
+        // successful calls close the breaker.
         alive.store(true, Ordering::SeqCst);
         std::thread::sleep(std::time::Duration::from_millis(15));
-        pool.health_check();
-        pool.health_check();
-        assert_eq!(pool.breaker_state(0), BreakerState::Closed);
+        assert_eq!(echo(&pool, &graph, rec, 4), 4);
+        assert_eq!(pool.breaker_state(0), BreakerState::HalfOpen);
         assert_eq!(echo(&pool, &graph, rec, 5), 5);
+        assert_eq!(pool.breaker_state(0), BreakerState::Closed);
+        assert_eq!(echo(&pool, &graph, rec, 6), 6);
     }
 
     /// A connection that answers after a fixed pause — a stand-in for a

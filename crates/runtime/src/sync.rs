@@ -21,7 +21,6 @@
 use std::sync::{
     Condvar, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
-use std::time::Duration;
 
 /// Poison-recovering accessor for [`Mutex`].
 pub trait LockExt<T> {
@@ -57,20 +56,6 @@ impl<T> RwLockExt<T> for RwLock<T> {
 /// [`Condvar::wait`], recovering the guard from poison.
 pub fn cv_wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`Condvar::wait_timeout`], recovering the guard from poison. The
-/// timed-out flag is dropped: callers re-check their predicate and
-/// their own clock, which is the only race-free pattern anyway.
-pub fn cv_wait_timeout<'a, T>(
-    cv: &Condvar,
-    guard: MutexGuard<'a, T>,
-    dur: Duration,
-) -> MutexGuard<'a, T> {
-    match cv.wait_timeout(guard, dur) {
-        Ok((g, _)) => g,
-        Err(poisoned) => poisoned.into_inner().0,
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,6 @@
 //! *with* their annotations — to JSON and restores it, and is one of the
 //! four input kinds the tool can parse (Fig. 6).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
@@ -30,12 +29,6 @@ pub struct Project {
     pub name: String,
     /// The annotated declarations.
     pub universe: Universe,
-    /// Auxiliary sections carried alongside the universe (for example the
-    /// compile cache persisted by `Session::save_project`). Unknown
-    /// top-level keys decode into this map and re-encode verbatim, so
-    /// producers can extend project files without bumping
-    /// [`FORMAT_VERSION`] and old readers keep working.
-    pub extra: BTreeMap<String, Json>,
 }
 
 /// Errors from loading or saving projects.
@@ -93,7 +86,6 @@ impl Project {
             version: FORMAT_VERSION,
             name: name.into(),
             universe,
-            extra: BTreeMap::new(),
         }
     }
 
@@ -104,18 +96,18 @@ impl Project {
     /// Returns [`ProjectError::Format`] if serialisation fails (it will
     /// not for well-formed universes).
     pub fn to_json(&self) -> Result<String, ProjectError> {
-        let mut map = BTreeMap::new();
-        map.insert("version".to_string(), Json::Int(i128::from(self.version)));
-        map.insert("name".to_string(), Json::str(&self.name));
-        map.insert("universe".to_string(), encode_universe(&self.universe));
-        for (k, v) in &self.extra {
-            // Reserved keys always win over extras of the same name.
-            map.entry(k.clone()).or_insert_with(|| v.clone());
-        }
-        Ok(Json::Object(map).pretty())
+        let v = Json::obj([
+            ("version", Json::Int(i128::from(self.version))),
+            ("name", Json::str(&self.name)),
+            ("universe", encode_universe(&self.universe)),
+        ]);
+        Ok(v.pretty())
     }
 
     /// Restores a project from JSON, rebuilding internal indexes.
+    /// Top-level keys other than `version`, `name` and `universe` are
+    /// ignored, so files that carry sections this reader does not know
+    /// still load.
     ///
     /// # Errors
     ///
@@ -131,19 +123,10 @@ impl Project {
         let name = v.req("name")?.as_str()?.to_string();
         let mut universe = decode_universe(v.req("universe")?)?;
         universe.reindex();
-        let mut extra = BTreeMap::new();
-        if let Json::Object(map) = &v {
-            for (k, val) in map {
-                if !matches!(k.as_str(), "version" | "name" | "universe") {
-                    extra.insert(k.clone(), val.clone());
-                }
-            }
-        }
         Ok(Project {
             version,
             name,
             universe,
-            extra,
         })
     }
 
@@ -766,27 +749,5 @@ mod tests {
             restored.universe.get("buf").unwrap(),
             p.universe.get("buf").unwrap()
         );
-    }
-
-    #[test]
-    fn extra_sections_round_trip_and_stay_versionless() {
-        let mut p = Project::new("warm", Universe::new());
-        p.extra.insert(
-            "compile_cache".to_string(),
-            Json::obj([(
-                "verdicts",
-                Json::Array(vec![Json::obj([
-                    ("l", Json::str("00ff")),
-                    ("ok", Json::Bool(true)),
-                ])]),
-            )]),
-        );
-        let text = p.to_json().unwrap();
-        let restored = Project::from_json(&text).unwrap();
-        assert_eq!(restored.version, FORMAT_VERSION, "no version bump needed");
-        assert_eq!(restored.extra, p.extra, "unknown sections carried verbatim");
-        // A reader that knows nothing about extras still round-trips them.
-        let again = Project::from_json(&restored.to_json().unwrap()).unwrap();
-        assert_eq!(again.extra, p.extra);
     }
 }

@@ -179,12 +179,6 @@ impl CdrWriter {
         }
     }
 
-    /// Appends raw bytes with no alignment (pre-aligned bulk spans).
-    #[inline]
-    pub fn put_raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Closes a sequence of `count` elements whose first byte would sit
     /// at `start`. Elements that wrote nothing have zero wire width, and
     /// a stream may hold at most [`MAX_ZERO_WIDTH_SEQUENCE`] of them, the

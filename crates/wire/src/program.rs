@@ -408,14 +408,6 @@ impl WireProgram {
         self.nodes.len()
     }
 
-    /// Total opcode count across all scopes and directions.
-    pub fn op_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| n.enc.len() + n.dec.len() + n.build.len())
-            .sum()
-    }
-
     /// One-pass fused marshal: writes the destination-side CDR bytes of
     /// the source-side `value`. Allocation-free once the writer's buffer
     /// has warmed to the message size.
@@ -2077,16 +2069,6 @@ pub enum EncStep<'a> {
     Flow(&'a EncOp),
 }
 
-/// As [`EncStep`] for the decode direction (reserve has no decode
-/// meaning, but fixed runs still group ops with no control flow).
-#[derive(Debug, Clone, Copy)]
-pub enum DecStep<'a> {
-    /// ≥1 consecutive fixed-width ops.
-    Fixed(&'a [DecOp]),
-    /// A variable-size or dispatching op.
-    Flow(&'a DecOp),
-}
-
 impl EncOp {
     /// Wire footprint when constant: `Some(size)` for fixed-width
     /// primitives (`Unit` is 0), `None` for data-dependent ops.
@@ -2102,23 +2084,6 @@ impl EncOp {
             | EncOp::IntoDynamic { .. }
             | EncOp::Seq { .. }
             | EncOp::Choice { .. } => None,
-        }
-    }
-}
-
-impl DecOp {
-    /// Wire footprint when constant (see [`EncOp::wire_size`]).
-    #[must_use]
-    pub fn wire_size(&self) -> Option<usize> {
-        match self {
-            DecOp::UInt { size, .. } | DecOp::Char { size, .. } => Some(*size as usize),
-            DecOp::Real { single, .. } => Some(if *single { 4 } else { 8 }),
-            DecOp::Port { .. } => Some(8),
-            DecOp::Tag { .. } => Some(4),
-            DecOp::Dynamic { .. }
-            | DecOp::IntoDynamic { .. }
-            | DecOp::Seq { .. }
-            | DecOp::Choice { .. } => None,
         }
     }
 }
@@ -2146,27 +2111,6 @@ pub fn enc_runs(ops: &[EncOp]) -> Vec<EncStep<'_>> {
                 out.push(EncStep::Fixed(&ops[i..j], budget));
                 i = j;
             }
-        }
-    }
-    out
-}
-
-/// Coalesces decode opcodes into [`DecStep`] runs.
-#[must_use]
-pub fn dec_runs(ops: &[DecOp]) -> Vec<DecStep<'_>> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < ops.len() {
-        if ops[i].wire_size().is_none() {
-            out.push(DecStep::Flow(&ops[i]));
-            i += 1;
-        } else {
-            let mut j = i + 1;
-            while j < ops.len() && ops[j].wire_size().is_some() {
-                j += 1;
-            }
-            out.push(DecStep::Fixed(&ops[i..j]));
-            i = j;
         }
     }
     out

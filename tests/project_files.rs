@@ -7,7 +7,10 @@
 //! state of the parsed and annotated declarations in a project file for
 //! later use."
 
-use mockingbird::{Mode, Session};
+use mockingbird::artifact::{ArtifactKind, ArtifactStore, MemoryStore, StoreKey};
+use mockingbird::stype::json::Json;
+use mockingbird::wire::WireProgram;
+use mockingbird::{BatchOptions, Mode, Session};
 
 fn scratch(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("mockingbird-e2e");
@@ -87,6 +90,84 @@ fn project_files_are_versioned_json() {
     std::fs::write(&path, bad).unwrap();
     assert!(Session::load_project(&path).is_err());
     std::fs::remove_file(path).ok();
+}
+
+/// A project file holds declarations only. A file that carries the
+/// compile-cache sections older writers emitted (`compile_cache` and
+/// `wire_programs`) still loads, but neither section reaches the
+/// session: a planted mismatch under every verdict key of the fitter
+/// pair, and `Point`'s identity program under its program key, decide
+/// nothing and serve nothing.
+#[test]
+fn a_project_file_cannot_plant_a_verdict_or_a_program() {
+    let mut warm = mockingbird_bench::fitter_session().unwrap();
+    let pair = [("JavaIdeal", "fitter")];
+    warm.batch_compile(&pair, &BatchOptions::default()).unwrap();
+    let records = MemoryStore::new();
+    warm.export_artifacts(&records);
+    let point = warm.mtype("Point").unwrap();
+    let planted_program = WireProgram::identity(warm.graph(), point)
+        .unwrap()
+        .to_bytes()
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect::<String>();
+
+    let key_fields = |key: &StoreKey| {
+        [
+            ("l", Json::str(format!("{:032x}", key.left_fp))),
+            ("r", Json::str(format!("{:032x}", key.right_fp))),
+            ("rules", Json::str(format!("{:016x}", key.rules_fp))),
+            ("sub", Json::Bool(key.subtype)),
+        ]
+    };
+    let (mut verdicts, mut programs) = (Vec::new(), Vec::new());
+    for (key, _) in records.keys() {
+        let fields = key_fields(&key).into_iter();
+        match key.kind {
+            ArtifactKind::Verdict => verdicts.push(Json::obj(fields.chain([
+                ("ok", Json::Bool(false)),
+                ("reason", Json::str("planted")),
+                ("depth", Json::Int(0)),
+            ]))),
+            ArtifactKind::WireProgram => {
+                programs.push(Json::obj(
+                    fields.chain([("bytes", Json::str(&planted_program))]),
+                ));
+            }
+            ArtifactKind::NativeStubMeta => {}
+        }
+    }
+    assert!(!verdicts.is_empty(), "the fitter pair has verdict keys");
+    assert_eq!(programs.len(), 1, "the fitter pair has one program key");
+
+    let path = scratch("planted.mbproj.json");
+    mockingbird_bench::fitter_session()
+        .unwrap()
+        .save_project("planted", &path)
+        .unwrap();
+    let mut file = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let Json::Object(top) = &mut file else {
+        panic!("a project file is a JSON object")
+    };
+    top.insert(
+        stringify!(compile_cache).into(),
+        Json::obj([("verdicts", Json::Array(verdicts))]),
+    );
+    top.insert(
+        stringify!(wire_programs).into(),
+        Json::obj([("programs", Json::Array(programs))]),
+    );
+    std::fs::write(&path, file.pretty()).unwrap();
+
+    let mut s = Session::load_project(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    let plan = s.compare("JavaIdeal", "fitter", Mode::Equivalence);
+    assert!(plan.is_ok(), "{}", plan.unwrap_err());
+    let report = s.batch_compile(&pair, &BatchOptions::default()).unwrap();
+    assert!(report.pairs[0].outcome.is_match());
+    let stats = s.program_stats();
+    assert_eq!((stats.compiles, stats.hits), (1, 0), "{stats:?}");
 }
 
 #[test]
