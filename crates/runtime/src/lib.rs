@@ -10,9 +10,11 @@
 //! - [`transport`] — connections carrying framed messages: an in-memory
 //!   loopback (marshalling without sockets) and a real TCP transport
 //!   whose sockets are driven by the [`reactor`];
-//! - [`reactor`] — the nonblocking readiness loop behind the TCP
-//!   transport: resumable frame state machines, a waiter table keyed
-//!   by request id, and a hashed deadline wheel for per-call timeouts;
+//! - [`reactor`] — the readiness-driven I/O behind the TCP transport:
+//!   resumable frame state machines, the server's poller threads (the
+//!   thread that reads a request runs it), and a waiter table keyed by
+//!   request id through which each client caller reads its own reply
+//!   and times out on its own clock;
 //! - [`sync`] — poison-recovering lock accessors, so one panicking
 //!   worker cannot cascade `PoisonError` panics across connections;
 //! - [`proxy::RemoteRef`] — the client side of a remote object: encodes
@@ -59,7 +61,7 @@ pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use options::{CallOptions, Criticality, HedgePolicy, RetryPolicy};
 pub use pool::{BufferPool, ConnectionPool, Connector, PoolBuilder, RequestEncoder};
 pub use proxy::RemoteRef;
-pub use reactor::{DeadlineWheel, FrameReader, FrameWriter};
+pub use reactor::{FrameReader, FrameWriter};
 pub use resolver::{ObjectName, ResolvedEndpoint, Resolver, StaticResolver};
 pub use sync::{LockExt, RwLockExt};
 pub use transport::{

@@ -1,15 +1,13 @@
-//! The readiness-driven reactor behind the TCP transports.
+//! The readiness-driven I/O behind the TCP transports.
 //!
-//! One reactor thread watches a set of nonblocking sockets from one
-//! event loop: it does every read, and every write the producing
-//! thread could not finish. The loop blocks in a `Poller` until a
-//! socket is ready, a command arrives, or one of its own timers falls
-//! due, and then services only the connections reported ready, so an
-//! idle connection costs nothing per iteration. On Linux the poller is
-//! an epoll instance plus an eventfd waker, bound through a few
-//! hand-declared `extern "C"` functions (no external crate); elsewhere
-//! a portable backend parks briefly and then reports every connection
-//! ready. Five pieces make the loop workable:
+//! A call wakes one runtime thread on each side: on the server, the
+//! poller that reads a request runs it and writes its reply; on the
+//! client, the caller that wrote a request reads its own reply. No
+//! frame crosses a thread to reach the wire or to leave it. On Linux
+//! readiness comes from epoll, `poll(2)` and an eventfd waker, bound
+//! through a few hand-declared `extern "C"` functions (no external
+//! crate); elsewhere a portable backend parks briefly and then reports
+//! every connection ready. The pieces:
 //!
 //! - [`FrameReader`] / [`FrameWriter`]: per-connection GIOP frame state
 //!   machines. A read that stops mid-header or mid-body parks the
@@ -18,32 +16,42 @@
 //!   as the socket accepts them.
 //! - the outbound half (`Outbound`): each connection's socket, with
 //!   its `FrameWriter` and write-stall clock behind one mutex, shared
-//!   by the reactor and the threads that build its frames. A client
-//!   caller writes its request, and a dispatch worker its reply,
-//!   straight to the socket when nothing is queued ahead of it, so a
-//!   call crosses no thread to reach the wire. They wake the reactor
-//!   only when it has work: a tail the socket refused (it arms write
-//!   readiness and finishes it), a deadline for the wheel, or a failed
-//!   write (it closes the connection and fails its waiters).
-//! - a waker table (`MuxCore`): each in-flight client call parks its
-//!   own thread and is unparked exactly when its reply, failure, or
-//!   deadline arrives — replacing the broadcast `Condvar` the old
-//!   transport shared across every waiter on a connection.
-//! - a hashed [`DeadlineWheel`]: per-call deadlines are wheel entries
-//!   owned by the reactor, not `set_read_timeout` mutations of a
-//!   shared socket, so concurrent calls on one connection can no
-//!   longer observe each other's timeouts. The loop's wait ends at the
-//!   next armed tick.
+//!   by every thread that writes frames for it. A caller writes its
+//!   request, and a server thread its reply, straight to the socket
+//!   when nothing is queued ahead of it; only a tail the socket
+//!   refused waits for write readiness.
+//! - the server's pollers (`Server`): `workers + 1` threads wait on
+//!   one epoll set in which every socket is armed one-shot, so the
+//!   kernel hands each ready socket to exactly one of them. A poller
+//!   that finds a request while one of the `workers` dispatch slots is
+//!   free re-arms the socket (the connection's next frame can go to
+//!   another poller), runs the request and writes the reply. Without a
+//!   free slot it queues or sheds what it reads, under the admission
+//!   rules, and a thread that finishes a dispatch takes the next
+//!   queued job before it waits again. One thread is therefore always
+//!   free to read, answer handshakes and shed.
+//! - the client's waker table (`MuxCore`): the in-flight calls of one
+//!   connection, keyed by request id, plus the connection's read half.
+//!   A caller that finds no reader becomes the reader: it waits in
+//!   `poll(2)` until its own deadline, hands the replies it passes to
+//!   their callers' slots (unparking exactly those threads), and stops
+//!   at its own. A caller that finds a reader parks until its own
+//!   deadline. A reader that leaves while others wait hands the role
+//!   to one of them. Deadlines thus run on the callers' own clocks.
+//! - the client reactor: one process-wide thread that watches every
+//!   client socket for hang-ups, and for write readiness while a tail
+//!   is queued. It reads only when a peer hangs up while no caller is
+//!   reading: it delivers the frames already received and fails the
+//!   rest.
 //! - the write-stall clock: a peer that stops reading produces no
-//!   readiness event at all, so the wait also ends when the oldest
-//!   blocked writer's [`WRITE_STALL`] runs out, and that connection is
-//!   closed.
+//!   readiness event at all, so the waits that watch a tail also end
+//!   when the oldest blocked writer's [`WRITE_STALL`] runs out, and
+//!   that connection is closed.
 //!
 //! Client connections from every [`MultiplexedConnection`] in the
-//! process share one global reactor thread (connection churn leaves
-//! the thread count flat); each [`TcpServer`] runs its own reactor fed
-//! by an acceptor thread, whose admitted requests a bounded worker
-//! pool dispatches and answers.
+//! process share the one reactor thread (connection churn leaves the
+//! thread count flat); each [`TcpServer`] runs its pollers, one oneway
+//! worker and an acceptor thread.
 //!
 //! [`MultiplexedConnection`]: crate::transport::MultiplexedConnection
 //! [`TcpServer`]: crate::transport::TcpServer
@@ -51,10 +59,10 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{Read, Write};
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
+use std::thread::{JoinHandle, Thread};
 use std::time::{Duration, Instant};
 
 use mockingbird_values::Endian;
@@ -62,7 +70,7 @@ use mockingbird_wire::{
     CdrWriter, HandshakeInfo, HandshakeVerdict, Message, MessageKind, ReplyStatus,
 };
 
-use crate::dispatch::deadline_expired_reply;
+use crate::dispatch::{deadline_expired_reply, Dispatcher};
 use crate::error::RuntimeError;
 use crate::limiter::{Admission, AimdLimiter};
 use crate::metrics::MetricsRegistry;
@@ -72,10 +80,10 @@ use crate::transport::{FrameQueue, ServerConfig};
 /// GIOP frame header length (magic + version + flags + declared size).
 const HEADER_LEN: usize = 12;
 
-/// Bytes one connection may consume per readiness event before the
-/// reactor moves on: bounds how long one firehose socket can starve
-/// its neighbours (the socket stays readable, so the next wait reports
-/// it again).
+/// Bytes one connection may consume per readiness event before its
+/// reader moves on: bounds how long one firehose socket can starve its
+/// neighbours (the socket stays readable, so the re-armed registration
+/// reports it again).
 const READ_BUDGET: usize = 256 * 1024;
 
 /// Frame buffers above this capacity are released after the frame is
@@ -97,11 +105,21 @@ pub const WRITE_STALL: Duration = Duration::from_secs(5);
 /// pending reply bytes before giving up on the stragglers.
 const DRAIN_FLUSH: Duration = Duration::from_secs(5);
 
+/// Events the client reactor takes per wait. More ready sockets stay
+/// ready (level-triggered) and are reported by the next wait. A server
+/// poller takes one per wait, so the others can take the rest.
+const MAX_EVENTS: usize = 256;
+
 fn is_would_block(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),
         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
     )
+}
+
+/// Why a client connection failed when its peer closed it cleanly.
+fn closed_by_peer() -> RuntimeError {
+    RuntimeError::Transport("server closed the connection".into())
 }
 
 // ---------------------------------------------------------------------------
@@ -173,26 +191,66 @@ impl FrameReader {
                     eof: false,
                 });
             }
-            if self.need == HEADER_LEN && self.filled == 0 {
-                self.buf.resize(HEADER_LEN, 0);
+            let (n, step) = self.read_once(src)?;
+            consumed += n;
+            match step {
+                None => {}
+                Some(Step::Frame(msg)) => out.push(msg),
+                Some(Step::Blocked | Step::Eof) => {
+                    return Ok(ReadPump {
+                        bytes: consumed,
+                        eof: matches!(step, Some(Step::Eof)),
+                    })
+                }
             }
+        }
+    }
+
+    /// Reads until one frame completes, the source would block, or it
+    /// ends, adding the bytes read to `bytes`. A frame costs two reads,
+    /// its header and then its body, and no read is made past it, so a
+    /// thread that wants one frame pays no trailing `WouldBlock` probe.
+    ///
+    /// # Errors
+    ///
+    /// As [`pump`](Self::pump).
+    pub(crate) fn next_frame<R: Read + ?Sized>(
+        &mut self,
+        src: &mut R,
+        bytes: &mut usize,
+    ) -> Result<Step, RuntimeError> {
+        loop {
+            let (n, step) = self.read_once(src)?;
+            *bytes += n;
+            if let Some(step) = step {
+                return Ok(step);
+            }
+        }
+    }
+
+    /// Makes one read, of at most the rest of the current header or
+    /// body, so no byte of the next frame leaves the source. Returns
+    /// the bytes read, and how the read ended unless it only advanced
+    /// a partial frame.
+    fn read_once<R: Read + ?Sized>(
+        &mut self,
+        src: &mut R,
+    ) -> Result<(usize, Option<Step>), RuntimeError> {
+        if self.need == HEADER_LEN && self.filled == 0 {
+            self.buf.resize(HEADER_LEN, 0);
+        }
+        loop {
             match src.read(&mut self.buf[self.filled..self.need]) {
+                Ok(0) if self.filled == 0 => return Ok((0, Some(Step::Eof))),
                 Ok(0) => {
-                    if self.filled == 0 {
-                        return Ok(ReadPump {
-                            bytes: consumed,
-                            eof: true,
-                        });
-                    }
                     return Err(RuntimeError::Transport(
                         "connection closed mid-frame".into(),
-                    ));
+                    ))
                 }
                 Ok(n) => {
                     self.filled += n;
-                    consumed += n;
                     if self.filled < self.need {
-                        continue;
+                        return Ok((n, None));
                     }
                     if self.need == HEADER_LEN {
                         // The declared length is validated before any
@@ -203,34 +261,38 @@ impl FrameReader {
                         if total > HEADER_LEN {
                             self.need = total;
                             self.buf.resize(total, 0);
-                            continue;
+                            return Ok((n, None));
                         }
                     }
-                    self.finish(out)?;
+                    return self.finish().map(|msg| (n, Some(Step::Frame(msg))));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) if is_would_block(&e) => {
-                    return Ok(ReadPump {
-                        bytes: consumed,
-                        eof: false,
-                    });
-                }
+                Err(e) if is_would_block(&e) => return Ok((0, Some(Step::Blocked))),
                 Err(e) => return Err(RuntimeError::Transport(e.to_string())),
             }
         }
     }
 
-    fn finish(&mut self, out: &mut Vec<Message>) -> Result<(), RuntimeError> {
+    fn finish(&mut self) -> Result<Message, RuntimeError> {
         let msg = Message::from_bytes(&self.buf[..self.need])
             .map_err(|e| RuntimeError::Protocol(e.to_string()))?;
-        out.push(msg);
         self.filled = 0;
         self.need = HEADER_LEN;
         if self.buf.capacity() > BUF_KEEP {
             self.buf = Vec::new();
         }
-        Ok(())
+        Ok(msg)
     }
+}
+
+/// How a [`FrameReader::next_frame`] ended.
+pub(crate) enum Step {
+    Frame(Message),
+    /// The source has nothing more for now; a partial frame stays in
+    /// the machine.
+    Blocked,
+    /// A clean end of stream, at a frame boundary.
+    Eof,
 }
 
 /// What one [`FrameWriter::pump`] accomplished.
@@ -328,11 +390,10 @@ impl FrameWriter {
 
 /// Why [`Outbound::send`] put nothing more on the wire.
 pub(crate) enum Refused {
-    /// The connection had already closed; the reactor knows.
+    /// The connection had already closed.
     Closed(RuntimeError),
     /// This send failed (a socket error, or the backlog cap): the
-    /// connection must close as it does for the reactor's own write
-    /// errors.
+    /// connection must close.
     Failed(RuntimeError),
 }
 
@@ -345,16 +406,17 @@ struct WriteState {
     closed: Option<RuntimeError>,
 }
 
-/// One connection's outbound half, shared by its reactor and by every
-/// thread that produces frames for it: the socket, plus the
-/// [`FrameWriter`] and write-stall clock behind one mutex.
+/// One connection's outbound half, shared by every thread that
+/// produces frames for it and by the thread that watches its write
+/// readiness: the socket, plus the [`FrameWriter`] and write-stall
+/// clock behind one mutex.
 ///
 /// Bytes reach the socket only under that mutex, so frames never
 /// interleave. The thread that built a frame writes it straight to the
 /// socket when nothing is queued ahead of it; whatever the socket
 /// refuses stays queued, and a queue that was already nonempty is
-/// retired only by the reactor, on write readiness. The reactor reads
-/// the socket without the lock.
+/// retired only on write readiness. Reads take the socket without the
+/// lock.
 pub(crate) struct Outbound {
     id: u64,
     stream: TcpStream,
@@ -380,17 +442,17 @@ impl Outbound {
         }
     }
 
-    /// The connection's reactor-wide id.
+    /// The connection's id: its key in the poller.
     pub fn id(&self) -> u64 {
         self.id
     }
 
     /// Queues one encoded frame and, when nothing was queued ahead of
     /// it, writes it to the socket from the calling thread. Returns
-    /// whether that write left a tail, which only the reactor can
-    /// finish (it must arm write readiness); a frame queued behind an
-    /// earlier tail needs no wake, because whoever left that tail
-    /// already woke the reactor.
+    /// whether that write left a tail, which only write readiness can
+    /// finish (the caller must arm it); a frame queued behind an
+    /// earlier tail needs nothing armed, because whoever left that tail
+    /// already armed it.
     pub fn send(&self, frame: Vec<u8>) -> Result<bool, Refused> {
         let mut st = self.state.plock();
         if let Some(e) = &st.closed {
@@ -410,8 +472,8 @@ impl Outbound {
         Ok(!st.writer.is_empty())
     }
 
-    /// The reactor's side: retires queued bytes as far as the socket
-    /// takes them.
+    /// The write-readiness side: retires queued bytes as far as the
+    /// socket takes them.
     fn flush(&self) -> Result<(), RuntimeError> {
         let mut st = self.state.plock();
         if let Some(e) = &st.closed {
@@ -421,8 +483,8 @@ impl Outbound {
     }
 
     /// Writes queued bytes until the socket blocks, counting them and
-    /// restarting the stall clock on progress
-    /// ([`Reactor::expire_stalls`] reads it). A failed write closes the
+    /// restarting the stall clock on progress (the stall expiries of
+    /// both sides read it). A failed write closes the
     /// half, so no later frame follows a torn one onto the wire.
     fn pump(&self, st: &mut WriteState) -> Result<(), RuntimeError> {
         if st.writer.is_empty() {
@@ -463,143 +525,19 @@ impl Outbound {
 }
 
 // ---------------------------------------------------------------------------
-// Deadline wheel
-// ---------------------------------------------------------------------------
-
-/// Wheel slots; deadlines hash into `tick % WHEEL_SLOTS`.
-const WHEEL_SLOTS: u64 = 256;
-
-/// Wheel tick granularity: deadlines fire within one tick of their
-/// nominal instant.
-const WHEEL_TICK: Duration = Duration::from_millis(1);
-
-/// A hashed timing wheel holding per-call deadlines.
-///
-/// Each armed deadline is an entry in the slot its tick hashes to; the
-/// reactor advances the cursor every loop iteration and fires entries
-/// whose tick has passed (entries a full rotation out stay put until the
-/// cursor comes around again). Cancellation is lazy: a call that
-/// completes simply abandons its entry, and firing an entry whose
-/// waiter is gone is a no-op — so completion never pays a wheel
-/// traversal.
-#[derive(Debug)]
-pub struct DeadlineWheel {
-    slots: Vec<Vec<WheelEntry>>,
-    origin: Instant,
-    cursor: u64,
-    live: usize,
-}
-
-#[derive(Debug)]
-struct WheelEntry {
-    tick: u64,
-    conn: u64,
-    request_id: u32,
-}
-
-impl DeadlineWheel {
-    /// An empty wheel anchored at `origin`.
-    #[must_use]
-    pub fn new(origin: Instant) -> Self {
-        DeadlineWheel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            origin,
-            cursor: 0,
-            live: 0,
-        }
-    }
-
-    fn tick_of(&self, at: Instant) -> u64 {
-        let elapsed = at.saturating_duration_since(self.origin);
-        (elapsed.as_micros() / WHEEL_TICK.as_micros()) as u64
-    }
-
-    /// Arms a deadline for `(conn, request_id)` at instant `at`.
-    /// Instants already in the past fire on the next expiry pass.
-    pub fn insert(&mut self, conn: u64, request_id: u32, at: Instant) {
-        let tick = self.tick_of(at).max(self.cursor);
-        self.slots[(tick % WHEEL_SLOTS) as usize].push(WheelEntry {
-            tick,
-            conn,
-            request_id,
-        });
-        self.live += 1;
-    }
-
-    /// Whether any deadline is armed.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
-    /// When the earliest armed entry falls due: the end of its tick,
-    /// which is never before its deadline, and at which
-    /// [`expire`](Self::expire) fires it. `None` when nothing is armed.
-    /// Looks one rotation ahead; when every entry is further out,
-    /// reports the end of that rotation, and the caller looks again.
-    #[must_use]
-    pub fn next_due(&self) -> Option<Instant> {
-        if self.live == 0 {
-            return None;
-        }
-        // Every armed entry's tick is at or past the cursor, so the
-        // first slot holding an entry for its own tick is the earliest.
-        let tick = (self.cursor..self.cursor + WHEEL_SLOTS)
-            .find(|&t| {
-                self.slots[(t % WHEEL_SLOTS) as usize]
-                    .iter()
-                    .any(|e| e.tick <= t)
-            })
-            .unwrap_or(self.cursor + WHEEL_SLOTS);
-        let end = Duration::from_micros((tick + 1) * WHEEL_TICK.as_micros() as u64);
-        Some(self.origin + end)
-    }
-
-    /// Fires every entry whose tick is at or before `now`, invoking
-    /// `expired(conn, request_id)` for each.
-    pub fn expire(&mut self, now: Instant, mut expired: impl FnMut(u64, u32)) {
-        let now_tick = self.tick_of(now);
-        if self.live == 0 {
-            // Nothing armed: skip the cursor forward so a long idle
-            // stretch is not replayed tick by tick later.
-            self.cursor = self.cursor.max(now_tick);
-            return;
-        }
-        while self.cursor <= now_tick {
-            let slot = &mut self.slots[(self.cursor % WHEEL_SLOTS) as usize];
-            let mut i = 0;
-            while i < slot.len() {
-                if slot[i].tick <= self.cursor {
-                    let e = slot.swap_remove(i);
-                    self.live -= 1;
-                    expired(e.conn, e.request_id);
-                } else {
-                    i += 1;
-                }
-            }
-            self.cursor += 1;
-            if self.live == 0 {
-                self.cursor = self.cursor.max(now_tick);
-                return;
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Waker table
+// Waker table and reader role
 // ---------------------------------------------------------------------------
 
 /// What a waiter slot holds while its call is in flight.
 pub(crate) enum Slot {
     /// The reply has not arrived; the caller's thread handle is here so
-    /// exactly that thread can be unparked on completion.
+    /// exactly that thread can be unparked on completion (or handed the
+    /// reader role).
     Waiting(Thread),
-    /// The reactor delivered the reply (still carrying the
+    /// The reader delivered the reply (still carrying the
     /// connection-unique wire id).
     Ready(Message),
-    /// The connection failed — or the deadline fired — before the
-    /// reply arrived.
+    /// The connection failed before the reply arrived.
     Failed(RuntimeError),
 }
 
@@ -608,28 +546,42 @@ pub(crate) struct MuxState {
     pub pending: HashMap<u32, Slot>,
     /// Set once when the stream breaks; later calls fail fast.
     pub dead: Option<RuntimeError>,
+    /// The connection's read half while no thread holds the reader
+    /// role; `None` while one does, and once the connection is dead.
+    reader: Option<FrameReader>,
+    /// The reactor saw the peer hang up while a thread held the reader
+    /// role: that thread reads the stream to its end before it leaves.
+    hung_up: bool,
 }
 
-/// The per-connection waker table shared between callers and the
-/// reactor: callers register a [`Slot::Waiting`] entry and park; the
-/// reactor resolves the slot and unparks exactly the owning thread.
+/// One client connection as its callers and the client reactor share
+/// it: the outbound half, and the waker table with the read half. A
+/// caller registers a [`Slot::Waiting`] entry, writes its request, and
+/// then either reads the socket itself ([`await_reply`]) or parks until
+/// the thread that does read resolves its slot.
+///
+/// [`await_reply`]: MuxCore::await_reply
 pub(crate) struct MuxCore {
+    pub out: Outbound,
     pub state: Mutex<MuxState>,
 }
 
 impl MuxCore {
-    pub fn new() -> Self {
+    pub fn new(out: Outbound) -> Self {
         MuxCore {
+            out,
             state: Mutex::new(MuxState {
                 pending: HashMap::new(),
                 dead: None,
+                reader: Some(FrameReader::new()),
+                hung_up: false,
             }),
         }
     }
 
     /// Delivers a reply to its waiter; a missing slot means the waiter
     /// gave up (deadline) and the late reply is dropped.
-    pub fn complete(&self, request_id: u32, reply: Message) {
+    fn complete(&self, request_id: u32, reply: Message) {
         let mut st = self.state.plock();
         if let Some(slot) = st.pending.get_mut(&request_id) {
             if let Slot::Waiting(t) = std::mem::replace(slot, Slot::Ready(reply)) {
@@ -638,33 +590,206 @@ impl MuxCore {
         }
     }
 
-    /// Fails one waiter (deadline expiry). No-op if the call already
-    /// resolved.
-    pub fn fail_one(&self, request_id: u32, err: RuntimeError) {
+    /// Closes the connection: later sends are refused, the connection
+    /// is marked dead and every registered waiter fails, and a thread
+    /// blocked reading the socket wakes. The waiters fail synchronously,
+    /// under the same lock new waiters register under, so a call can
+    /// never slip between the death of the stream and the failure
+    /// broadcast and hang.
+    fn close(&self, why: &RuntimeError) {
+        // Closed before the waiters fail: a caller that registered
+        // after the broadcast finds the connection dead, one that
+        // registered before it finds nothing left to write to.
+        self.out.close(why);
         let mut st = self.state.plock();
-        if let Some(slot @ Slot::Waiting(_)) = st.pending.get_mut(&request_id) {
-            if let Slot::Waiting(t) = std::mem::replace(slot, Slot::Failed(err)) {
-                t.unpark();
-            }
-        }
-    }
-
-    /// Marks the connection dead and fails every registered waiter —
-    /// synchronously, under the same lock new waiters register under,
-    /// so a call can never slip between the death of the stream and
-    /// the failure broadcast and hang.
-    pub fn fail_all(&self, err: &RuntimeError) {
-        let mut st = self.state.plock();
-        if st.dead.is_none() {
-            st.dead = Some(err.clone());
-        }
+        st.dead.get_or_insert_with(|| why.clone());
         for slot in st.pending.values_mut() {
             if matches!(slot, Slot::Waiting(_)) {
-                if let Slot::Waiting(t) = std::mem::replace(slot, Slot::Failed(err.clone())) {
+                if let Slot::Waiting(t) = std::mem::replace(slot, Slot::Failed(why.clone())) {
                     t.unpark();
                 }
             }
         }
+        drop(st);
+        self.out.stream.shutdown(Shutdown::Both).ok();
+    }
+
+    /// Why the connection died, if it has.
+    fn dead(&self) -> Option<RuntimeError> {
+        self.state.plock().dead.clone()
+    }
+
+    /// Waits for the reply to `wire_id`, whose slot the caller
+    /// registered before writing the request. Whenever no thread holds
+    /// the reader role this caller takes it and reads the socket
+    /// itself; otherwise it parks. Either wait ends at `deadline`, and
+    /// `Ok(None)` means it passed first: the slot is gone, so a late
+    /// reply is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Why the connection died before the reply arrived.
+    pub fn await_reply(
+        &self,
+        wire_id: u32,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Message>, RuntimeError> {
+        loop {
+            let mut st = self.state.plock();
+            if !matches!(st.pending.get(&wire_id), Some(Slot::Waiting(_))) {
+                return match st.pending.remove(&wire_id) {
+                    Some(Slot::Ready(reply)) => Ok(Some(reply)),
+                    Some(Slot::Failed(e)) => Err(e),
+                    _ => Err(RuntimeError::Protocol("waiter slot vanished".into())),
+                };
+            }
+            let now = Instant::now();
+            if deadline.is_some_and(|at| now >= at) {
+                st.pending.remove(&wire_id);
+                // A reader that just handed this caller the role must
+                // not leave the others without one.
+                hand_off(&st);
+                return Ok(None);
+            }
+            let Some(mut reader) = st.reader.take() else {
+                drop(st);
+                match deadline {
+                    Some(at) => std::thread::park_timeout(at - now),
+                    None => std::thread::park(),
+                }
+                continue;
+            };
+            drop(st);
+            let turn = self.read_turn(&mut reader, Some(wire_id), true, deadline);
+            let (own, ended) = match turn {
+                Ok(own) => (own, None),
+                Err(e) => (None, Some(e)),
+            };
+            self.finish_turn(reader, ended, own.is_some().then_some(wire_id));
+            if own.is_some() {
+                return Ok(own);
+            }
+        }
+    }
+
+    /// The client reactor's read, on a hang-up (or, on the portable
+    /// backend, on every report): when no caller holds the reader role,
+    /// takes it and reads whatever the socket holds without blocking.
+    /// A peer that hung up has its last frames delivered and then fails
+    /// the rest. When a caller holds the role, the hang-up is left to it.
+    fn read_if_idle(&self, hangup: bool) {
+        let mut st = self.state.plock();
+        let Some(mut reader) = st.reader.take() else {
+            st.hung_up |= hangup && st.dead.is_none();
+            return;
+        };
+        drop(st);
+        let ended = self.read_turn(&mut reader, None, false, None).err();
+        self.finish_turn(reader, ended, None);
+    }
+
+    /// One turn in the reader role: reads frames, handing other callers'
+    /// replies to their slots, until the frame for `own` arrives (it is
+    /// returned), the socket has nothing more (when not `block`ing), or
+    /// `deadline` passes (when blocking in `poll(2)`).
+    ///
+    /// # Errors
+    ///
+    /// The stream ended: a clean close, a protocol error or a socket
+    /// error.
+    fn read_turn(
+        &self,
+        reader: &mut FrameReader,
+        own: Option<u32>,
+        block: bool,
+        deadline: Option<Instant>,
+    ) -> Result<Option<Message>, RuntimeError> {
+        let stream = &self.out.stream;
+        let mut bytes = 0usize;
+        let turn = 'turn: loop {
+            if block {
+                let left = deadline.map(|at| at.saturating_duration_since(Instant::now()));
+                if left.is_some_and(|l| l.is_zero()) {
+                    break Ok(None);
+                }
+                match wait_readable(stream, left) {
+                    Ok(true) => {}
+                    Ok(false) => continue,
+                    Err(e) => break Err(RuntimeError::Transport(e.to_string())),
+                }
+            }
+            loop {
+                match reader.next_frame(&mut &*stream, &mut bytes) {
+                    Ok(Step::Frame(msg)) => {
+                        // Clients only expect replies; anything else
+                        // is dropped.
+                        if let MessageKind::Reply { request_id, .. } = msg.kind {
+                            if own == Some(request_id) {
+                                break 'turn Ok(Some(msg));
+                            }
+                            self.complete(request_id, msg);
+                        }
+                    }
+                    Ok(Step::Blocked) => break,
+                    Ok(Step::Eof) => break 'turn Err(closed_by_peer()),
+                    Err(e) => break 'turn Err(e),
+                }
+            }
+            if !block {
+                break Ok(None);
+            }
+        };
+        if let (Some(metrics), true) = (&self.out.metrics, bytes > 0) {
+            metrics.add_bytes_received(bytes as u64);
+        }
+        turn
+    }
+
+    /// Ends a reader turn, removing slot `own` when the turn delivered
+    /// its reply. The read half goes back for the next reader, unless
+    /// the stream ended, which closes the connection; a hang-up the
+    /// reactor saw during the turn is first read to its end. Then one
+    /// waiter, if any, is unparked to take the role.
+    fn finish_turn(
+        &self,
+        mut reader: FrameReader,
+        mut ended: Option<RuntimeError>,
+        own: Option<u32>,
+    ) {
+        loop {
+            let mut st = self.state.plock();
+            if let Some(id) = own {
+                st.pending.remove(&id);
+            }
+            if ended.is_none() && std::mem::take(&mut st.hung_up) {
+                drop(st);
+                ended = self.read_turn(&mut reader, None, false, None).err();
+                continue;
+            }
+            match ended {
+                None => {
+                    st.reader = Some(reader);
+                    hand_off(&st);
+                }
+                Some(e) => {
+                    drop(st);
+                    self.close(&e);
+                }
+            }
+            return;
+        }
+    }
+}
+
+/// Unparks one waiting caller when the reader role is free, so that
+/// replies still due are read. Called wherever a thread leaves the wait
+/// while others may rely on it.
+fn hand_off(st: &MuxState) {
+    if st.reader.is_none() {
+        return;
+    }
+    if let Some(Slot::Waiting(t)) = st.pending.values().find(|s| matches!(s, Slot::Waiting(_))) {
+        t.unpark();
     }
 }
 
@@ -672,39 +797,46 @@ impl MuxCore {
 // Readiness poller
 // ---------------------------------------------------------------------------
 
-/// Which readiness a connection wants reported: reads while the reactor
-/// still takes frames from it, writes only while its [`FrameWriter`]
-/// holds bytes the socket has not accepted.
+/// Which readiness a registration reports besides hang-ups, which it
+/// always reports: reads while a server still takes frames from the
+/// connection, writes only while its [`FrameWriter`] holds bytes the
+/// socket has not accepted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Interest {
     read: bool,
     write: bool,
 }
 
-impl Interest {
-    fn is_none(self) -> bool {
-        !self.read && !self.write
-    }
+/// One readiness report for a registered connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Event {
+    key: u64,
+    read: bool,
+    write: bool,
+    /// The peer hung up, or the socket failed.
+    hangup: bool,
 }
 
 #[cfg(target_os = "linux")]
-use epoll::{Poller, Waker};
+use epoll::{wait_readable, Poller, Waker};
 #[cfg(not(target_os = "linux"))]
-use timed::{Poller, Waker};
+use timed::{wait_readable, Poller, Waker};
 
-/// Readiness from the kernel: one epoll instance per reactor, with
-/// sockets registered level-triggered under their connection id, and an
-/// eventfd that command senders write so a blocked wait returns at once.
+/// Readiness from the kernel: one epoll set per client reactor or per
+/// server, with sockets registered under their connection id (level-
+/// triggered for the client reactor, one-shot for a server's pollers,
+/// which share the set), an eventfd that ends the waits, and `poll(2)`
+/// for a caller that reads its own socket.
 #[cfg(target_os = "linux")]
 mod epoll {
-    use std::ffi::{c_int, c_uint, c_void};
+    use std::ffi::{c_int, c_short, c_uint, c_ulong, c_void};
     use std::io;
     use std::net::TcpStream;
     use std::os::fd::AsRawFd;
     use std::sync::Arc;
     use std::time::Duration;
 
-    use super::Interest;
+    use super::{Event, Interest};
 
     const EPOLL_CLOEXEC: c_int = 0o2_000_000;
     const EPOLL_CTL_ADD: c_int = 1;
@@ -712,18 +844,18 @@ mod epoll {
     const EPOLL_CTL_MOD: c_int = 3;
     const EPOLLIN: u32 = 0x001;
     const EPOLLOUT: u32 = 0x004;
+    const EPOLLERR: u32 = 0x008;
+    const EPOLLHUP: u32 = 0x010;
     const EPOLLRDHUP: u32 = 0x2000;
+    const EPOLLONESHOT: u32 = 1 << 30;
     const EFD_CLOEXEC: c_int = 0o2_000_000;
     const EFD_NONBLOCK: c_int = 0o4_000;
+    const POLLIN: c_short = 0x001;
 
     /// The eventfd's key. Connection ids are allocated upward from 1 and
     /// never reach it; keys are never fd numbers, which the kernel
     /// reuses after a close.
     const WAKE_KEY: u64 = u64::MAX;
-
-    /// Events taken per wait. More ready sockets stay ready
-    /// (level-triggered) and are reported by the next wait.
-    const MAX_EVENTS: usize = 256;
 
     /// The kernel's `struct epoll_event`, which is packed on x86-64 only.
     #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
@@ -734,10 +866,19 @@ mod epoll {
         data: u64,
     }
 
+    /// The kernel's `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+
     unsafe extern "C" {
         fn epoll_create1(flags: c_int) -> c_int;
         fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
         fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
+        fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
         fn eventfd(initval: c_uint, flags: c_int) -> c_int;
         fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
         fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
@@ -753,6 +894,14 @@ mod epoll {
         }
     }
 
+    /// A wait's timeout in whole milliseconds, rounded up (waking
+    /// before the timer is due would only spin); `None` is -1, no limit.
+    fn millis(timeout: Option<Duration>) -> c_int {
+        timeout.map_or(-1, |t| {
+            c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
+        })
+    }
+
     /// A file descriptor this module created, closed on drop.
     struct Fd(c_int);
 
@@ -765,9 +914,9 @@ mod epoll {
         }
     }
 
-    /// Wakes the reactor out of [`Poller::wait`]; every handle shares
-    /// one. Dropping the last one wakes it too, so the loop sees its
-    /// command channel close instead of sleeping forever.
+    /// Ends [`Poller::wait`]; every handle shares one. Dropping the
+    /// last one wakes it too, so a reactor sees its command channel
+    /// close instead of sleeping forever.
     pub struct Waker(Arc<Fd>);
 
     impl Waker {
@@ -790,11 +939,16 @@ mod epoll {
     pub struct Poller {
         epoll: Fd,
         wake: Arc<Fd>,
-        events: Vec<EpollEvent>,
+        oneshot: bool,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<(Poller, Arc<Waker>)> {
+        /// A poller whose registrations are level-triggered, or, with
+        /// `oneshot`, disarmed after each report until modified again,
+        /// so that threads sharing the set never get one socket twice.
+        /// The waker stays level-triggered: until
+        /// [`clear_wake`](Self::clear_wake), every wait reports it.
+        pub fn new(oneshot: bool) -> io::Result<(Poller, Arc<Waker>)> {
             // SAFETY: a plain syscall with constant flags, no pointers.
             let epoll = Fd(cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?);
             // SAFETY: as above.
@@ -802,7 +956,7 @@ mod epoll {
             let poller = Poller {
                 epoll,
                 wake: Arc::clone(&wake),
-                events: vec![EpollEvent { events: 0, data: 0 }; MAX_EVENTS],
+                oneshot,
             };
             poller.ctl(EPOLL_CTL_ADD, wake.0, EPOLLIN, WAKE_KEY)?;
             Ok((poller, Arc::new(Waker(wake))))
@@ -816,83 +970,124 @@ mod epoll {
             cvt(unsafe { epoll_ctl(self.epoll.0, op, fd, &mut event) }).map(drop)
         }
 
-        /// Moves connection `key`'s registration from `old` to `new`:
-        /// added on first interest, removed when none is left.
-        pub fn update(
-            &mut self,
-            stream: &TcpStream,
-            key: u64,
-            old: Interest,
-            new: Interest,
-        ) -> io::Result<()> {
-            if old == new {
-                return Ok(());
-            }
-            let op = if old.is_none() {
-                EPOLL_CTL_ADD
-            } else if new.is_none() {
-                EPOLL_CTL_DEL
-            } else {
-                EPOLL_CTL_MOD
-            };
-            let read = if new.read { EPOLLIN | EPOLLRDHUP } else { 0 };
-            let write = if new.write { EPOLLOUT } else { 0 };
-            self.ctl(op, stream.as_raw_fd(), read | write, key)
+        fn mask(&self, interest: Interest) -> u32 {
+            let read = if interest.read { EPOLLIN } else { 0 };
+            let write = if interest.write { EPOLLOUT } else { 0 };
+            let oneshot = if self.oneshot { EPOLLONESHOT } else { 0 };
+            EPOLLRDHUP | read | write | oneshot
+        }
+
+        /// Registers connection `key`.
+        pub fn add(&self, stream: &TcpStream, key: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_ADD, stream.as_raw_fd(), self.mask(interest), key)
+        }
+
+        /// Replaces connection `key`'s interest (and re-arms a one-shot
+        /// registration).
+        pub fn modify(&self, stream: &TcpStream, key: u64, interest: Interest) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_MOD, stream.as_raw_fd(), self.mask(interest), key)
+        }
+
+        /// Deregisters a connection.
+        pub fn delete(&self, stream: &TcpStream, key: u64) -> io::Result<()> {
+            self.ctl(EPOLL_CTL_DEL, stream.as_raw_fd(), 0, key)
         }
 
         /// Blocks until a registered connection is ready, the waker
         /// fires, or `timeout` passes (`None` waits without limit), and
-        /// appends the ready connections' keys to `ready`.
-        pub fn wait(&mut self, timeout: Option<Duration>, ready: &mut Vec<u64>) -> io::Result<()> {
-            // Round up: waking before the timer is due would only spin.
-            let ms = timeout.map_or(-1, |t| {
-                c_int::try_from(t.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX)
-            });
+        /// appends at most `max` reports to `ready`. Returns whether
+        /// the waker had fired. Safe to call from several threads at
+        /// once: the kernel wakes one waiter per ready item.
+        pub fn wait(
+            &self,
+            timeout: Option<Duration>,
+            max: usize,
+            ready: &mut Vec<Event>,
+        ) -> io::Result<bool> {
+            let mut events = [EpollEvent { events: 0, data: 0 }; super::MAX_EVENTS];
+            let max = max.clamp(1, super::MAX_EVENTS);
             // SAFETY: `events` holds `MAX_EVENTS` initialised entries and
-            // the kernel writes at most that many.
+            // the kernel writes at most `max` of them.
             let n = unsafe {
                 epoll_wait(
                     self.epoll.0,
-                    self.events.as_mut_ptr(),
-                    MAX_EVENTS as c_int,
-                    ms,
+                    events.as_mut_ptr(),
+                    max as c_int,
+                    millis(timeout),
                 )
             };
             if n < 0 {
                 let err = io::Error::last_os_error();
                 return match err.kind() {
-                    io::ErrorKind::Interrupted => Ok(()),
+                    io::ErrorKind::Interrupted => Ok(false),
                     _ => Err(err),
                 };
             }
-            for event in &self.events[..n as usize] {
-                let key = event.data;
-                if key != WAKE_KEY {
-                    ready.push(key);
+            let mut woken = false;
+            for event in &events[..n as usize] {
+                let (key, bits) = (event.data, event.events);
+                if key == WAKE_KEY {
+                    woken = true;
                     continue;
                 }
-                let mut count = 0u64;
-                // SAFETY: reads 8 bytes into a live `u64` from the
-                // nonblocking eventfd this poller holds open; resetting
-                // the counter re-arms it for the next wake.
-                unsafe { read(self.wake.0, (&raw mut count).cast(), 8) };
+                ready.push(Event {
+                    key,
+                    read: bits & EPOLLIN != 0,
+                    write: bits & EPOLLOUT != 0,
+                    hangup: bits & (EPOLLRDHUP | EPOLLHUP | EPOLLERR) != 0,
+                });
             }
-            Ok(())
+            Ok(woken)
         }
+
+        /// Resets the waker, so waits block again.
+        pub fn clear_wake(&self) {
+            let mut count = 0u64;
+            // SAFETY: reads 8 bytes into a live `u64` from the
+            // nonblocking eventfd this poller holds open; an empty
+            // counter fails with `EAGAIN`, which is what resetting it
+            // wants anyway.
+            unsafe { read(self.wake.0, (&raw mut count).cast(), 8) };
+        }
+    }
+
+    /// Blocks until `stream` is readable, hung up or failed, or until
+    /// `timeout` passes (`None` waits without limit). Returns whether
+    /// it is ready; `false` after a timeout or a signal.
+    pub fn wait_readable(stream: &TcpStream, timeout: Option<Duration>) -> io::Result<bool> {
+        let mut fd = PollFd {
+            fd: stream.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        // SAFETY: `fd` is one live, correctly laid-out `pollfd` for the
+        // whole call, naming a descriptor the borrowed stream keeps
+        // open; the kernel writes only its `revents`.
+        let n = unsafe { poll(&mut fd, 1, millis(timeout)) };
+        if n < 0 {
+            let err = io::Error::last_os_error();
+            return match err.kind() {
+                io::ErrorKind::Interrupted => Ok(false),
+                _ => Err(err),
+            };
+        }
+        Ok(n > 0)
     }
 }
 
 /// The portable backend: no readiness source, so after a timed park
-/// of at most `PARK` (cut short by the waker) every registered
-/// connection is reported ready. Selected off Linux; built everywhere
-/// so its test runs too.
+/// of at most `PARK` (cut short by the waker) every armed connection is
+/// reported ready for everything but a hang-up, and a caller waiting to
+/// read sleeps as long. Selected off Linux; built everywhere so its
+/// test runs too.
 #[cfg_attr(target_os = "linux", allow(dead_code))]
 mod timed {
-    use super::Interest;
-    use std::collections::BTreeSet;
+    use super::{Event, Interest};
+    use crate::sync::LockExt;
+    use std::collections::BTreeMap;
     use std::io::Result;
     use std::net::TcpStream;
-    use std::sync::{mpsc, Arc};
+    use std::sync::{mpsc, Arc, Mutex};
     use std::time::Duration;
 
     const PARK: Duration = Duration::from_millis(1);
@@ -906,96 +1101,89 @@ mod timed {
         }
     }
 
-    pub struct Poller(BTreeSet<u64>, mpsc::Receiver<()>);
+    pub struct Poller {
+        /// Registered keys, each with whether it is armed: a one-shot
+        /// key is disarmed when reported, until modified again.
+        keys: Mutex<BTreeMap<u64, bool>>,
+        wake: Mutex<mpsc::Receiver<()>>,
+        oneshot: bool,
+    }
 
     impl Poller {
-        pub fn new() -> Result<(Poller, Arc<Waker>)> {
+        pub fn new(oneshot: bool) -> Result<(Poller, Arc<Waker>)> {
             let (tx, rx) = mpsc::sync_channel(1);
-            Ok((Poller(BTreeSet::new(), rx), Arc::new(Waker(tx))))
+            let poller = Poller {
+                keys: Mutex::new(BTreeMap::new()),
+                wake: Mutex::new(rx),
+                oneshot,
+            };
+            Ok((poller, Arc::new(Waker(tx))))
         }
 
-        pub fn update(&mut self, _: &TcpStream, id: u64, _: Interest, to: Interest) -> Result<()> {
-            self.0.remove(&id);
-            self.0.extend((!to.is_none()).then_some(id));
+        pub fn add(&self, _: &TcpStream, key: u64, _: Interest) -> Result<()> {
+            self.keys.plock().insert(key, true);
             Ok(())
         }
 
-        pub fn wait(&mut self, timeout: Option<Duration>, ready: &mut Vec<u64>) -> Result<()> {
-            let _ = self.1.recv_timeout(timeout.map_or(PARK, |t| t.min(PARK)));
-            ready.extend(self.0.iter().copied());
+        pub fn modify(&self, stream: &TcpStream, key: u64, interest: Interest) -> Result<()> {
+            self.add(stream, key, interest)
+        }
+
+        pub fn delete(&self, _: &TcpStream, key: u64) -> Result<()> {
+            self.keys.plock().remove(&key);
             Ok(())
         }
+
+        pub fn wait(
+            &self,
+            timeout: Option<Duration>,
+            max: usize,
+            ready: &mut Vec<Event>,
+        ) -> Result<bool> {
+            let park = timeout.map_or(PARK, |t| t.min(PARK));
+            let woken = self.wake.plock().recv_timeout(park).is_ok();
+            let mut keys = self.keys.plock();
+            for (&key, armed) in keys.iter_mut().filter(|(_, armed)| **armed).take(max) {
+                *armed = !self.oneshot;
+                ready.push(Event {
+                    key,
+                    read: true,
+                    write: true,
+                    hangup: false,
+                });
+            }
+            Ok(woken)
+        }
+
+        pub fn clear_wake(&self) {}
+    }
+
+    pub fn wait_readable(_: &TcpStream, timeout: Option<Duration>) -> Result<bool> {
+        std::thread::sleep(timeout.map_or(PARK, |t| t.min(PARK)));
+        Ok(true)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Reactor
+// Client reactor
 // ---------------------------------------------------------------------------
 
-/// One unit of accepted server work: a request frame tagged with the
-/// connection it arrived on, headed for the dispatch worker pool.
-pub(crate) struct ServerJob {
-    /// Where the worker writes the reply.
-    pub out: Arc<Outbound>,
-    /// This connection's queued-frame count (admission control);
-    /// decremented by the worker that picks the job up.
-    pub queued: Arc<AtomicUsize>,
-    pub msg: Message,
-    /// When the request's propagated deadline runs out (admission
-    /// stamped it from the wire slot); workers refuse the job past
-    /// this instant instead of dispatching it.
-    pub expires_at: Option<Instant>,
-    /// When admission accepted the frame: the worker reports the full
-    /// sojourn (queue wait + dispatch) to the AIMD limiter, so queueing
-    /// delay — the first symptom of overload — moves the limit.
-    pub admitted: Instant,
-}
-
-/// Everything a server-mode reactor needs that a client reactor does
-/// not: admission config, the dispatch queue, and the server registry.
-pub(crate) struct ServerCtx {
-    pub cfg: ServerConfig,
-    pub queue: Arc<FrameQueue<ServerJob>>,
-    /// Oneway requests carry no reply for the caller to correlate, so
-    /// their only ordering guarantee is dispatch order: they bypass the
-    /// parallel pool and drain through a single dedicated worker in
-    /// receipt order.
-    pub ordered: Arc<FrameQueue<ServerJob>>,
-    pub in_flight: Arc<AtomicUsize>,
-    pub metrics: Arc<MetricsRegistry>,
-    /// The admission limiter (pinned at the static cap unless the
-    /// config asked for adaptive control).
-    pub limiter: Arc<AimdLimiter>,
-}
-
 pub(crate) enum Command {
-    /// Adopt a connected, handshaken client connection.
-    RegisterClient {
-        out: Arc<Outbound>,
-        core: Arc<MuxCore>,
-        metrics: Arc<MetricsRegistry>,
-    },
-    /// Adopt an accepted server-side stream (server reactors only).
-    RegisterServer { stream: TcpStream },
-    /// A caller or dispatch worker wrote a frame on `conn` itself and
-    /// hands over what it cannot finish: a tail the socket refused (the
-    /// reactor re-derives write interest), a deadline for the wheel,
-    /// or the failed write that closes the connection.
+    /// Watch a connected, handshaken client connection.
+    Register(Arc<MuxCore>),
+    /// A caller wrote a frame on `conn` itself and hands over what it
+    /// cannot finish: a tail the socket refused (the reactor arms write
+    /// readiness), or the failed write that closes the connection.
     Wrote {
         conn: u64,
-        deadline: Option<(u32, Instant)>,
         failed: Option<RuntimeError>,
     },
     /// Drop a connection (client handle dropped).
     Close { conn: u64 },
-    /// Server shutdown, phase one: stop reading new frames.
-    StopReading,
-    /// Server shutdown, phase two: flush pending writes and exit.
-    Drain,
 }
 
-/// The caller-side handle to a reactor thread: a command queue plus
-/// the waker that ends the reactor's wait after each send.
+/// The caller-side handle to the client reactor thread: a command
+/// queue plus the waker that ends the reactor's wait after each send.
 #[derive(Clone)]
 pub(crate) struct ReactorHandle {
     /// Declared before `waker`: fields drop in order, so when the last
@@ -1003,19 +1191,12 @@ pub(crate) struct ReactorHandle {
     tx: Sender<Command>,
     waker: Arc<Waker>,
     next_id: Arc<AtomicU64>,
-    open_conns: Arc<AtomicUsize>,
 }
 
 impl ReactorHandle {
     /// Allocates a process-unique connection id.
     pub fn alloc_id(&self) -> u64 {
         self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Connections the reactor currently owns (a liveness/RSS proxy:
-    /// closed slots are pruned immediately, so churn keeps this flat).
-    pub fn open_conns(&self) -> usize {
-        self.open_conns.load(Ordering::SeqCst)
     }
 
     /// Sends a command and wakes the reactor.
@@ -1029,32 +1210,21 @@ impl ReactorHandle {
 
     /// Writes one encoded frame on `out` from the calling thread
     /// ([`Outbound::send`]) and wakes the reactor only for what that
-    /// thread cannot finish: a tail the socket refused, a deadline to
-    /// arm (after the write, which is safe because the wheel cancels
-    /// lazily), or a failed write, which closes the connection.
+    /// thread cannot finish: a tail the socket refused, or a failed
+    /// write, which closes the connection.
     ///
     /// # Errors
     ///
     /// Why the connection closed, or why this write failed.
-    pub fn write(
-        &self,
-        out: &Outbound,
-        frame: Vec<u8>,
-        deadline: Option<(u32, Instant)>,
-    ) -> Result<(), RuntimeError> {
+    pub fn write(&self, out: &Outbound, frame: Vec<u8>) -> Result<(), RuntimeError> {
         let conn = out.id;
         match out.send(frame) {
-            Ok(false) if deadline.is_none() => Ok(()),
-            Ok(_) => self.send(Command::Wrote {
-                conn,
-                deadline,
-                failed: None,
-            }),
+            Ok(false) => Ok(()),
+            Ok(true) => self.send(Command::Wrote { conn, failed: None }),
             Err(Refused::Closed(e)) => Err(e),
             Err(Refused::Failed(e)) => {
                 let _ = self.send(Command::Wrote {
                     conn,
-                    deadline: None,
                     failed: Some(e.clone()),
                 });
                 Err(e)
@@ -1067,40 +1237,30 @@ impl ReactorHandle {
 pub(crate) fn client_reactor() -> &'static ReactorHandle {
     static CLIENT: OnceLock<ReactorHandle> = OnceLock::new();
     CLIENT.get_or_init(|| {
-        spawn_reactor("mb-reactor", None)
+        spawn_reactor("mb-reactor")
             .expect("start the client reactor")
             .0
     })
 }
 
-/// Spawns a reactor thread; `server` selects server mode. Returns the
-/// handle and the thread's join handle (client callers detach it).
+/// Spawns a client reactor thread. Returns the handle and the thread's
+/// join handle (the process-wide reactor detaches it).
 ///
 /// # Errors
 ///
 /// [`RuntimeError::Transport`] when the poller or the thread cannot be
 /// created (descriptor or thread limits).
-pub(crate) fn spawn_reactor(
-    name: &str,
-    server: Option<ServerCtx>,
-) -> Result<(ReactorHandle, std::thread::JoinHandle<()>), RuntimeError> {
+pub(crate) fn spawn_reactor(name: &str) -> Result<(ReactorHandle, JoinHandle<()>), RuntimeError> {
     let startup = |e: std::io::Error| RuntimeError::Transport(format!("start reactor: {e}"));
-    let (poller, waker) = Poller::new().map_err(startup)?;
+    let (poller, waker) = Poller::new(false).map_err(startup)?;
     let (tx, rx) = std::sync::mpsc::channel();
-    let open_conns = Arc::new(AtomicUsize::new(0));
-    let gauge = Arc::clone(&open_conns);
     let join = std::thread::Builder::new()
         .name(name.to_string())
         .spawn(move || {
             Reactor {
                 conns: HashMap::new(),
-                wheel: DeadlineWheel::new(Instant::now()),
                 poller,
                 unflushed: HashSet::new(),
-                server,
-                open_conns: gauge,
-                stop_reading: false,
-                next_conn: 1 << 32,
             }
             .run(&rx);
         })
@@ -1110,70 +1270,34 @@ pub(crate) fn spawn_reactor(
             tx,
             waker,
             next_id: Arc::new(AtomicU64::new(1)),
-            open_conns,
         },
         join,
     ))
 }
 
-enum Role {
-    Client {
-        core: Arc<MuxCore>,
-        metrics: Arc<MetricsRegistry>,
-    },
-    Server {
-        queued: Arc<AtomicUsize>,
-    },
-}
-
-struct ConnState {
-    out: Arc<Outbound>,
-    reader: FrameReader,
-    role: Role,
-    /// Reject verdicts and protocol errors flush their last reply
-    /// before the socket closes.
-    close_after_flush: bool,
-    /// What the poller currently reports for this connection.
-    interest: Interest,
-}
-
-/// Why a connection left the reactor.
-enum Closed {
-    /// Clean close: peer EOF at a frame boundary, or our own
-    /// close-after-flush completed.
-    Clean,
-    /// The stream failed; client waiters inherit the error.
-    Error(RuntimeError),
+/// A connection the client reactor watches.
+struct Watched {
+    core: Arc<MuxCore>,
+    /// What the poller reports for it; `None` once a hang-up was
+    /// consumed and the socket deregistered.
+    interest: Option<Interest>,
 }
 
 struct Reactor {
-    conns: HashMap<u64, ConnState>,
-    wheel: DeadlineWheel,
+    conns: HashMap<u64, Watched>,
     poller: Poller,
     /// Connections whose writer holds unsent bytes: the only ones with
     /// write interest armed, and the only ones the stall clock watches.
     unflushed: HashSet<u64>,
-    server: Option<ServerCtx>,
-    open_conns: Arc<AtomicUsize>,
-    stop_reading: bool,
-    /// Server-side connection ids (client ids come from the handle's
-    /// allocator; the two kinds never share a reactor, but keeping the
-    /// ranges apart makes logs unambiguous anyway).
-    next_conn: u64,
 }
 
 impl Reactor {
     fn run(mut self, rx: &Receiver<Command>) {
-        let mut frames: Vec<Message> = Vec::new();
-        let mut ready: Vec<u64> = Vec::new();
+        let mut ready: Vec<Event> = Vec::new();
         loop {
-            // Commands first: registrations, submissions, shutdown.
+            // Commands first: registrations, tails, closes.
             loop {
                 match rx.try_recv() {
-                    Ok(Command::Drain) => {
-                        self.drain(&mut ready);
-                        return;
-                    }
                     Ok(cmd) => self.handle(cmd),
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
@@ -1188,54 +1312,40 @@ impl Reactor {
                 }
             }
 
-            // The connections the last wait reported ready. A key whose
+            // The connections the last wait reported. A key whose
             // connection closed since then finds no entry.
-            for id in ready.drain(..) {
-                self.service(id, &mut frames);
+            for event in std::mem::take(&mut ready) {
+                self.service(event);
             }
-
-            // Expired deadlines fail their waiters (lazily cancelled:
-            // a completed call's entry fires into a resolved slot and
-            // does nothing).
-            let now = Instant::now();
-            let conns = &mut self.conns;
-            self.wheel.expire(now, |conn, request_id| {
-                if let Some(ConnState {
-                    role: Role::Client { core, .. },
-                    ..
-                }) = conns.get(&conn)
-                {
-                    core.fail_one(
-                        request_id,
-                        RuntimeError::Timeout("deadline elapsed before a reply".into()),
-                    );
-                }
-            });
-            self.expire_stalls(now);
+            self.expire_stalls(Instant::now());
 
             let timeout = self
-                .next_timer()
+                .next_stall()
                 .map(|at| at.saturating_duration_since(Instant::now()));
-            if let Err(e) = self.poller.wait(timeout, &mut ready) {
-                self.fail_everything(&RuntimeError::Transport(format!(
-                    "transport reactor poll failed: {e}"
-                )));
-                return;
+            match self.poller.wait(timeout, MAX_EVENTS, &mut ready) {
+                Ok(woken) => {
+                    if woken {
+                        self.poller.clear_wake();
+                    }
+                }
+                Err(e) => {
+                    self.fail_everything(&RuntimeError::Transport(format!(
+                        "transport reactor poll failed: {e}"
+                    )));
+                    return;
+                }
             }
         }
     }
 
-    /// When the loop must wake with no readiness event: the next armed
-    /// wheel tick or the earliest write-stall expiry, whichever is
-    /// first. `None` blocks until a socket or a command wakes it.
-    fn next_timer(&self) -> Option<Instant> {
-        let stall = self
-            .unflushed
+    /// When the earliest write stall expires; `None` while no writer is
+    /// blocked.
+    fn next_stall(&self) -> Option<Instant> {
+        self.unflushed
             .iter()
-            .filter_map(|id| self.conns.get(id)?.out.stalled_since())
+            .filter_map(|id| self.conns.get(id)?.core.out.stalled_since())
             .min()
-            .map(|since| since + WRITE_STALL);
-        self.wheel.next_due().into_iter().chain(stall).min()
+            .map(|since| since + WRITE_STALL)
     }
 
     /// Closes every connection whose writer has made no progress for
@@ -1254,244 +1364,445 @@ impl Reactor {
             .filter(|id| {
                 self.conns
                     .get(id)
-                    .and_then(|c| c.out.stalled_since())
+                    .and_then(|c| c.core.out.stalled_since())
                     .is_some_and(|since| now >= since + WRITE_STALL)
             })
             .collect();
         for id in due {
-            self.close(
-                id,
-                &Closed::Error(RuntimeError::Transport(
-                    "write stalled: peer stopped reading".into(),
-                )),
-            );
+            self.close(id, &stalled());
         }
     }
 
     fn handle(&mut self, cmd: Command) {
         match cmd {
-            Command::RegisterClient { out, core, metrics } => {
-                self.insert(out, Role::Client { core, metrics });
-            }
-            Command::RegisterServer { stream } => {
-                if self.server.is_some() {
-                    self.next_conn += 1;
-                    let out = Arc::new(Outbound::new(self.next_conn, stream, None));
-                    self.insert(
-                        out,
-                        Role::Server {
-                            queued: Arc::new(AtomicUsize::new(0)),
-                        },
-                    );
+            Command::Register(core) => {
+                let id = core.out.id;
+                let interest = Interest::default();
+                if let Err(e) = self.poller.add(&core.out.stream, id, interest) {
+                    core.close(&RuntimeError::Transport(format!(
+                        "readiness registration failed: {e}"
+                    )));
+                    return;
                 }
+                self.conns.insert(
+                    id,
+                    Watched {
+                        core,
+                        interest: Some(interest),
+                    },
+                );
+                self.rearm(id);
             }
-            Command::Wrote {
-                conn,
-                deadline,
-                failed,
-            } => match failed {
-                Some(e) => self.close(conn, &Closed::Error(e)),
-                None if self.conns.contains_key(&conn) => {
-                    if let Some((request_id, at)) = deadline {
-                        self.wheel.insert(conn, request_id, at);
-                    }
-                    self.rearm(conn);
-                }
-                // Unknown conn: it died and fail_all already resolved
-                // the caller's slot.
-                None => {}
+            Command::Wrote { conn, failed } => match failed {
+                Some(e) => self.close(conn, &e),
+                // Unknown conn: it died and its waiters already failed.
+                None => self.rearm(conn),
             },
             Command::Close { conn } => {
-                self.close(
-                    conn,
-                    &Closed::Error(RuntimeError::Transport("connection closed".into())),
-                );
+                self.close(conn, &RuntimeError::Transport("connection closed".into()));
             }
-            Command::StopReading => self.stop_reading(),
-            Command::Drain => unreachable!("handled in run()"),
         }
     }
 
-    fn insert(&mut self, out: Arc<Outbound>, role: Role) {
-        let id = out.id;
-        self.conns.insert(
-            id,
-            ConnState {
-                out,
-                reader: FrameReader::new(),
-                role,
-                close_after_flush: false,
-                interest: Interest::default(),
-            },
-        );
-        self.open_conns.store(self.conns.len(), Ordering::SeqCst);
-        self.rearm(id);
-    }
-
-    /// Re-derives a connection's readiness interest from its state:
-    /// reads while the reactor takes frames from it, writes only while
-    /// its writer holds unsent bytes.
+    /// Re-derives a connection's write interest from its writer, while
+    /// it is still registered.
     fn rearm(&mut self, id: u64) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
         let want = Interest {
-            read: !self.stop_reading && !conn.close_after_flush,
-            write: conn.out.queued(),
+            read: false,
+            write: conn.core.out.queued(),
         };
         if want.write {
             self.unflushed.insert(id);
         } else {
             self.unflushed.remove(&id);
         }
-        match self
-            .poller
-            .update(&conn.out.stream, id, conn.interest, want)
-        {
-            Ok(()) => conn.interest = want,
+        if conn.interest.is_none_or(|have| have == want) {
+            return;
+        }
+        match self.poller.modify(&conn.core.out.stream, id, want) {
+            Ok(()) => conn.interest = Some(want),
             Err(e) => self.close(
                 id,
-                &Closed::Error(RuntimeError::Transport(format!(
-                    "readiness registration failed: {e}"
-                ))),
+                &RuntimeError::Transport(format!("readiness registration failed: {e}")),
             ),
         }
     }
 
-    /// Pumps one connection's writer, then re-arms it (or closes it on
-    /// a write error).
-    fn flush(&mut self, id: u64) {
-        let Some(conn) = self.conns.get(&id) else {
+    /// Handles one readiness report: a hang-up is consumed once (the
+    /// socket leaves the poller, or a level-triggered report would
+    /// spin the loop) and read out unless a caller is reading; write
+    /// readiness retires a tail.
+    fn service(&mut self, event: Event) {
+        let Some(conn) = self.conns.get_mut(&event.key) else {
             return;
         };
-        match conn.out.flush() {
-            Ok(()) => self.rearm(id),
-            Err(e) => self.close(id, &Closed::Error(e)),
+        let core = Arc::clone(&conn.core);
+        if event.hangup && conn.interest.take().is_some() {
+            self.poller.delete(&core.out.stream, event.key).ok();
         }
+        if event.write {
+            if let Err(e) = core.out.flush() {
+                return self.close(event.key, &e);
+            }
+        }
+        if event.read || event.hangup {
+            core.read_if_idle(event.hangup);
+            if let Some(e) = core.dead() {
+                return self.close(event.key, &e);
+            }
+        }
+        self.rearm(event.key);
     }
 
-    /// Shutdown: no connection is read from again, and none reports
-    /// readability any more.
-    fn stop_reading(&mut self) {
-        self.stop_reading = true;
-        let ids: Vec<u64> = self.conns.keys().copied().collect();
-        for id in ids {
-            self.rearm(id);
-        }
-    }
-
-    /// Removes a connection, failing client waiters synchronously.
-    fn close(&mut self, id: u64, why: &Closed) {
+    /// Stops watching a connection and closes it, failing its waiters
+    /// synchronously.
+    fn close(&mut self, id: u64, why: &RuntimeError) {
         let Some(conn) = self.conns.remove(&id) else {
             return;
         };
-        self.open_conns.store(self.conns.len(), Ordering::SeqCst);
         self.unflushed.remove(&id);
         // Deregister before the descriptor closes: the kernel would
-        // drop it anyway, but only once no duplicate refers to it (a
-        // caller or a queued job may still hold the outbound half).
-        self.poller
-            .update(&conn.out.stream, id, conn.interest, Interest::default())
-            .ok();
-        // Only client callers ever see the reason.
-        let err = match why {
-            Closed::Clean => RuntimeError::Transport("server closed the connection".into()),
-            Closed::Error(e) => e.clone(),
-        };
-        // Closed before the waiters fail: a caller that registered
-        // after the broadcast finds the connection dead, one that
-        // registered before it finds nothing left to write to.
-        conn.out.close(&err);
-        if let Role::Client { core, .. } = &conn.role {
-            core.fail_all(&err);
+        // drop it anyway, but only once no duplicate refers to it.
+        if conn.interest.is_some() {
+            self.poller.delete(&conn.core.out.stream, id).ok();
         }
-        conn.out.stream.shutdown(Shutdown::Both).ok();
+        conn.core.close(why);
     }
 
     fn fail_everything(&mut self, err: &RuntimeError) {
         let ids: Vec<u64> = self.conns.keys().copied().collect();
         for id in ids {
-            self.close(id, &Closed::Error(err.clone()));
+            self.close(id, err);
+        }
+    }
+}
+
+fn stalled() -> RuntimeError {
+    RuntimeError::Transport("write stalled: peer stopped reading".into())
+}
+
+// ---------------------------------------------------------------------------
+// Server pollers
+// ---------------------------------------------------------------------------
+
+/// One accepted server connection, shared by the pollers and by the
+/// jobs read from it.
+struct ServerConn {
+    out: Outbound,
+    /// The read half: only the poller that got the socket's report
+    /// reads, and the one-shot registration hands the socket to one
+    /// poller at a time, so this lock is taken, not waited for.
+    reader: Mutex<FrameReader>,
+    /// Frames of this connection waiting in a dispatch queue (admission
+    /// control).
+    queued: AtomicUsize,
+    /// A rejected handshake: nothing more is read, and the connection
+    /// closes once its last reply is written.
+    closing: AtomicBool,
+}
+
+/// One unit of admitted server work: a request frame tagged with the
+/// connection it arrived on.
+struct ServerJob {
+    /// Where the reply goes.
+    conn: Arc<ServerConn>,
+    msg: Message,
+    /// When the request's propagated deadline runs out (admission
+    /// stamped it from the wire slot); a job that waited in a queue
+    /// past this instant is refused instead of dispatched.
+    expires_at: Option<Instant>,
+    /// When admission accepted the frame: the dispatching thread
+    /// reports the full sojourn (queue wait + dispatch) to the AIMD
+    /// limiter, so queueing delay — the first symptom of overload —
+    /// moves the limit.
+    admitted: Instant,
+}
+
+/// The request/reply dispatch slots and the queue of admitted requests
+/// waiting for one. One lock covers both, and a job is queued only
+/// while no slot is free, so no admitted job waits while a slot idles.
+struct Jobs {
+    queue: VecDeque<ServerJob>,
+    free: usize,
+}
+
+/// A [`TcpServer`](crate::transport::TcpServer)'s shared state: its
+/// connections, the epoll set its pollers share, and the admission and
+/// dispatch machinery.
+pub(crate) struct Server {
+    cfg: ServerConfig,
+    dispatcher: Arc<Dispatcher>,
+    metrics: Arc<MetricsRegistry>,
+    /// The admission limiter (pinned at the static cap unless the
+    /// config asked for adaptive control).
+    limiter: AimdLimiter,
+    poller: Poller,
+    waker: Arc<Waker>,
+    conns: Mutex<HashMap<u64, Arc<ServerConn>>>,
+    next_conn: AtomicU64,
+    /// Connections whose writer holds a tail: the ones the write-stall
+    /// clock watches.
+    unflushed: Mutex<HashSet<u64>>,
+    jobs: Mutex<Jobs>,
+    /// Oneway requests carry no reply for the caller to correlate, so
+    /// their only ordering guarantee is dispatch order: they bypass the
+    /// slots and drain through a single dedicated worker in receipt
+    /// order.
+    ordered: FrameQueue<ServerJob>,
+    /// Requests in dispatch right now.
+    in_flight: AtomicUsize,
+    /// Shutdown: no frame is read again, and a poller exits once it
+    /// holds no work.
+    stopping: AtomicBool,
+}
+
+impl Server {
+    /// Starts a server's threads: `workers + 1` pollers (`mb-srv-poll`)
+    /// and the oneway worker (`mb-srv-oneway`). Returns the shared
+    /// state, which the acceptor registers sockets with, and the
+    /// threads, which [`stop`](Self::stop) ends.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::Transport`] when the poller or a thread cannot
+    /// be created (descriptor or thread limits).
+    pub fn start(
+        cfg: ServerConfig,
+        dispatcher: Arc<Dispatcher>,
+    ) -> Result<(Arc<Server>, Vec<JoinHandle<()>>), RuntimeError> {
+        let startup = |e: std::io::Error| RuntimeError::Transport(format!("start server: {e}"));
+        let (poller, waker) = Poller::new(true).map_err(startup)?;
+        let workers = cfg.workers.max(1);
+        let server = Arc::new(Server {
+            limiter: cfg.limiter(),
+            metrics: Arc::clone(dispatcher.metrics()),
+            cfg,
+            dispatcher,
+            poller,
+            waker,
+            conns: Mutex::new(HashMap::new()),
+            next_conn: AtomicU64::new(1 << 32),
+            unflushed: Mutex::new(HashSet::new()),
+            jobs: Mutex::new(Jobs {
+                queue: VecDeque::new(),
+                free: workers,
+            }),
+            ordered: FrameQueue::new(),
+            in_flight: AtomicUsize::new(0),
+            stopping: AtomicBool::new(false),
+        });
+        let mut threads = Vec::with_capacity(workers + 2);
+        for k in 0..=workers + 1 {
+            let srv = Arc::clone(&server);
+            let (name, body): (&str, fn(&Server)) = if k <= workers {
+                ("mb-srv-poll", Server::poll_loop)
+            } else {
+                ("mb-srv-oneway", Server::oneway_loop)
+            };
+            match std::thread::Builder::new()
+                .name(name.to_string())
+                .spawn(move || body(&srv))
+            {
+                Ok(t) => threads.push(t),
+                Err(e) => {
+                    server.stop();
+                    for t in threads {
+                        let _ = t.join();
+                    }
+                    return Err(startup(e));
+                }
+            }
+        }
+        Ok((server, threads))
+    }
+
+    /// Connections the server currently holds open.
+    pub fn open_conns(&self) -> usize {
+        self.conns.plock().len()
+    }
+
+    /// Adopts an accepted socket: the acceptor arms it itself.
+    pub fn register(&self, stream: TcpStream) {
+        let id = self.next_conn.fetch_add(1, Ordering::Relaxed);
+        let conn = Arc::new(ServerConn {
+            out: Outbound::new(id, stream, None),
+            reader: Mutex::new(FrameReader::new()),
+            queued: AtomicUsize::new(0),
+            closing: AtomicBool::new(false),
+        });
+        self.conns.plock().insert(id, Arc::clone(&conn));
+        let interest = Interest {
+            read: true,
+            write: false,
+        };
+        if let Err(e) = self.poller.add(&conn.out.stream, id, interest) {
+            self.close(
+                id,
+                &RuntimeError::Transport(format!("readiness registration failed: {e}")),
+            );
         }
     }
 
-    /// Services one connection the poller reported ready, then re-arms
-    /// or closes it.
-    fn service(&mut self, id: u64, frames: &mut Vec<Message>) {
-        let Some(conn) = self.conns.get_mut(&id) else {
+    /// Shutdown, phases one and two: no frame is read again, and
+    /// every poller's wait ends, so each finishes the work it holds,
+    /// drains what is queued behind it, and exits (the oneway worker
+    /// drains its closed queue). The waker stays set, so every later
+    /// wait returns at once.
+    pub fn stop(&self) {
+        self.stopping.store(true, Ordering::SeqCst);
+        self.ordered.close();
+        self.waker.wake();
+    }
+
+    /// Shutdown, phase three, once every poller has exited: flushes
+    /// pending reply bytes (bounded) and closes every connection.
+    pub fn drain(&self) {
+        self.poller.clear_wake();
+        let give_up = Instant::now() + DRAIN_FLUSH;
+        let mut ready = Vec::new();
+        loop {
+            for conn in self.unflushed_conns() {
+                match conn.out.flush() {
+                    Ok(()) => self.arm(&conn),
+                    Err(e) => self.close(conn.out.id, &e),
+                }
+            }
+            let now = Instant::now();
+            if self.unflushed.plock().is_empty() || now >= give_up {
+                break;
+            }
+            ready.clear();
+            if self
+                .poller
+                .wait(Some(give_up - now), MAX_EVENTS, &mut ready)
+                .is_err()
+            {
+                break;
+            }
+        }
+        self.close_all(&RuntimeError::Transport("server shut down".into()));
+    }
+
+    /// A poller: waits for one socket at a time and serves it, until
+    /// shutdown. The wait ends by itself only when a write stall falls
+    /// due.
+    fn poll_loop(&self) {
+        let mut ready = Vec::with_capacity(1);
+        while !self.stopping.load(Ordering::SeqCst) {
+            let timeout = self
+                .next_stall()
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            if let Err(e) = self.poller.wait(timeout, 1, &mut ready) {
+                return self
+                    .close_all(&RuntimeError::Transport(format!("server poll failed: {e}")));
+            }
+            self.expire_stalls(Instant::now());
+            for event in ready.drain(..) {
+                self.service(event);
+            }
+        }
+    }
+
+    /// The oneway worker: dispatches oneways one at a time, in receipt
+    /// order, until its queue is closed and empty.
+    fn oneway_loop(&self) {
+        while let Some(job) = self.ordered.pop() {
+            job.conn.queued.fetch_sub(1, Ordering::SeqCst);
+            self.dispatch(&job);
+        }
+    }
+
+    /// Serves one report: retires a tail on write readiness, reads what
+    /// the socket holds, re-arms the socket, and then runs the request
+    /// the read kept for this thread, if any.
+    fn service(&self, event: Event) {
+        let Some(conn) = self.conns.plock().get(&event.key).cloned() else {
             return;
         };
-        match Self::pump(conn, self.server.as_ref(), frames, self.stop_reading) {
-            Ok(false) => self.rearm(id),
-            Ok(true) => self.close(id, &Closed::Clean),
-            Err(e) => self.close(id, &Closed::Error(e)),
+        if event.write {
+            if let Err(e) = conn.out.flush() {
+                return self.close(event.key, &e);
+            }
+        }
+        let mut job = None;
+        if (event.read || event.hangup) && self.reading(&conn) {
+            let mut reader = match conn.reader.try_lock() {
+                Ok(reader) => reader,
+                Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                // A tail's arm re-enabled the socket while another
+                // poller reads it; that poller re-arms when it lets go.
+                Err(TryLockError::WouldBlock) => return,
+            };
+            let read = self.read(&conn, &mut reader);
+            drop(reader);
+            match read {
+                Ok(next) => job = next,
+                Err(e) => return self.close(event.key, &e),
+            }
+        }
+        // Re-armed before the dispatch, so the connection's next frame
+        // can go to another poller while this one runs the request.
+        self.arm(&conn);
+        if let Some(job) = job {
+            self.run(job);
         }
     }
 
-    /// One ready connection's I/O: write pump, then read pump + frame
-    /// handling (replies produced inline go out as they are built).
-    /// Returns whether the connection reached a clean close.
-    fn pump(
-        conn: &mut ConnState,
-        server: Option<&ServerCtx>,
-        frames: &mut Vec<Message>,
-        stop_reading: bool,
-    ) -> Result<bool, RuntimeError> {
-        conn.out.flush()?;
-        if conn.close_after_flush || stop_reading {
-            return Ok(conn.close_after_flush && !conn.out.queued());
-        }
-        frames.clear();
-        let pump = conn
-            .reader
-            .pump(&mut &conn.out.stream, frames, READ_BUDGET)?;
-        if pump.bytes > 0 {
-            match (&conn.role, server) {
-                (Role::Client { metrics, .. }, _) => metrics.add_bytes_received(pump.bytes as u64),
-                (Role::Server { .. }, Some(ctx)) => {
-                    ctx.metrics.add_bytes_received(pump.bytes as u64)
-                }
-                (Role::Server { .. }, None) => {}
-            }
-        }
-        for msg in frames.drain(..) {
-            match &conn.role {
-                Role::Client { core, .. } => {
-                    if let MessageKind::Reply { request_id, .. } = msg.kind {
-                        core.complete(request_id, msg);
-                    }
-                    // Clients only expect replies; anything else is
-                    // dropped, as the old reader thread did.
-                }
-                Role::Server { queued } => {
-                    let Some(ctx) = server else { continue };
-                    Self::serve_frame(&conn.out, &mut conn.close_after_flush, queued, ctx, msg)?;
-                }
-            }
-        }
-        Ok(pump.eof || (conn.close_after_flush && !conn.out.queued()))
+    fn reading(&self, conn: &ServerConn) -> bool {
+        !self.stopping.load(Ordering::SeqCst) && !conn.closing.load(Ordering::SeqCst)
     }
 
-    /// Handles one inbound server-side frame: handshake, admission,
-    /// queue or shed. Replies built here are written by the reactor
-    /// itself, through the same [`Outbound::send`] the workers use.
-    fn serve_frame(
-        out: &Arc<Outbound>,
-        close_after_flush: &mut bool,
-        queued: &Arc<AtomicUsize>,
-        ctx: &ServerCtx,
-        msg: Message,
-    ) -> Result<(), RuntimeError> {
-        let reply_inline = |reply: Message| match out.send(reply.to_bytes()) {
-            Ok(_) => Ok(()),
-            Err(Refused::Closed(e) | Refused::Failed(e)) => Err(e),
+    /// Reads frames until one is a request this thread may run itself
+    /// (returned), the socket has nothing more, or the read budget is
+    /// spent; every other frame is answered inline, queued or shed.
+    ///
+    /// # Errors
+    ///
+    /// The stream ended, cleanly or not: the connection must close.
+    fn read(
+        &self,
+        conn: &Arc<ServerConn>,
+        reader: &mut FrameReader,
+    ) -> Result<Option<ServerJob>, RuntimeError> {
+        let mut bytes = 0usize;
+        let read = loop {
+            if bytes >= READ_BUDGET || conn.closing.load(Ordering::SeqCst) {
+                break Ok(None);
+            }
+            match reader.next_frame(&mut &conn.out.stream, &mut bytes) {
+                Ok(Step::Frame(msg)) => match self.admit(conn, msg) {
+                    Ok(None) => {}
+                    done => break done,
+                },
+                Ok(Step::Blocked) => break Ok(None),
+                Ok(Step::Eof) => break Err(closed_by_peer()),
+                Err(e) => break Err(e),
+            }
         };
+        if bytes > 0 {
+            self.metrics.add_bytes_received(bytes as u64);
+        }
+        read
+    }
+
+    /// Handles one inbound frame: handshake, artifact fetch, admission,
+    /// then a free dispatch slot (the job is returned for this thread
+    /// to run), the queue, or a shed. Replies built here are written by
+    /// this thread.
+    fn admit(
+        &self,
+        conn: &Arc<ServerConn>,
+        msg: Message,
+    ) -> Result<Option<ServerJob>, RuntimeError> {
         if let MessageKind::Hello { info, .. } = &msg.kind {
-            let (reply, keep) = hello_reply(info, msg.endian, &ctx.cfg, &ctx.metrics);
+            let (reply, keep) = hello_reply(info, msg.endian, &self.cfg, &self.metrics);
             if !keep {
-                *close_after_flush = true;
+                conn.closing.store(true, Ordering::SeqCst);
             }
-            return reply_inline(reply);
+            return self.write(conn, reply).map(|()| None);
         }
         if let MessageKind::Artifact {
             request_id,
@@ -1499,12 +1810,13 @@ impl Reactor {
         } = &msg.kind
         {
             // Answered inline like Hello: a store read, no dispatch slot.
-            return reply_inline(crate::artifacts::artifact_fetch_reply(
+            let reply = crate::artifacts::artifact_fetch_reply(
                 *request_id,
                 msg.endian,
                 &msg.body,
-                ctx.cfg.artifacts.as_deref(),
-            ));
+                self.cfg.artifacts.as_deref(),
+            );
+            return self.write(conn, reply).map(|()| None);
         }
         // Admission control: an already-expired propagated deadline is
         // refused at the door, the rest pass the limiter (brownout cuts
@@ -1517,71 +1829,206 @@ impl Reactor {
             .and_then(|d| d.budget())
             .map(|b| Instant::now() + b);
         if expires_at.is_some_and(|at| Instant::now() >= at) {
-            return deadline_expired_reply(&msg, &ctx.metrics).map_or(Ok(()), reply_inline);
+            return match deadline_expired_reply(&msg, &self.metrics) {
+                Some(reply) => self.write(conn, reply).map(|()| None),
+                None => Ok(None),
+            };
         }
         let sheddable = msg.deadline.is_some_and(|d| d.sheddable);
-        let admission = ctx.limiter.admit(
-            ctx.in_flight.load(Ordering::SeqCst),
-            ctx.queue.len(),
+        let mut jobs = self.jobs.plock();
+        let admission = self.limiter.admit(
+            self.in_flight.load(Ordering::SeqCst),
+            jobs.queue.len(),
             sheddable,
         );
         if admission == Admission::Brownout {
-            ctx.metrics.add_brownout_shed();
+            self.metrics.add_brownout_shed();
         }
-        let admitted =
-            admission == Admission::Admit && queued.load(Ordering::SeqCst) < ctx.cfg.max_queue;
-        if admitted {
-            // Oneways go to the single ordered worker (dispatch order
-            // is their only delivery guarantee); request/reply calls
-            // fan out across the pool and correlate by request id.
-            let oneway = matches!(
-                msg.kind,
-                MessageKind::Request {
-                    response_expected: false,
-                    ..
-                }
-            );
-            let target = if oneway { &ctx.ordered } else { &ctx.queue };
-            queued.fetch_add(1, Ordering::SeqCst);
-            if target
-                .try_push(ServerJob {
-                    out: Arc::clone(out),
-                    queued: Arc::clone(queued),
-                    msg,
-                    expires_at,
-                    admitted: Instant::now(),
-                })
-                .is_err()
-            {
-                // The queue closed under us (shutdown): undo and drop.
-                queued.fetch_sub(1, Ordering::SeqCst);
+        if admission != Admission::Admit || conn.queued.load(Ordering::SeqCst) >= self.cfg.max_queue
+        {
+            drop(jobs);
+            return match shed_reply(&msg, &self.metrics) {
+                Some(reply) => self.write(conn, reply).map(|()| None),
+                None => Ok(None),
+            };
+        }
+        let oneway = matches!(
+            msg.kind,
+            MessageKind::Request {
+                response_expected: false,
+                ..
             }
-        } else if let Some(reply) = shed_reply(&msg, &ctx.metrics) {
-            return reply_inline(reply);
+        );
+        let job = ServerJob {
+            conn: Arc::clone(conn),
+            msg,
+            expires_at,
+            admitted: Instant::now(),
+        };
+        if oneway {
+            drop(jobs);
+            conn.queued.fetch_add(1, Ordering::SeqCst);
+            if let Err(job) = self.ordered.try_push(job) {
+                // The queue closed under us (shutdown): undo and drop.
+                job.conn.queued.fetch_sub(1, Ordering::SeqCst);
+            }
+            return Ok(None);
         }
-        Ok(())
+        // A free slot runs the request on this thread; otherwise it
+        // waits in the queue for the next thread that finishes one.
+        if jobs.free > 0 {
+            jobs.free -= 1;
+            return Ok(Some(job));
+        }
+        conn.queued.fetch_add(1, Ordering::SeqCst);
+        jobs.queue.push_back(job);
+        Ok(None)
     }
 
-    /// Server shutdown, phase two: flush pending reply bytes (bounded)
-    /// and exit.
-    fn drain(&mut self, ready: &mut Vec<u64>) {
-        self.stop_reading();
-        let give_up = Instant::now() + DRAIN_FLUSH;
+    /// Runs a job in a claimed dispatch slot, then every job queued
+    /// behind it, and releases the slot once the queue is empty.
+    fn run(&self, mut job: ServerJob) {
         loop {
-            let pending: Vec<u64> = self.unflushed.iter().copied().collect();
-            for id in pending {
-                self.flush(id);
-            }
-            let now = Instant::now();
-            if self.unflushed.is_empty() || now >= give_up {
-                break;
-            }
-            ready.clear();
-            if self.poller.wait(Some(give_up - now), ready).is_err() {
-                break;
+            self.dispatch(&job);
+            let mut jobs = self.jobs.plock();
+            let Some(next) = jobs.queue.pop_front() else {
+                jobs.free += 1;
+                return;
+            };
+            drop(jobs);
+            next.conn.queued.fetch_sub(1, Ordering::SeqCst);
+            job = next;
+        }
+    }
+
+    /// Dispatches one job and writes its reply.
+    fn dispatch(&self, job: &ServerJob) {
+        // A request whose budget died waiting in a queue is refused
+        // without running.
+        let reply = if job.expires_at.is_some_and(|at| Instant::now() >= at) {
+            deadline_expired_reply(&job.msg, &self.metrics)
+        } else {
+            self.in_flight.fetch_add(1, Ordering::SeqCst);
+            let reply = self
+                .dispatcher
+                .dispatch_with_deadline(&job.msg, job.expires_at);
+            // Sojourn time (queue wait + dispatch): queueing delay is
+            // the first symptom of overload, so it must reach the
+            // limiter.
+            self.limiter.observe(job.admitted.elapsed(), &self.metrics);
+            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            reply
+        };
+        if let Some(reply) = reply {
+            if let Err(e) = self.write(&job.conn, reply) {
+                self.close(job.conn.out.id, &e);
             }
         }
-        self.fail_everything(&RuntimeError::Transport("server shut down".into()));
+    }
+
+    /// Writes a reply from the calling thread; a tail the socket
+    /// refused arms write readiness.
+    fn write(&self, conn: &ServerConn, reply: Message) -> Result<(), RuntimeError> {
+        match conn.out.send(reply.to_bytes()) {
+            Ok(false) => Ok(()),
+            Ok(true) => {
+                self.arm(conn);
+                Ok(())
+            }
+            Err(Refused::Closed(e) | Refused::Failed(e)) => Err(e),
+        }
+    }
+
+    /// Re-arms a connection's one-shot registration from its state:
+    /// reads while the server still takes frames from it, writes while
+    /// its writer holds a tail. A rejected handshake's connection
+    /// closes once nothing is left to write.
+    fn arm(&self, conn: &ServerConn) {
+        let id = conn.out.id;
+        let read = self.reading(conn);
+        // Decided and registered under the write lock, so an arm that
+        // saw no tail cannot overtake the arm of a send that left one.
+        let (write, armed) = {
+            let st = conn.out.state.plock();
+            let write = !st.writer.is_empty();
+            let mut unflushed = self.unflushed.plock();
+            if write {
+                unflushed.insert(id);
+            } else {
+                unflushed.remove(&id);
+            }
+            drop(unflushed);
+            let interest = Interest { read, write };
+            let armed = (read || write)
+                .then(|| self.poller.modify(&conn.out.stream, id, interest))
+                .transpose();
+            (write, armed)
+        };
+        match armed {
+            Err(e) => self.close(
+                id,
+                &RuntimeError::Transport(format!("readiness registration failed: {e}")),
+            ),
+            Ok(None) if !write && conn.closing.load(Ordering::SeqCst) => {
+                self.close(id, &closed_by_peer());
+            }
+            Ok(_) => {}
+        }
+    }
+
+    /// The connections holding a tail.
+    fn unflushed_conns(&self) -> Vec<Arc<ServerConn>> {
+        let ids: Vec<u64> = self.unflushed.plock().iter().copied().collect();
+        if ids.is_empty() {
+            return Vec::new();
+        }
+        let conns = self.conns.plock();
+        ids.iter().filter_map(|id| conns.get(id).cloned()).collect()
+    }
+
+    /// When the earliest write stall expires: the pollers' wait
+    /// timeout. `None` while no writer is blocked.
+    fn next_stall(&self) -> Option<Instant> {
+        self.unflushed_conns()
+            .iter()
+            .filter_map(|c| c.out.stalled_since())
+            .min()
+            .map(|since| since + WRITE_STALL)
+    }
+
+    /// Closes every connection whose writer has made no progress for
+    /// [`WRITE_STALL`] (see the client reactor's `expire_stalls`).
+    fn expire_stalls(&self, now: Instant) {
+        for conn in self.unflushed_conns() {
+            if conn
+                .out
+                .stalled_since()
+                .is_some_and(|since| now >= since + WRITE_STALL)
+            {
+                self.close(conn.out.id, &stalled());
+            }
+        }
+    }
+
+    fn close_all(&self, why: &RuntimeError) {
+        let ids: Vec<u64> = self.conns.plock().keys().copied().collect();
+        for id in ids {
+            self.close(id, why);
+        }
+    }
+
+    /// Removes a connection and closes its socket; queued jobs that
+    /// still hold it find nothing to write to.
+    fn close(&self, id: u64, why: &RuntimeError) {
+        let Some(conn) = self.conns.plock().remove(&id) else {
+            return;
+        };
+        self.unflushed.plock().remove(&id);
+        // Deregistered before the descriptor can close: a poller or a
+        // queued job may still hold the connection, and with it the fd.
+        self.poller.delete(&conn.out.stream, id).ok();
+        conn.out.close(why);
+        conn.out.stream.shutdown(Shutdown::Both).ok();
     }
 }
 
@@ -1938,97 +2385,6 @@ mod tests {
         assert_eq!(frames[1].to_bytes(), small);
     }
 
-    #[test]
-    fn wheel_fires_due_deadlines_and_keeps_future_ones() {
-        let origin = Instant::now();
-        let mut wheel = DeadlineWheel::new(origin);
-        wheel.insert(1, 10, origin + Duration::from_millis(5));
-        wheel.insert(1, 11, origin + Duration::from_millis(500));
-        wheel.insert(2, 12, origin + Duration::from_millis(6));
-        let mut fired = Vec::new();
-        wheel.expire(origin + Duration::from_millis(20), |c, r| {
-            fired.push((c, r))
-        });
-        fired.sort_unstable();
-        assert_eq!(fired, vec![(1, 10), (2, 12)]);
-        assert!(!wheel.is_empty(), "the 500ms entry is still armed");
-        let mut late = Vec::new();
-        wheel.expire(origin + Duration::from_millis(600), |c, r| {
-            late.push((c, r))
-        });
-        assert_eq!(late, vec![(1, 11)]);
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn wheel_handles_full_rotation_collisions() {
-        // Two entries hashing to the same slot, one full rotation
-        // apart: the near one fires, the far one waits its turn.
-        let origin = Instant::now();
-        let mut wheel = DeadlineWheel::new(origin);
-        let near = Duration::from_millis(3);
-        let far = near + Duration::from_millis(WHEEL_SLOTS); // same slot, next rotation
-        wheel.insert(7, 1, origin + near);
-        wheel.insert(7, 2, origin + far);
-        let mut fired = Vec::new();
-        wheel.expire(origin + Duration::from_millis(10), |_, r| fired.push(r));
-        assert_eq!(fired, vec![1], "the colliding future entry stayed");
-        wheel.expire(origin + far + Duration::from_millis(2), |_, r| {
-            fired.push(r)
-        });
-        assert_eq!(fired, vec![1, 2]);
-    }
-
-    #[test]
-    fn wheel_holds_deadlines_beyond_one_rotation() {
-        // A deadline several full rotations out (the wheel covers
-        // WHEEL_SLOTS ticks = 256 ms per revolution) must survive every
-        // intermediate expiry pass over its slot and fire only when its own
-        // tick comes around — never early, never dropped.
-        let origin = Instant::now();
-        let mut wheel = DeadlineWheel::new(origin);
-        let far = Duration::from_millis(3 * WHEEL_SLOTS + 5); // ~773 ms
-        wheel.insert(9, 42, origin + far);
-        let mut fired = Vec::new();
-        // Sweep right past its slot on each of the three intervening
-        // rotations.
-        for rotation in 1..=3u64 {
-            wheel.expire(
-                origin + Duration::from_millis(rotation * WHEEL_SLOTS),
-                |c, r| fired.push((c, r)),
-            );
-            assert!(fired.is_empty(), "fired {} rotations early", 4 - rotation);
-            assert!(!wheel.is_empty(), "entry dropped mid-rotation");
-        }
-        wheel.expire(origin + far + WHEEL_TICK, |c, r| fired.push((c, r)));
-        assert_eq!(fired, vec![(9, 42)]);
-        assert!(wheel.is_empty());
-    }
-
-    #[test]
-    fn wheel_reports_when_its_earliest_entry_falls_due() {
-        let origin = Instant::now();
-        let mut wheel = DeadlineWheel::new(origin);
-        assert_eq!(wheel.next_due(), None, "nothing armed: no timer");
-        wheel.insert(1, 1, origin + Duration::from_millis(40));
-        wheel.insert(1, 2, origin + Duration::from_micros(7_500));
-        // Due at the end of the 7 ms tick: never before the deadline
-        // itself, and expire() fires the entry then.
-        let due = wheel.next_due().unwrap();
-        assert_eq!(due, origin + Duration::from_millis(8));
-        let mut fired = Vec::new();
-        wheel.expire(due, |_, r| fired.push(r));
-        assert_eq!(fired, vec![2]);
-        assert_eq!(wheel.next_due(), Some(origin + Duration::from_millis(41)));
-        // Beyond one rotation: the timer looks again a rotation out.
-        let mut far = DeadlineWheel::new(origin);
-        far.insert(2, 3, origin + Duration::from_millis(3 * WHEEL_SLOTS));
-        assert_eq!(
-            far.next_due(),
-            Some(origin + Duration::from_millis(WHEEL_SLOTS + 1))
-        );
-    }
-
     /// A connected loopback pair: (the side the poller watches, its peer).
     fn socket_pair() -> (TcpStream, TcpStream) {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -2043,26 +2399,31 @@ mod tests {
         write: false,
     };
 
+    fn keys(ready: &[Event]) -> Vec<u64> {
+        ready.iter().map(|e| e.key).collect()
+    }
+
     #[cfg(target_os = "linux")]
     #[test]
     fn epoll_poller_reports_ready_keys_and_wakes_on_demand() {
         let (near, mut far) = socket_pair();
-        let (mut poller, waker) = Poller::new().unwrap();
-        poller.update(&near, 7, Interest::default(), READ).unwrap();
+        let (poller, waker) = Poller::new(false).unwrap();
+        poller.add(&near, 7, READ).unwrap();
         let mut ready = Vec::new();
 
         // Nothing to read: the wait runs out its timeout.
         let t = Instant::now();
         poller
-            .wait(Some(Duration::from_millis(30)), &mut ready)
+            .wait(Some(Duration::from_millis(30)), MAX_EVENTS, &mut ready)
             .unwrap();
         assert!(ready.is_empty());
         assert!(t.elapsed() >= Duration::from_millis(30));
 
         // A byte from the peer: reported under the connection's key.
         far.write_all(b"x").unwrap();
-        poller.wait(None, &mut ready).unwrap();
-        assert_eq!(ready, vec![7]);
+        poller.wait(None, MAX_EVENTS, &mut ready).unwrap();
+        assert_eq!(keys(&ready), vec![7]);
+        assert!(ready[0].read && !ready[0].hangup);
 
         // The waker ends an unbounded wait from another thread and
         // reports no connection.
@@ -2073,11 +2434,13 @@ mod tests {
         let kick = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             waker.wake();
+            waker
         });
-        poller.wait(None, &mut ready).unwrap();
-        kick.join().unwrap();
+        assert!(poller.wait(None, MAX_EVENTS, &mut ready).unwrap(), "woken");
+        let _waker = kick.join().unwrap();
         assert!(ready.is_empty());
         assert!(t.elapsed() < Duration::from_secs(5), "woken, not timed out");
+        poller.clear_wake();
 
         // Write interest on an empty send buffer is ready at once;
         // deregistered sockets are never reported.
@@ -2085,62 +2448,123 @@ mod tests {
             read: true,
             write: true,
         };
-        poller.update(&near, 7, READ, both).unwrap();
+        poller.modify(&near, 7, both).unwrap();
         poller
-            .wait(Some(Duration::from_secs(5)), &mut ready)
+            .wait(Some(Duration::from_secs(5)), MAX_EVENTS, &mut ready)
             .unwrap();
-        assert_eq!(ready, vec![7]);
+        assert_eq!(keys(&ready), vec![7]);
+        assert!(ready[0].write);
         ready.clear();
-        poller.update(&near, 7, both, Interest::default()).unwrap();
+        poller.delete(&near, 7).unwrap();
         far.write_all(b"y").unwrap();
         poller
-            .wait(Some(Duration::from_millis(30)), &mut ready)
+            .wait(Some(Duration::from_millis(30)), MAX_EVENTS, &mut ready)
             .unwrap();
         assert!(ready.is_empty());
+
+        // Without read interest, bytes go unreported, but a hang-up is.
+        poller.add(&near, 7, Interest::default()).unwrap();
+        poller
+            .wait(Some(Duration::from_millis(30)), MAX_EVENTS, &mut ready)
+            .unwrap();
+        assert!(ready.is_empty());
+        drop(far);
+        poller
+            .wait(Some(Duration::from_secs(5)), MAX_EVENTS, &mut ready)
+            .unwrap();
+        assert_eq!(keys(&ready), vec![7]);
+        assert!(ready[0].hangup && !ready[0].read);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn one_shot_registrations_report_a_socket_once_until_rearmed() {
+        let (near, mut far) = socket_pair();
+        let (poller, _waker) = Poller::new(true).unwrap();
+        poller.add(&near, 7, READ).unwrap();
+        far.write_all(b"x").unwrap();
+        let mut ready = Vec::new();
+        poller
+            .wait(Some(Duration::from_secs(5)), 1, &mut ready)
+            .unwrap();
+        assert_eq!(keys(&ready), vec![7]);
+
+        // Still readable, but disarmed: the next waiter gets nothing.
+        ready.clear();
+        poller
+            .wait(Some(Duration::from_millis(30)), 1, &mut ready)
+            .unwrap();
+        assert!(ready.is_empty());
+
+        // Re-armed while still readable: reported again at once.
+        poller.modify(&near, 7, READ).unwrap();
+        poller
+            .wait(Some(Duration::from_secs(5)), 1, &mut ready)
+            .unwrap();
+        assert_eq!(keys(&ready), vec![7]);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn poll_waits_for_one_socket_until_its_timeout() {
+        let (near, mut far) = socket_pair();
+        let t = Instant::now();
+        assert!(!wait_readable(&near, Some(Duration::from_millis(30))).unwrap());
+        assert!(t.elapsed() >= Duration::from_millis(30));
+        far.write_all(b"x").unwrap();
+        assert!(wait_readable(&near, None).unwrap());
     }
 
     #[test]
     fn timed_poller_reports_every_registered_connection() {
         let (a, _pa) = socket_pair();
         let (b, _pb) = socket_pair();
-        let (mut poller, waker) = timed::Poller::new().unwrap();
-        poller.update(&a, 1, Interest::default(), READ).unwrap();
-        poller.update(&b, 2, Interest::default(), READ).unwrap();
+        let (poller, waker) = timed::Poller::new(false).unwrap();
+        poller.add(&a, 1, READ).unwrap();
+        poller.add(&b, 2, READ).unwrap();
         let mut ready = Vec::new();
-        poller.wait(None, &mut ready).unwrap();
-        assert_eq!(ready, vec![1, 2], "every registered key, after a park");
+        poller.wait(None, MAX_EVENTS, &mut ready).unwrap();
+        assert_eq!(
+            keys(&ready),
+            vec![1, 2],
+            "every registered key, after a park"
+        );
 
         // However long the timeout, the park lasts at most PARK (a
         // pending wake ends it sooner), so every connection is polled
         // at least that often; a deregistered key is no longer reported.
         ready.clear();
-        poller.update(&b, 2, READ, Interest::default()).unwrap();
+        poller.delete(&b, 2).unwrap();
         waker.wake();
         let t = Instant::now();
         poller
-            .wait(Some(Duration::from_secs(5)), &mut ready)
+            .wait(Some(Duration::from_secs(5)), MAX_EVENTS, &mut ready)
             .unwrap();
         assert!(t.elapsed() < Duration::from_secs(1));
-        assert_eq!(ready, vec![1]);
+        assert_eq!(keys(&ready), vec![1]);
+
+        // One-shot keys are reported once, until modified again.
+        let (once, _waker) = timed::Poller::new(true).unwrap();
+        once.add(&a, 1, READ).unwrap();
+        ready.clear();
+        once.wait(None, 1, &mut ready).unwrap();
+        once.wait(None, 1, &mut ready).unwrap();
+        assert_eq!(keys(&ready), vec![1]);
+        once.modify(&a, 1, READ).unwrap();
+        once.wait(None, 1, &mut ready).unwrap();
+        assert_eq!(keys(&ready), vec![1, 1]);
     }
 
     #[test]
     fn reactor_exits_once_every_handle_is_gone() {
-        let (handle, join) = spawn_reactor("mb-reactor-test", None).unwrap();
+        let (handle, join) = spawn_reactor("mb-reactor-test").unwrap();
         let (near, _far) = socket_pair();
-        let core = Arc::new(MuxCore::new());
-        handle
-            .send(Command::RegisterClient {
-                out: Arc::new(Outbound::new(handle.alloc_id(), near, None)),
-                core: Arc::clone(&core),
-                metrics: MetricsRegistry::shared(),
-            })
-            .unwrap();
-        while handle.open_conns() == 0 {
-            std::thread::yield_now();
-        }
-        // Give the loop time to block in its wait: no byte, no timer
-        // and no command will end that wait from here on.
+        let out = Outbound::new(handle.alloc_id(), near, None);
+        let core = Arc::new(MuxCore::new(out));
+        handle.send(Command::Register(Arc::clone(&core))).unwrap();
+        // Give the loop time to adopt the connection and block in its
+        // wait: no byte, no timer and no command will end that wait
+        // from here on.
         std::thread::sleep(Duration::from_millis(50));
         let spare = handle.clone();
         drop(handle);
@@ -2158,19 +2582,5 @@ mod tests {
             core.state.plock().dead.is_some(),
             "the connection was failed on the way out"
         );
-    }
-
-    #[test]
-    fn wheel_fires_past_deadlines_immediately() {
-        let origin = Instant::now();
-        let mut wheel = DeadlineWheel::new(origin);
-        wheel.expire(origin + Duration::from_secs(2), |_, _| {});
-        // Inserted "in the past" relative to the cursor.
-        wheel.insert(3, 9, origin + Duration::from_millis(1));
-        let mut fired = Vec::new();
-        wheel.expire(origin + Duration::from_secs(2) + WHEEL_TICK, |c, r| {
-            fired.push((c, r));
-        });
-        assert_eq!(fired, vec![(3, 9)]);
     }
 }

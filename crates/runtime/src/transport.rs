@@ -5,31 +5,30 @@
 //! - [`InMemoryConnection`] — frames and marshals like a network
 //!   transport but dispatches synchronously (marshalling cost without
 //!   socket noise);
-//! - [`MultiplexedConnection`] — a shared socket watched by the
-//!   process-wide [`reactor`](crate::reactor): each caller writes its
-//!   own request frame to the nonblocking socket when nothing is
-//!   queued ahead of it (else it queues behind, and the reactor
-//!   finishes the queue on write readiness); the reactor reads,
-//!   demultiplexes replies to per-request waiter slots by GIOP request
-//!   id and unparks exactly the waiting thread, so N threads pipeline
-//!   calls over one connection without a reader thread per socket.
+//! - [`MultiplexedConnection`] — a shared nonblocking socket on which
+//!   each caller writes its own request frame (when nothing is queued
+//!   ahead of it; else it queues behind, and the process-wide
+//!   [`reactor`](crate::reactor) finishes the queue on write
+//!   readiness) and reads its own reply: the first caller to find no
+//!   reader reads the socket, hands the replies it passes to their
+//!   callers by GIOP request id, and hands the role on when it leaves,
+//!   so N threads pipeline calls over one connection without a reader
+//!   thread per socket.
 //!
-//! Per-call deadlines arrive via [`CallOptions`] and become reactor
-//! deadline-wheel entries — per-call state, never a mutation of the
-//! shared socket, so concurrent calls cannot observe each other's
-//! timeouts.
+//! Per-call deadlines arrive via [`CallOptions`] and bound the caller's
+//! own wait, in `poll(2)` or parked — per-call state, never a mutation
+//! of the shared socket, so concurrent calls cannot observe each
+//! other's timeouts.
 //!
-//! [`TcpServer`] uses the same reactor architecture: an acceptor
-//! thread registers sockets with a per-server reactor, frames pass
-//! admission control into the dispatch queue, and a fixed worker pool
-//! writes each reply to its socket itself, on the same terms as a
-//! client caller. Either side wakes its reactor only for a tail the
-//! socket refused, a deadline to arm, or a failed write.
+//! [`TcpServer`] reads with the same machinery: an acceptor thread
+//! arms each socket in an epoll set that a few poller threads share,
+//! and the poller that reads a request runs it and writes the reply,
+//! on the same terms as a client caller.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -42,14 +41,13 @@ use mockingbird_wire::{
 use mockingbird_artifact::ArtifactStore;
 
 use crate::budget::RetryBudget;
-use crate::dispatch::{deadline_expired_reply, Dispatcher};
+use crate::dispatch::Dispatcher;
 use crate::error::RuntimeError;
 use crate::limiter::AimdLimiter;
 use crate::metrics::MetricsRegistry;
 use crate::options::CallOptions;
 use crate::reactor::{
-    client_reactor, spawn_reactor, Command, FrameReader, MuxCore, Outbound, ReactorHandle,
-    ServerCtx, ServerJob, Slot,
+    client_reactor, Command, FrameReader, MuxCore, Outbound, ReactorHandle, Server, Slot,
 };
 use crate::sync::{cv_wait, LockExt};
 
@@ -282,40 +280,30 @@ fn deadline_at_write(msg: &Message) -> Result<Option<WireDeadline>, RuntimeError
     }
 }
 
-/// How long a parked waiter sleeps between slot re-checks when no
-/// unpark arrives. A backstop only: replies, failures, and deadline
-/// expiries all unpark the exact waiter immediately.
-const WAITER_BACKSTOP: Duration = Duration::from_millis(50);
-
-/// Extra slack past a call's deadline before the waiter concludes the
-/// reactor's deadline wheel is not coming and times the call out
-/// locally (defence against a wedged reactor thread).
-const TIMEOUT_GRACE: Duration = Duration::from_millis(250);
-
 /// A multiplexed TCP client connection: many threads share one socket.
 ///
-/// The socket's outbound half is shared with the process-wide reactor,
-/// which does all the reading. Callers frame each request under a
-/// connection-unique id, register a waiter slot, write the frame
-/// themselves (the reactor finishes any tail the socket refuses), and
-/// park; the reactor's read state machine demultiplexes replies back
-/// to slots and unparks exactly the owning thread. The caller's own
-/// request id is restored on the reply, so
-/// [`RemoteRef`](crate::proxy::RemoteRef)'s correlation check is
-/// oblivious to the rewrite.
+/// Callers frame each request under a connection-unique id, register a
+/// waiter slot and write the frame themselves (the process-wide reactor
+/// finishes any tail the socket refuses). Then each caller reads its
+/// own reply: one that finds no other caller reading takes the
+/// connection's frame reader, waits in `poll(2)`, hands the replies it
+/// passes to their slots (unparking exactly the owning threads), and
+/// stops at its own; the others park. The caller's own request id is
+/// restored on the reply, so [`RemoteRef`](crate::proxy::RemoteRef)'s
+/// correlation check is oblivious to the rewrite. The reactor itself
+/// reads only when the peer hangs up while no caller is reading.
 ///
-/// Deadlines are entries on the reactor's deadline wheel — per-call
-/// state, never socket state: one slow call cannot stall the others,
-/// concurrent calls cannot observe each other's timeouts, and a reply
-/// that arrives after its waiter gave up is dropped.
+/// Deadlines bound each caller's own wait — per-call state, never
+/// socket state: one slow call cannot stall the others, concurrent
+/// calls cannot observe each other's timeouts, and a reply that arrives
+/// after its waiter gave up is dropped.
 ///
-/// Connection death is broadcast synchronously: the reactor fails every
-/// registered waiter under the same lock new waiters register under,
-/// so no call can slip into the gap between a write failure and the
-/// failure broadcast and hang.
+/// Connection death is broadcast synchronously: every registered
+/// waiter fails under the same lock new waiters register under, so no
+/// call can slip into the gap between a write failure and the failure
+/// broadcast and hang.
 pub struct MultiplexedConnection {
     reactor: ReactorHandle,
-    out: Arc<Outbound>,
     core: Arc<MuxCore>,
     ids: RequestIds,
     closed: AtomicBool,
@@ -367,20 +355,11 @@ impl MultiplexedConnection {
             client_handshake(&mut stream, info, &metrics)?;
         }
         let reactor = client_reactor().clone();
-        let out = Arc::new(Outbound::new(
-            reactor.alloc_id(),
-            stream,
-            Some(Arc::clone(&metrics)),
-        ));
-        let core = Arc::new(MuxCore::new());
-        reactor.send(Command::RegisterClient {
-            out: Arc::clone(&out),
-            core: Arc::clone(&core),
-            metrics: Arc::clone(&metrics),
-        })?;
+        let out = Outbound::new(reactor.alloc_id(), stream, Some(Arc::clone(&metrics)));
+        let core = Arc::new(MuxCore::new(out));
+        reactor.send(Command::Register(Arc::clone(&core)))?;
         Ok(MultiplexedConnection {
             reactor,
-            out,
             core,
             ids: RequestIds::new(),
             closed: AtomicBool::new(false),
@@ -437,7 +416,7 @@ impl Connection for MultiplexedConnection {
         let frame = msg.to_bytes_with_id(wire_id, restamp);
 
         // Register the waiter *before* the frame is written: if the
-        // connection dies at any point after this, fail_all resolves
+        // connection dies at any point after this, its close resolves
         // this slot under the registration lock — no gap to hang in.
         {
             let mut st = self.core.state.plock();
@@ -463,11 +442,8 @@ impl Connection for MultiplexedConnection {
             .map(|d| Instant::now() + d);
 
         // This thread writes the frame; the reactor is woken only for a
-        // tail the socket refused, a deadline, or a failed write.
-        if let Err(e) = self
-            .reactor
-            .write(&self.out, frame, deadline.map(|at| (wire_id, at)))
-        {
+        // tail the socket refused or a failed write.
+        if let Err(e) = self.reactor.write(&self.core.out, frame) {
             if response_expected {
                 self.abandon(wire_id);
             }
@@ -476,47 +452,12 @@ impl Connection for MultiplexedConnection {
         if !response_expected {
             return Ok(None);
         }
-
-        // Park until the reactor resolves the slot: reply, connection
-        // failure, or deadline-wheel expiry. The grace check below is
-        // a local backstop in case the reactor itself is wedged.
-        let grace = deadline.map(|at| at + TIMEOUT_GRACE);
-        loop {
-            {
-                let mut st = self.core.state.plock();
-                match st.pending.get(&wire_id) {
-                    Some(Slot::Waiting(_)) => {}
-                    Some(_) => {
-                        let slot = st.pending.remove(&wire_id);
-                        drop(st);
-                        return match slot {
-                            Some(Slot::Ready(mut reply)) => {
-                                reply.set_request_id(caller_id);
-                                Ok(Some(reply))
-                            }
-                            Some(Slot::Failed(RuntimeError::Timeout(_))) => {
-                                Err(self.local_timeout(wait))
-                            }
-                            Some(Slot::Failed(e)) => Err(e),
-                            _ => Err(RuntimeError::Protocol("waiter slot vanished".into())),
-                        };
-                    }
-                    None => {
-                        return Err(RuntimeError::Protocol("waiter slot vanished".into()));
-                    }
-                }
+        match self.core.await_reply(wire_id, deadline)? {
+            Some(mut reply) => {
+                reply.set_request_id(caller_id);
+                Ok(Some(reply))
             }
-            std::thread::park_timeout(WAITER_BACKSTOP);
-            if let Some(g) = grace {
-                if Instant::now() >= g {
-                    let mut st = self.core.state.plock();
-                    if matches!(st.pending.get(&wire_id), Some(Slot::Waiting(_))) {
-                        st.pending.remove(&wire_id);
-                        drop(st);
-                        return Err(self.local_timeout(wait));
-                    }
-                }
-            }
+            None => Err(self.local_timeout(wait)),
         }
     }
 
@@ -535,7 +476,7 @@ impl Drop for MultiplexedConnection {
         // The reactor prunes the slot and closes the socket; no thread
         // to join — churn leaves the process thread count flat.
         let _ = self.reactor.send(Command::Close {
-            conn: self.out.id(),
+            conn: self.core.out.id(),
         });
     }
 }
@@ -561,8 +502,10 @@ pub struct ServerConfig {
     /// Requests the whole server may have in dispatch at once; beyond
     /// this every connection sheds until workers catch up.
     pub max_in_flight: usize,
-    /// Dispatch workers: the size of the server-wide pool that drains
-    /// request/reply work (one more worker drains oneways in order).
+    /// Dispatch slots: how many request/reply calls the server runs at
+    /// once. One more poller thread than this reads the sockets, so one
+    /// is always free to read, and one more worker drains oneways in
+    /// order.
     pub workers: usize,
     /// Adapt the in-flight cap with an AIMD limiter driven by measured
     /// dispatch latency instead of pinning it at `max_in_flight`. Off
@@ -673,9 +616,9 @@ impl ServerConfig {
     }
 }
 
-/// A closable queue handing admitted work from the reactor to dispatch
-/// workers. It has no capacity of its own: admission control bounds
-/// what enters it.
+/// A closable queue handing admitted oneways from the pollers to the
+/// oneway worker. It has no capacity of its own: admission control
+/// bounds what enters it.
 pub(crate) struct FrameQueue<T> {
     state: Mutex<(VecDeque<T>, bool)>,
     cv: Condvar,
@@ -702,12 +645,6 @@ impl<T> FrameQueue<T> {
         drop(st);
         self.cv.notify_one();
         Ok(())
-    }
-
-    /// Items currently waiting (admission control reads this as the
-    /// queued-work half of the outstanding load).
-    pub(crate) fn len(&self) -> usize {
-        self.state.plock().0.len()
     }
 
     pub(crate) fn close(&self) {
@@ -784,12 +721,13 @@ fn serve_metrics(listener: TcpListener, registry: Arc<MetricsRegistry>, stop: Ar
 }
 
 /// A TCP server: accepts connections and dispatches each frame through
-/// a [`Dispatcher`]. A single reactor thread reads every accepted
-/// socket and answers `Hello` and artifact fetches inline; requests
-/// pass admission control into the dispatch queue, which a fixed worker
-/// pool drains, each worker writing its replies to the socket itself.
-/// [`shutdown`] is deterministic: accepted work drains to real replies
-/// before the reactor and listener threads are joined.
+/// a [`Dispatcher`]. An acceptor thread arms every accepted socket in
+/// one epoll set, which `workers + 1` poller threads share; the poller
+/// that reads a request runs it and writes the reply itself, and
+/// `Hello` and artifact fetches are answered inline. Requests pass
+/// admission control first, and wait in a queue only while every
+/// dispatch slot is busy. [`shutdown`] is deterministic: accepted work
+/// drains to real replies before the threads are joined.
 ///
 /// Alongside the GIOP listener, every server exposes a metrics listener
 /// on an ephemeral port of the same interface: `/metrics` serves the
@@ -805,11 +743,9 @@ pub struct TcpServer {
     shutdown: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<()>>,
-    reactor: ReactorHandle,
-    reactor_thread: Option<JoinHandle<()>>,
-    queue: Arc<FrameQueue<ServerJob>>,
-    ordered: Arc<FrameQueue<ServerJob>>,
-    workers: Vec<JoinHandle<()>>,
+    server: Arc<Server>,
+    /// The pollers and the oneway worker.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl TcpServer {
@@ -825,7 +761,7 @@ impl TcpServer {
 
     /// Binds to `addr` under an explicit [`ServerConfig`]: handshake
     /// policy, per-connection queue bound, global in-flight cap,
-    /// dispatch worker count, and the artifact store.
+    /// dispatch slot count, and the artifact store.
     ///
     /// # Errors
     ///
@@ -835,115 +771,52 @@ impl TcpServer {
         dispatcher: Arc<Dispatcher>,
         config: ServerConfig,
     ) -> Result<Self, RuntimeError> {
-        let listener =
-            TcpListener::bind(addr).map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        let local = listener
-            .local_addr()
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
+        let transport = |e: std::io::Error| RuntimeError::Transport(e.to_string());
+        let listener = TcpListener::bind(addr).map_err(transport)?;
+        let local = listener.local_addr().map_err(transport)?;
         let metrics = Arc::clone(dispatcher.metrics());
         // Metrics listener: same interface, ephemeral port.
-        let metrics_listener = TcpListener::bind(SocketAddr::new(local.ip(), 0))
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
-        let metrics_addr = metrics_listener
-            .local_addr()
-            .map_err(|e| RuntimeError::Transport(e.to_string()))?;
+        let metrics_listener =
+            TcpListener::bind(SocketAddr::new(local.ip(), 0)).map_err(transport)?;
+        let metrics_addr = metrics_listener.local_addr().map_err(transport)?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let pool_size = config.workers.max(1);
 
-        let queue = Arc::new(FrameQueue::<ServerJob>::new());
-        let ordered = Arc::new(FrameQueue::<ServerJob>::new());
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        let limiter = Arc::new(config.limiter());
-        let ctx = ServerCtx {
-            cfg: config,
-            queue: Arc::clone(&queue),
-            ordered: Arc::clone(&ordered),
-            in_flight: Arc::clone(&in_flight),
-            metrics: Arc::clone(&metrics),
-            limiter: Arc::clone(&limiter),
-        };
-        let (reactor, reactor_thread) = spawn_reactor("mb-reactor-srv", Some(ctx))?;
-        // The pool drains request/reply work concurrently; one extra
-        // worker drains oneways alone, in receipt order (their only
-        // delivery guarantee — no reply correlates them for the caller).
-        let sources: Vec<Arc<FrameQueue<ServerJob>>> =
-            std::iter::repeat_with(|| Arc::clone(&queue))
-                .take(pool_size)
-                .chain(std::iter::once(Arc::clone(&ordered)))
-                .collect();
-        let workers: Vec<JoinHandle<()>> = sources
-            .into_iter()
-            .map(|q| {
-                let d = dispatcher.clone();
-                let h = reactor.clone();
-                let busy = Arc::clone(&in_flight);
-                let lim = Arc::clone(&limiter);
-                let m = Arc::clone(&metrics);
-                std::thread::spawn(move || {
-                    while let Some(job) = q.pop() {
-                        job.queued.fetch_sub(1, Ordering::SeqCst);
-                        // Dequeue-time deadline check: a request whose
-                        // budget died waiting in the queue is refused
-                        // without occupying a dispatch slot.
-                        if job.expires_at.is_some_and(|at| Instant::now() >= at) {
-                            if let Some(reply) = deadline_expired_reply(&job.msg, &m) {
-                                let _ = h.write(&job.out, reply.to_bytes(), None);
-                            }
-                            continue;
-                        }
-                        busy.fetch_add(1, Ordering::SeqCst);
-                        let reply = d.dispatch_with_deadline(&job.msg, job.expires_at);
-                        // Sojourn time (queue wait + dispatch): queueing
-                        // delay is the first symptom of overload, so it
-                        // must reach the limiter.
-                        lim.observe(job.admitted.elapsed(), &m);
-                        busy.fetch_sub(1, Ordering::SeqCst);
-                        // The worker writes its own reply; the reactor
-                        // only finishes a tail the socket refused.
-                        if let Some(reply) = reply {
-                            let _ = h.write(&job.out, reply.to_bytes(), None);
-                        }
-                    }
-                })
-            })
-            .collect();
+        let (server, threads) = Server::start(config, dispatcher)?;
         let flag = shutdown.clone();
-        let acceptor_handle = reactor.clone();
-        let accept_thread = std::thread::spawn(move || {
-            // The listener unblocks when a shutdown probe connects.
-            for conn in listener.incoming() {
-                if flag.load(Ordering::SeqCst) {
-                    break;
+        let srv = Arc::clone(&server);
+        let accept_thread = std::thread::Builder::new()
+            .name("mb-srv-accept".into())
+            .spawn(move || {
+                // The listener unblocks when a shutdown probe connects.
+                for conn in listener.incoming() {
+                    if flag.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let Ok(stream) = conn else { continue };
+                    stream.set_nodelay(true).ok();
+                    srv.register(stream);
                 }
-                let Ok(stream) = conn else { continue };
-                stream.set_nodelay(true).ok();
-                if acceptor_handle
-                    .send(Command::RegisterServer { stream })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-        });
-
+            });
         let metrics_registry = Arc::clone(&metrics);
         let metrics_stop = shutdown.clone();
-        let metrics_thread = std::thread::spawn(move || {
-            serve_metrics(metrics_listener, metrics_registry, metrics_stop);
-        });
-        Ok(TcpServer {
+        let metrics_thread = std::thread::Builder::new()
+            .name("mb-srv-metrics".into())
+            .spawn(move || serve_metrics(metrics_listener, metrics_registry, metrics_stop));
+        let mut server = TcpServer {
             addr: local,
             metrics_addr,
             metrics,
             shutdown,
-            accept_thread: Some(accept_thread),
-            metrics_thread: Some(metrics_thread),
-            reactor,
-            reactor_thread: Some(reactor_thread),
-            queue,
-            ordered,
-            workers,
-        })
+            accept_thread: None,
+            metrics_thread: None,
+            server,
+            threads,
+        };
+        // A thread that failed to start leaves a server that shuts down
+        // whatever did start.
+        server.accept_thread = Some(accept_thread.map_err(transport)?);
+        server.metrics_thread = Some(metrics_thread.map_err(transport)?);
+        Ok(server)
     }
 
     /// The bound address (with the resolved ephemeral port).
@@ -963,47 +836,43 @@ impl TcpServer {
         &self.metrics
     }
 
-    /// Connections the server's reactor currently holds open (a slot is
-    /// pruned the moment its socket closes). A cheap RSS proxy for
-    /// churn and soak tests.
+    /// Connections the server currently holds open (a slot is pruned
+    /// the moment its socket closes). A cheap RSS proxy for churn and
+    /// soak tests.
     pub fn open_connections(&self) -> usize {
-        self.reactor.open_conns()
+        self.server.open_conns()
     }
 
     /// Stops accepting, then shuts the server down deterministically:
-    /// reads stop first, then the dispatch queues close and the worker
-    /// pool drains (accepted requests still get their replies), then
-    /// the reactor flushes pending reply bytes and exits.
+    /// reads stop first, then the dispatch queues close and the pollers
+    /// and the oneway worker drain them (accepted requests still get
+    /// their replies) and are joined, then pending reply bytes are
+    /// flushed and every socket closes.
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         // Probe connections to unblock both accept() loops.
         let _ = TcpStream::connect(self.addr);
         let _ = TcpStream::connect(self.metrics_addr);
-        if let Some(t) = self.accept_thread.take() {
+        for t in [self.accept_thread.take(), self.metrics_thread.take()]
+            .into_iter()
+            .flatten()
+        {
             let _ = t.join();
         }
-        if let Some(t) = self.metrics_thread.take() {
+        // Phases one and two: no new frames are read, and accepted work
+        // drains through the threads that hold it.
+        self.server.stop();
+        for t in self.threads.drain(..) {
             let _ = t.join();
         }
-        // Phase one: no new frames enter the queues.
-        let _ = self.reactor.send(Command::StopReading);
-        // Phase two: drain accepted work through the workers.
-        self.queue.close();
-        self.ordered.close();
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        // Phase three: flush replies, close sockets, exit.
-        let _ = self.reactor.send(Command::Drain);
-        if let Some(t) = self.reactor_thread.take() {
-            let _ = t.join();
-        }
+        // Phase three: flush replies, close sockets.
+        self.server.drain();
     }
 }
 
 impl Drop for TcpServer {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() {
+        if !self.threads.is_empty() {
             self.shutdown();
         }
     }
@@ -1019,6 +888,7 @@ mod tests {
     use std::collections::HashMap;
     use std::io::Write;
     use std::net::Shutdown;
+    use std::sync::atomic::AtomicUsize;
 
     fn adder_dispatcher() -> (
         Arc<Dispatcher>,
@@ -1629,6 +1499,139 @@ mod tests {
         );
         assert!(conn.is_alive(), "timeouts do not kill the connection");
         server.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_on_one_connection_dispatch_in_parallel() {
+        let (d, graph, rec) = sleepy_dispatcher(50);
+        let config = ServerConfig::default().with_workers(4);
+        let mut server = TcpServer::bind_with("127.0.0.1:0", d, config).unwrap();
+        let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());
+        let start = Instant::now();
+        let callers: Vec<_> = (0..4u32)
+            .map(|k| {
+                let (c, g) = (Arc::clone(&conn), Arc::clone(&graph));
+                std::thread::spawn(move || c.call(&echo_request(&g, rec, b"slow", k, k.into())))
+            })
+            .collect();
+        for h in callers {
+            let reply = h.join().unwrap().unwrap().expect("a reply");
+            let MessageKind::Reply { status, .. } = reply.kind else {
+                panic!()
+            };
+            assert_eq!(status, ReplyStatus::NoException);
+        }
+        // One at a time, the four 50 ms dispatches would take 200 ms.
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(150),
+            "four pipelined requests dispatched in parallel: {elapsed:?}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_caller_whose_deadline_passes_leaves_the_socket_to_the_others() {
+        // Each request announces its value on arrival, then takes
+        // 200 ms.
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(64));
+        let rec = g.record(vec![i]);
+        let graph = Arc::new(g);
+        let (arrived_tx, arrived) = std::sync::mpsc::channel();
+        let arrived_tx = Mutex::new(arrived_tx);
+        let servant: Arc<dyn Servant> = Arc::new(move |_: &str, v: MValue| {
+            if let MValue::Record(items) = &v {
+                let _ = arrived_tx.plock().send(items[0].clone());
+            }
+            std::thread::sleep(Duration::from_millis(200));
+            Ok(v)
+        });
+        let mut ops = HashMap::new();
+        ops.insert("echo".to_string(), WireOp::new(graph.clone(), rec, rec));
+        let d = Arc::new(Dispatcher::new());
+        d.register(b"slow".to_vec(), WireServant::new(servant, ops));
+        let mut server = TcpServer::bind("127.0.0.1:0", d).unwrap();
+        let conn = Arc::new(MultiplexedConnection::connect(server.addr()).unwrap());
+
+        // A calls first, with a 50 ms deadline, and is waiting on the
+        // socket by the time its request reaches the servant.
+        let (a_conn, a_graph) = (Arc::clone(&conn), Arc::clone(&graph));
+        let a = std::thread::spawn(move || {
+            let opts = CallOptions::new().with_deadline(Duration::from_millis(50));
+            let start = Instant::now();
+            let out = a_conn.call_with(&echo_request(&a_graph, rec, b"slow", 1, 1), &opts);
+            (out, start.elapsed())
+        });
+        assert_eq!(arrived.recv().unwrap(), MValue::Int(1));
+        // B calls with no deadline while A waits.
+        let (b_conn, b_graph) = (Arc::clone(&conn), Arc::clone(&graph));
+        let b =
+            std::thread::spawn(move || b_conn.call(&echo_request(&b_graph, rec, b"slow", 2, 2)));
+
+        let (out, elapsed) = a.join().unwrap();
+        assert!(
+            matches!(out, Err(RuntimeError::Timeout(_))),
+            "A timed out, got {out:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(150),
+            "A's deadline ended its wait: {elapsed:?}"
+        );
+        let reply = b.join().unwrap().unwrap().expect("B's reply");
+        let MessageKind::Reply { status, .. } = reply.kind else {
+            panic!()
+        };
+        assert_eq!(status, ReplyStatus::NoException, "B still got its reply");
+        assert_eq!(reply.body, echo_request(&graph, rec, b"slow", 2, 2).body);
+        server.shutdown();
+    }
+
+    #[test]
+    fn replies_a_peer_sent_before_closing_still_reach_their_callers() {
+        // A raw peer reads two pipelined requests, answers both, and
+        // closes: the replies and the end of the stream arrive together.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut sock, _) = listener.accept().unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let metrics = MetricsRegistry::new();
+            let mut replies = Vec::new();
+            for _ in 0..2 {
+                let req = read_frame(&mut sock, deadline, &metrics)
+                    .unwrap()
+                    .expect("a request");
+                let MessageKind::Request { request_id, .. } = req.kind else {
+                    panic!("expected a request, got {:?}", req.kind)
+                };
+                let reply =
+                    Message::reply(request_id, ReplyStatus::NoException, req.endian, req.body);
+                replies.extend_from_slice(&reply.to_bytes());
+            }
+            sock.write_all(&replies).unwrap();
+        });
+
+        let conn = Arc::new(MultiplexedConnection::connect(addr).unwrap());
+        let mut g = MtypeGraph::new();
+        let i = g.integer(IntRange::signed_bits(64));
+        let rec = g.record(vec![i]);
+        let graph = Arc::new(g);
+        let callers: Vec<_> = (1..=2u32)
+            .map(|k| {
+                let (c, g) = (Arc::clone(&conn), Arc::clone(&graph));
+                std::thread::spawn(move || {
+                    let req = echo_request(&g, rec, b"raw", k, k.into());
+                    (c.call(&req), req.body)
+                })
+            })
+            .collect();
+        for h in callers {
+            let (out, body) = h.join().unwrap();
+            let reply = out.expect("a reply, not a transport error").unwrap();
+            assert_eq!(reply.body, body, "each caller got its own reply");
+        }
+        peer.join().unwrap();
     }
 
     #[test]
